@@ -8,8 +8,10 @@ experiments behind the lower-bound formulas.
 
 __version__ = "0.1.0"
 
+# Kept because the benchmark's env record reads them; there is no jit backend.
+JIT_ENABLED = NUMBA_AVAILABLE = False
+
 from . import errors
-from ._kernels import JIT_ENABLED, NUMBA_AVAILABLE
 from .barneswall import (
     SymmetryPatternReport,
     bw_complex,

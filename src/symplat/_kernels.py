@@ -2,33 +2,14 @@
 
 These three loops dominate the runtime of everything interesting in this
 package (systole checks, the Monte Carlo mean-value estimator, the
-eigensolver oracle).  Each kernel is written once in numba-compatible
-numpy style and compiled with ``@njit`` when possible; setting the
-environment variable ``SYMPLAT_DISABLE_JIT=1`` (or not having numba at
-all) selects the identical pure-numpy path instead.  ``benchmarks/``
-compares the two.
+eigensolver oracle).  Each kernel has one pure-numpy implementation.
 
 Kernels never raise: they return an integer status the callers translate
 into the package's exception types.  All matrices are passed row-major
 with vectors as rows so the inner dot products run on contiguous memory.
 """
 
-import os
-
 import numpy as np
-
-_ENV_DISABLED = os.environ.get("SYMPLAT_DISABLE_JIT", "").strip() not in ("", "0", "false", "False")
-
-try:
-    if _ENV_DISABLED:
-        raise ImportError("jit disabled by SYMPLAT_DISABLE_JIT")
-    from numba import njit
-
-    NUMBA_AVAILABLE = True
-except ImportError:
-    NUMBA_AVAILABLE = False
-
-JIT_ENABLED = NUMBA_AVAILABLE and not _ENV_DISABLED
 
 #: GS norms at or below this are treated as a breakdown, not a tiny vector.
 GS_UNDERFLOW = 1e-280
@@ -43,7 +24,7 @@ ITER_CAP = 2
 BUDGET_EXCEEDED = 1
 
 
-def _lll_impl(w, v, delta):
+def lll_core(w, v, delta):
     """Lovasz-reduce the row vectors of ``w`` in place.
 
     ``v`` (int64, preinitialised to the identity) accumulates the row
@@ -95,7 +76,7 @@ def _lll_impl(w, v, delta):
     return OK
 
 
-def _enumerate_impl(r, r2cap, node_budget):
+def enumerate_core(r, r2cap, node_budget):
     """Depth-first enumeration of all integer z != 0 with ||R z||^2 <= r2cap.
 
     ``r`` is the upper-triangular Cholesky factor of the Gram matrix
@@ -167,7 +148,7 @@ def _enumerate_impl(r, r2cap, node_budget):
     return coords[:m].copy(), norms[:m].copy(), nodes, OK
 
 
-def _jacobi_impl(a, q, rel_tol, max_sweeps):
+def jacobi_core(a, q, rel_tol, max_sweeps):
     """Cyclic Jacobi sweeps on symmetric ``a`` (overwritten in place).
 
     ``q`` (preinitialised to the identity) accumulates rotations so that
@@ -212,24 +193,3 @@ def _jacobi_impl(a, q, rel_tol, max_sweeps):
                 q[:, p] = c * qp - s * qq
                 q[:, r_] = s * qp + c * qq
     return max_sweeps, ITER_CAP
-
-
-# Pure-numpy twins stay importable for the benchmark and the fallback tests.
-lll_py = _lll_impl
-enumerate_py = _enumerate_impl
-jacobi_py = _jacobi_impl
-
-if JIT_ENABLED:
-    lll_jit = njit(cache=True, nogil=True)(_lll_impl)
-    enumerate_jit = njit(cache=True, nogil=True)(_enumerate_impl)
-    jacobi_jit = njit(cache=True, nogil=True)(_jacobi_impl)
-    lll_core = lll_jit
-    enumerate_core = enumerate_jit
-    jacobi_core = jacobi_jit
-else:
-    lll_jit = None
-    enumerate_jit = None
-    jacobi_jit = None
-    lll_core = lll_py
-    enumerate_core = enumerate_py
-    jacobi_core = jacobi_py

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -88,16 +87,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, pool=False, seeded=False):
+    def add_common(sp, seeded=False):
         sp.add_argument("--tol", type=float, default=DEFAULT_TOL)
         sp.add_argument("--output", choices=("json", "csv"), default="json")
         sp.add_argument("--stable-output", action="store_true",
                         help="omit the timestamp metadata block")
         if seeded:
             sp.add_argument("--seed", type=int, default=0)
-        if pool:
-            sp.add_argument("--threads", type=int,
-                            default=max(1, os.cpu_count() or 1))
 
     sp = sub.add_parser("bounds", help="closed-form lower-bound values")
     sp.add_argument("--g", type=int, required=True)
@@ -143,14 +139,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--y", type=float, required=True)
     sp.add_argument("--r2", type=float, required=True)
     sp.add_argument("--samples", type=int, required=True)
-    add_common(sp, pool=True, seeded=True)
+    add_common(sp, seeded=True)
 
     sp = sub.add_parser("sweep", help="mean estimates along increasing y")
     sp.add_argument("--g", type=int, required=True)
     sp.add_argument("--r2", type=float, required=True)
     sp.add_argument("--ys", required=True, help="comma-separated increasing y values")
     sp.add_argument("--samples", type=int, required=True)
-    add_common(sp, pool=True, seeded=True)
+    add_common(sp, seeded=True)
 
     sp = sub.add_parser("multiplicity", help="per-length divisibility report")
     sp.add_argument("--family", choices=("k", "a2n"), required=True)
@@ -289,7 +285,7 @@ def _cmd_bw(args):
 
 
 def _cmd_meanvalue(args):
-    est = estimate_I(args.g, args.y, args.r2, args.samples, args.seed, args.threads)
+    est = estimate_I(args.g, args.y, args.r2, args.samples, args.seed)
     return {
         "g": est.g, "y": est.y, "r2": est.r2, "samples": est.samples,
         "mean": est.mean, "stderr": est.stderr, "seed": est.seed,
@@ -306,7 +302,7 @@ def _parse_ys(text: str) -> list[float]:
 
 def _cmd_sweep(args):
     ys = _parse_ys(args.ys)
-    ests = limit_sweep(args.g, args.r2, ys, args.samples, args.seed, args.threads)
+    ests = limit_sweep(args.g, args.r2, ys, args.samples, args.seed)
     limit = ball_volume_limit(args.g, args.r2 ** 0.5)
     return {
         "g": args.g, "r2": args.r2, "samples": args.samples, "seed": args.seed,

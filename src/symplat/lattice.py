@@ -94,7 +94,8 @@ def lll_reduce(lat: Lattice, delta: float = DEFAULT_LLL_DELTA) -> tuple[Lattice,
     if status != _kernels.OK:
         raise NumericalBreakdown("Gram-Schmidt norms underflowed during LLL")
     u = v.T.copy()
-    assert abs(det_int(u)) == 1
+    if abs(det_int(u)) != 1:
+        raise NumericalBreakdown("LLL transform is not unimodular")
     return from_basis(w.T), u
 
 
@@ -161,7 +162,8 @@ def systole(lat: Lattice, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[float
     reduced, u = lll_reduce(lat)
     r2 = float(np.min(np.diag(reduced.gram)))
     report = _enumerate_reduced(reduced, u, r2, node_budget)
-    assert report.systole2 is not None
+    if report.systole2 is None:
+        raise NumericalBreakdown("no vector found within the shortest LLL basis length")
     return report.systole2, report.kissing
 
 

@@ -17,7 +17,6 @@ exact.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,11 +178,6 @@ def round_to_int(a, tol: float = DEFAULT_TOL) -> np.ndarray:
             f"entry ({worst[0]},{worst[1]}) = {a[worst]!r} is {err[worst]:.3e} from an integer"
         )
     return rounded.astype(np.int64)
-
-
-def lgamma_int(n: int) -> float:
-    """log(n!) without overflow."""
-    return math.lgamma(n + 1)
 
 
 # -- JSON object forms -------------------------------------------------------

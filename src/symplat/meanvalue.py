@@ -16,22 +16,21 @@ its standard error; the decreasing trend in y is reported, not asserted,
 because single estimates carry Monte Carlo noise.
 
 Everything is reproducible: sample i of seed s draws from the
-counter-based stream keyed (s, i), and reductions run in sample order, so
-thread scheduling cannot change any output bit.
+counter-based stream keyed (s, i), and the estimator visits samples in
+order, so a fixed seed gives the same output bits.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import OddDimension, OutOfRange
 from .lattice import DEFAULT_NODE_BUDGET, enumerate_short, from_basis, systole
-from .patterned import KSymParams, ksym_region
-from .symplectic import a2n_family_point, k_family_point, p_z, sample_vcube
+from .patterned import KSymParams, a2n_eigenvalues, ksym_region
+from .symplectic import _stream, a2n_family_point, k_family_point, p_z, sample_vcube
 
 _PI = math.pi
 
@@ -39,11 +38,6 @@ _PI = math.pi
 _TAG_Y = 1
 _TAG_A2N = 2
 _TAG_SEARCH = 3
-
-
-def _stream(seed: int, *key: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(tuple(int(k) for k in (seed, *key)))
-    return np.random.Generator(np.random.Philox(ss))
 
 
 @dataclass(frozen=True)
@@ -140,26 +134,29 @@ def sample_k_family(g: int, seed: int, index: int):
     return k_family_lattice(params, y)
 
 
-def sample_a2n_family(g: int, seed: int, index: int):
-    """Sampled XOR-family lattice; the sqrt(Y) row is shifted to be safely SPD.
+def _a2n_lattice(x_row, s_row):
+    """XOR-family lattice with a copy of the sqrt(Y) row shifted to be safely SPD.
 
     Adding to the leading row entry shifts every Walsh eigenvalue equally,
-    so the shift below guarantees a minimum eigenvalue of 0.1 without
-    leaving the patterned class.
+    so the shift guarantees a minimum eigenvalue of 0.1 without leaving
+    the patterned class.  The caller's row is left as it was.
     """
-    rng = _stream(seed, index, _TAG_A2N)
-    x_row = rng.uniform(0.0, 1.0, size=g)
-    s_row = rng.uniform(0.0, 1.0, size=g)
-    from .patterned import a2n_eigenvalues
-
+    s_row = np.array(s_row, dtype=np.float64)
     emin = float(np.min(a2n_eigenvalues(s_row)))
     if emin < 0.1:
         s_row[0] += 0.1 - emin
     return from_basis(p_z(a2n_family_point(x_row, s_row)))
 
 
-def estimate_I(g: int, y: float, r2: float, samples: int, seed: int,
-               threads: int = 1,
+def sample_a2n_family(g: int, seed: int, index: int):
+    """Sampled XOR-family lattice, its sqrt(Y) row shifted to be safely SPD."""
+    rng = _stream(seed, index, _TAG_A2N)
+    x_row = rng.uniform(0.0, 1.0, size=g)
+    s_row = rng.uniform(0.0, 1.0, size=g)
+    return _a2n_lattice(x_row, s_row)
+
+
+def estimate_I(g: int, y: float, r2: float, samples: int, seed: int, *,
                node_budget: int = DEFAULT_NODE_BUDGET) -> MeanValueEstimate:
     """Monte Carlo mean of the short-vector count over the K-family cube."""
     if samples < 1:
@@ -169,26 +166,17 @@ def estimate_I(g: int, y: float, r2: float, samples: int, seed: int,
     if not r2 > 0:
         raise OutOfRange("squared radius must be positive")
 
-    def one(i: int) -> int:
-        params = sample_vcube(g, seed, i)
-        return _count_short(k_family_lattice(params, y), r2, node_budget)
-
     counts = np.zeros(samples, dtype=np.float64)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for i, c in enumerate(pool.map(one, range(samples))):
-                counts[i] = c
-    else:
-        for i in range(samples):
-            counts[i] = one(i)
+    for i in range(samples):
+        params = sample_vcube(g, seed, i)
+        counts[i] = _count_short(k_family_lattice(params, y), r2, node_budget)
     mean = float(np.mean(counts))
     stderr = float(np.std(counts, ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     return MeanValueEstimate(g=g, y=float(y), r2=float(r2), samples=samples,
                              mean=mean, stderr=stderr, seed=seed)
 
 
-def limit_sweep(g: int, r2: float, y_list, samples: int, seed: int,
-                threads: int = 1,
+def limit_sweep(g: int, r2: float, y_list, samples: int, seed: int, *,
                 node_budget: int = DEFAULT_NODE_BUDGET) -> list[MeanValueEstimate]:
     """One estimate per y, for increasing y.
 
@@ -202,7 +190,7 @@ def limit_sweep(g: int, r2: float, y_list, samples: int, seed: int,
     ys = [float(y) for y in y_list]
     if any(b <= a for a, b in zip(ys, ys[1:])):
         raise OutOfRange("y values must be strictly increasing")
-    return [estimate_I(g, y, r2, samples, seed, threads, node_budget) for y in ys]
+    return [estimate_I(g, y, r2, samples, seed, node_budget=node_budget) for y in ys]
 
 
 _FAMILY_SAMPLERS = {"k": sample_k_family, "a2n": sample_a2n_family}
@@ -294,15 +282,7 @@ def _a2n_point_perturb(point, sigma: float, rng):
 
 
 def _a2n_point_eval(g: int, point, node_budget: int) -> float:
-    from .patterned import a2n_eigenvalues
-
-    x_row, s_row = point
-    s_row = s_row.copy()
-    emin = float(np.min(a2n_eigenvalues(s_row)))
-    if emin < 0.1:
-        s_row[0] += 0.1 - emin
-    lat = from_basis(p_z(a2n_family_point(x_row, s_row)))
-    return systole(lat, node_budget)[0]
+    return systole(_a2n_lattice(*point), node_budget)[0]
 
 
 def witness_search(g: int, family: str, target_r2: float | None, budget: int,

@@ -71,10 +71,6 @@ def a2n_from_row(row) -> np.ndarray:
     return c[idx]
 
 
-def first_row(a) -> np.ndarray:
-    return as_mat(a)[0].copy()
-
-
 def is_in_a2n(a, tol: float = DEFAULT_TOL) -> bool:
     """True iff all n bit-flip conjugation identities J^k a J^k = a hold within tol."""
     a = as_mat(a)
@@ -146,7 +142,8 @@ def k_symmetric_from_params(p: KSymParams) -> np.ndarray:
     signed point reflection X[g+1-i, g+1-j] = sigma(i,j) X[i, j], with
     sigma = -1 when i+j is even and +1 when i+j is odd.  The identical
     float is stored (possibly negated) in every orbit slot, so the
-    defining identities hold exactly, which the final assertion checks.
+    defining identities hold exactly, which the final checks confirm (a
+    non-finite value breaks them and raises InconsistentParams).
     """
     g = p.g
     x = np.zeros((g, g))
@@ -161,8 +158,10 @@ def k_symmetric_from_params(p: KSymParams) -> np.ndarray:
         x[rj, ri] = s * v
 
     k = k_matrix(g).astype(np.float64)
-    assert np.array_equal(k @ x @ k, x), "wedge propagation broke K X K = X"
-    assert np.array_equal(x, x.T), "wedge propagation broke symmetry"
+    if not np.array_equal(k @ x @ k, x):
+        raise InconsistentParams("wedge propagation broke K X K = X")
+    if not np.array_equal(x, x.T):
+        raise InconsistentParams("wedge propagation broke symmetry")
     return x
 
 

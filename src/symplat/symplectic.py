@@ -15,8 +15,8 @@ Two families of such points produce lattices with prescribed symmetries:
   XOR-patterned, making the lattice invariant under all block-diagonal
   bit-flip involutions diag(J^k, J^k).
 
-Sampling is counter based: each (seed, sample index) pair keys its own
-Philox stream, so parallel sampling is order independent and reproducible.
+Sampling is counter based: each key such as (seed, sample index) has its
+own Philox stream, so samples are independent of the order they are drawn in.
 """
 
 from __future__ import annotations
@@ -106,9 +106,9 @@ def is_symplectic(m, tol: float = DEFAULT_TOL) -> bool:
     return float(np.max(np.abs(m.T @ j @ m - j))) <= tol
 
 
-def _rng(seed: int, sample_index: int) -> np.random.Generator:
-    """Counter-based stream keyed by (seed, sample index)."""
-    ss = np.random.SeedSequence((int(seed), int(sample_index)))
+def _stream(seed: int, *key: int) -> np.random.Generator:
+    """Counter-based Philox stream keyed by (seed, *key)."""
+    ss = np.random.SeedSequence(tuple(int(k) for k in (seed, *key)))
     return np.random.Generator(np.random.Philox(ss))
 
 
@@ -117,10 +117,10 @@ def sample_vcube(g: int, rng_seed: int, sample_index: int = 0) -> KSymParams:
 
     Parameters are drawn in canonical wedge order from the counter-based
     stream of (rng_seed, sample_index), so samples with distinct indices
-    are independent and scheduling-order free.
+    are independent and order free.
     """
     region = ksym_region(g)
-    rng = _rng(rng_seed, sample_index)
+    rng = _stream(rng_seed, sample_index)
     draws = rng.uniform(0.0, 1.0, size=len(region))
     return KSymParams(g=g, values={key: float(v) for key, v in zip(region, draws)})
 

@@ -64,7 +64,7 @@ def test_criterion_2_long_g32():
 
 @criterion(3, "mean at g=2, y=8, r2=0.25, 1e4 samples within 4 stderr of pi^2 r2^2 / 2")
 def test_criterion_3_mean_value_limit():
-    est = sp.estimate_I(2, 8.0, 0.25, 10_000, seed=20240811, threads=4)
+    est = sp.estimate_I(2, 8.0, 0.25, 10_000, seed=20240811)
     limit = math.pi ** 2 * 0.25 ** 2 / 2.0
     assert abs(est.mean - limit) <= 4.0 * est.stderr, (est.mean, est.stderr, limit)
 

@@ -152,7 +152,7 @@ class TestCommands:
     def test_meanvalue(self, capsys):
         code, payload = run_json(capsys, [
             "meanvalue", "--g", "2", "--y", "8", "--r2", "0.25",
-            "--samples", "50", "--seed", "3", "--threads", "1",
+            "--samples", "50", "--seed", "3",
             "--stable-output",
         ])
         assert code == 0
@@ -181,7 +181,7 @@ class TestCommands:
 class TestOutputContracts:
     def test_stable_output_byte_identical(self, capsys):
         argv = ["meanvalue", "--g", "2", "--y", "8", "--r2", "0.25",
-                "--samples", "30", "--seed", "9", "--threads", "1",
+                "--samples", "30", "--seed", "9",
                 "--stable-output"]
         _, out1 = run_cli(capsys, argv)
         _, out2 = run_cli(capsys, argv)
@@ -202,7 +202,7 @@ class TestOutputContracts:
     def test_sweep_csv(self, capsys):
         code, out = run_cli(capsys, [
             "sweep", "--g", "2", "--r2", "0.25", "--ys", "4,8",
-            "--samples", "20", "--seed", "1", "--threads", "1",
+            "--samples", "20", "--seed", "1",
             "--output", "csv",
         ])
         assert code == 0

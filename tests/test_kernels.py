@@ -1,64 +1,12 @@
-"""The jitted kernels and their pure twins must agree bit for bit."""
+"""Status codes of the numpy kernels."""
 
 import numpy as np
-import pytest
 
 from symplat import _kernels
-
-from conftest import random_invertible, random_spd
-
-needs_jit = pytest.mark.skipif(
-    not _kernels.JIT_ENABLED, reason="numba disabled or unavailable"
-)
 
 
 def chol_upper(gram):
     return np.ascontiguousarray(np.linalg.cholesky(gram).T)
-
-
-@needs_jit
-def test_lll_paths_agree(rng):
-    for _ in range(15):
-        dim = int(rng.integers(2, 9))
-        b = random_invertible(rng, dim, max_cond=1000.0)
-        w1 = np.ascontiguousarray(b.T).copy()
-        w2 = w1.copy()
-        v1 = np.eye(dim, dtype=np.int64)
-        v2 = v1.copy()
-        s1 = _kernels.lll_jit(w1, v1, 0.99)
-        s2 = _kernels.lll_py(w2, v2, 0.99)
-        assert s1 == s2 == _kernels.OK
-        assert np.array_equal(w1, w2)
-        assert np.array_equal(v1, v2)
-
-
-@needs_jit
-def test_enumeration_paths_agree(rng):
-    for _ in range(15):
-        dim = int(rng.integers(2, 6))
-        gram = random_spd(rng, dim)
-        r = chol_upper(gram)
-        r2cap = float(rng.uniform(2.0, 8.0))
-        c1, n1, nodes1, s1 = _kernels.enumerate_jit(r, r2cap, np.int64(10 ** 7))
-        c2, n2, nodes2, s2 = _kernels.enumerate_py(r, r2cap, np.int64(10 ** 7))
-        assert s1 == s2 == _kernels.OK
-        assert nodes1 == nodes2
-        assert np.array_equal(c1, c2)
-        assert np.array_equal(n1, n2)
-
-
-@needs_jit
-def test_jacobi_paths_agree(rng):
-    for dim in (2, 5, 9, 16):
-        m = rng.normal(size=(dim, dim))
-        s = 0.5 * (m + m.T)
-        a1, q1 = s.copy(), np.eye(dim)
-        a2, q2 = s.copy(), np.eye(dim)
-        r1 = _kernels.jacobi_jit(a1, q1, 1e-12, 100)
-        r2 = _kernels.jacobi_py(a2, q2, 1e-12, 100)
-        assert r1 == r2
-        assert np.array_equal(a1, a2)
-        assert np.array_equal(q1, q2)
 
 
 def test_enumeration_budget_status(rng):
@@ -66,10 +14,3 @@ def test_enumeration_budget_status(rng):
     r = chol_upper(gram)
     _, _, _, status = _kernels.enumerate_core(r, 100.0, np.int64(10))
     assert status == _kernels.BUDGET_EXCEEDED
-
-
-def test_active_kernels_match_flag():
-    if _kernels.JIT_ENABLED:
-        assert _kernels.enumerate_core is _kernels.enumerate_jit
-    else:
-        assert _kernels.enumerate_core is _kernels.enumerate_py

@@ -14,7 +14,7 @@ from symplat import (
     scale_to_unit_det,
     systole,
 )
-from symplat.errors import NotInvariant, OutOfRange, RadiusTooLarge, Singular
+from symplat.errors import NotInvariant, NumericalBreakdown, OutOfRange, RadiusTooLarge, Singular
 from symplat.lattice import report_to_obj
 from symplat.linalg import det_int
 
@@ -71,6 +71,20 @@ class TestLLL:
             assert abs(det_int(u)) == 1
             assert np.allclose(lat.basis @ u, reduced.basis, atol=1e-9)
             assert lattice_det(reduced) == pytest.approx(lattice_det(lat), rel=1e-12)
+            # Gram-Schmidt of the reduced basis: G = L L^T, mu_ij = L_ij / L_jj
+            chol = np.linalg.cholesky(reduced.gram)
+            gs = np.diag(chol) ** 2
+            mu = chol / np.diag(chol)[None, :]
+            assert np.all(np.abs(np.tril(mu, -1)) <= 0.5 + 1e-9)
+            for k in range(1, dim):
+                assert gs[k] >= (0.99 - mu[k, k - 1] ** 2) * gs[k - 1] * (1.0 - 1e-9)
+
+    def test_non_unimodular_transform_raises(self, monkeypatch):
+        from symplat import lattice
+
+        monkeypatch.setattr(lattice, "det_int", lambda u: 2)
+        with pytest.raises(NumericalBreakdown):
+            lll_reduce(from_basis(np.array([[1.0, 0.0], [100.0, 1.0]])))
 
     def test_delta_range(self):
         lat = from_basis(np.eye(2))

@@ -77,12 +77,6 @@ class TestEstimate:
         b = estimate_I(2, 8.0, 0.25, 50, seed=9)
         assert a == b
 
-    def test_threads_do_not_change_results(self):
-        a = estimate_I(2, 8.0, 0.25, 60, seed=4, threads=1)
-        b = estimate_I(2, 8.0, 0.25, 60, seed=4, threads=4)
-        assert a.mean == b.mean
-        assert a.stderr == b.stderr
-
     def test_tiny_radius_is_zero(self):
         est = estimate_I(2, 8.0, 0.01, 40, seed=1)
         assert est.mean == 0.0

@@ -213,3 +213,14 @@ class TestParamSerialization:
         p = KSymParams(g, values)
         p2 = ksym_params_from_obj(ksym_params_to_obj(p))
         assert p2 == p
+
+    def test_nan_value_is_inconsistent(self):
+        import json
+
+        from symplat.patterned import ksym_params_from_obj
+
+        # the stdlib json module accepts NaN, so a parameter file can carry one
+        obj = json.loads('{"g": 2, "values": [{"i": 1, "j": 1, "value": NaN},'
+                         ' {"i": 1, "j": 2, "value": 0.5}]}')
+        with pytest.raises(InconsistentParams):
+            k_symmetric_from_params(ksym_params_from_obj(obj))

@@ -2,7 +2,18 @@
 
 These three loops dominate the runtime of everything interesting in this
 package (systole checks, the Monte Carlo mean-value estimator, the
-eigensolver oracle).  Each kernel has one pure-numpy implementation.
+eigensolver oracle).  LLL and Jacobi each have one pure-numpy kernel.
+
+Enumeration has two kernels over the same Fincke-Pohst tree.
+``enumerate_depth_first`` walks it one node at a time;
+``enumerate_frontier`` expands one tree level at a time over a numpy
+frontier, in chunks of at most FRONTIER_CHUNK_ROWS nodes taken depth
+first.  Both do the same float operations per node in the same order, so
+they return the same vectors in the same row order with bit-equal norms
+and the same node count.  ``enumerate_core``, the entry point, picks by
+tree size: it runs the depth-first kernel up to SMALL_TREE_NODES nodes
+and, when the tree turns out to be larger, starts over with the frontier
+kernel.
 
 Kernels never raise: they return an integer status the callers translate
 into the package's exception types.  All matrices are passed row-major
@@ -16,6 +27,19 @@ GS_UNDERFLOW = 1e-280
 
 #: Hard cap on LLL main-loop iterations; hitting it is a breakdown signal.
 LLL_MAX_ITER = 1_000_000
+
+#: Trees up to this many nodes stay with the depth-first kernel.  On one
+#: core of a 2-core x86 host it costs about 9 us per node and the frontier
+#: kernel about 55 us per tree level, so the frontier breaks even at about
+#: 40-60 nodes in dimensions 4 and 8 and at 60-100 in dimension 16.
+SMALL_TREE_NODES = 64
+
+#: Most nodes of one level the frontier kernel turns into coordinate rows
+#: at once.  Each level on its path holds at most one such chunk, so its
+#: memory stays near depth x chunk x dim integers however wide the tree is:
+#: about 6 MB on bw16-shells' tree, where 4096 takes 11 MB and runs no
+#: faster.
+FRONTIER_CHUNK_ROWS = 1 << 11
 
 # status codes shared by the kernels
 OK = 0
@@ -77,12 +101,27 @@ def lll_core(w, v, delta):
 
 
 def enumerate_core(r, r2cap, node_budget):
-    """Depth-first enumeration of all integer z != 0 with ||R z||^2 <= r2cap.
+    """All integer z != 0 with ||R z||^2 <= r2cap, by the kernel that suits the tree.
 
     ``r`` is the upper-triangular Cholesky factor of the Gram matrix
     (R^T R = G).  Returns (coords, norms, nodes, status); coords rows are
-    the z vectors, norms their squared lengths.  status BUDGET_EXCEEDED
-    means the node budget was exhausted and the output is partial.
+    the z vectors, norms their squared lengths, nodes the size of the
+    enumeration tree.  status BUDGET_EXCEEDED means the tree has more than
+    ``node_budget`` nodes; nodes is then node_budget + 1 and the output is
+    partial.  Trees of more than SMALL_TREE_NODES nodes are enumerated again
+    by the frontier kernel, and the aborted first attempt is not counted.
+    """
+    out = enumerate_depth_first(r, r2cap, min(node_budget, SMALL_TREE_NODES))
+    if out[3] == OK or node_budget <= SMALL_TREE_NODES:
+        return out
+    return enumerate_frontier(r, r2cap, node_budget)
+
+
+def enumerate_depth_first(r, r2cap, node_budget):
+    """``enumerate_core`` one tree node at a time; the reference kernel.
+
+    Children of a node are visited in ascending order, so rows come out in
+    lexicographic order of (z[d-1], ..., z[0]).
     """
     d = r.shape[0]
     cap = 1024
@@ -121,14 +160,8 @@ def enumerate_core(r, r2cap, node_budget):
                         break
                 if nonzero:
                     if m == cap:
-                        cap2 = cap * 2
-                        c2 = np.empty((cap2, d), dtype=np.int64)
-                        n2 = np.empty(cap2, dtype=np.float64)
-                        c2[:cap] = coords
-                        n2[:cap] = norms
-                        coords = c2
-                        norms = n2
-                        cap = cap2
+                        coords, norms = _grown(coords, norms, m, m + 1)
+                        cap = norms.shape[0]
                     for j in range(d):
                         coords[m, j] = z[j]
                     norms[m] = total
@@ -146,6 +179,102 @@ def enumerate_core(r, r2cap, node_budget):
             z[i] = np.int64(np.ceil((-s - rad) / rii - 1e-12))
             zmax[i] = np.int64(np.floor((-s + rad) / rii + 1e-12))
     return coords[:m].copy(), norms[:m].copy(), nodes, OK
+
+
+def enumerate_frontier(r, r2cap, node_budget):
+    """``enumerate_core`` one tree level at a time over a numpy frontier.
+
+    Applies the depth-first kernel's arithmetic to whole arrays of nodes,
+    keeps each node's children contiguous and ascending, and expands the
+    chunks of a level depth first, so the output equals
+    ``enumerate_depth_first``'s row for row and bit for bit.  The child
+    count of each chunk is charged to the budget before its children are
+    built.
+    """
+    d = r.shape[0]
+    found = _Found(d)
+    nodes = _expand(r, r2cap, node_budget, d, np.zeros((0, 1), dtype=np.int64), np.zeros(1), found)
+    m = found.m
+    status = OK if nodes <= node_budget else BUDGET_EXCEEDED
+    return found.coords[:m].copy(), found.norms[:m].copy(), np.int64(nodes), status
+
+
+def _grown(coords, norms, m, need):
+    """The first m rows of (coords, norms) in new buffers of at least twice
+    the size and at least ``need`` rows."""
+    cap = max(2 * norms.shape[0], need)
+    c2 = np.empty((cap, coords.shape[1]), dtype=np.int64)
+    n2 = np.empty(cap, dtype=np.float64)
+    c2[:m] = coords[:m]
+    n2[:m] = norms[:m]
+    return c2, n2
+
+
+class _Found:
+    """The frontier kernel's output so far, in buffers that double when full
+    as the depth-first kernel's do.  Collecting small pieces and joining
+    them at the end fragmented the heap: bw16-shells then peaked at 90 MB
+    RSS instead of about 77 MB."""
+
+    def __init__(self, d):
+        self.coords = np.empty((1024, d), dtype=np.int64)
+        self.norms = np.empty(1024, dtype=np.float64)
+        self.m = 0
+
+    def add(self, coords, norms):
+        end = self.m + norms.shape[0]
+        if end > self.norms.shape[0]:
+            self.coords, self.norms = _grown(self.coords, self.norms, self.m, end)
+        self.coords[self.m:end] = coords
+        self.norms[self.m:end] = norms
+        self.m = end
+
+
+def _expand(r, r2cap, budget, i, zt, rho, found):
+    """Enumerate the subtrees of a chunk of parents at level i.
+
+    Column p of ``zt`` holds z[i:] of parent p and rho[p] its squared
+    length so far; level r.shape[0] is the root.  Adds the leaves inside
+    the radius to ``found`` and returns the number of nodes below the
+    parents, or budget + 1 once that passes ``budget``.
+    """
+    d = r.shape[0]
+    k = i - 1
+    n = zt.shape[1]
+    s = np.zeros(n)
+    for term in r[k, i:, None] * zt:     # j ascending, as depth first
+        s += term
+    rad = np.sqrt(np.maximum(r2cap - rho, 0.0))
+    rkk = r[k, k]
+    lo = np.ceil((-s - rad) / rkk - 1e-12).astype(np.int64)
+    hi = np.floor((-s + rad) / rkk + 1e-12).astype(np.int64)
+    cnt = np.maximum(hi - lo + 1, 0)
+    c = int(cnt.sum())
+    if c > budget:
+        return budget + 1
+    parent = np.arange(n).repeat(cnt)
+    z = np.arange(c) + (lo - (cnt.cumsum() - cnt))[parent]
+    total = rkk * z + s[parent]       # t, then rho + t * t in place
+    total *= total
+    total += rho[parent]
+    if k == 0:
+        keep = np.flatnonzero(total <= r2cap)
+        rows = np.empty((keep.shape[0], d), dtype=np.int64)
+        rows[:, 0] = z[keep]
+        rows[:, 1:] = zt[:, parent[keep]].T
+        nonzero = rows.any(axis=1)
+        found.add(rows[nonzero], total[keep][nonzero])
+        return c
+    nodes = c
+    for a in range(0, c, FRONTIER_CHUNK_ROWS):
+        b = min(a + FRONTIER_CHUNK_ROWS, c)
+        child = np.empty((d - k, b - a), dtype=np.int64)
+        child[0] = z[a:b]
+        child[1:] = zt[:, parent[a:b]]
+        nodes += _expand(r, r2cap, budget - nodes, k, child, total[a:b], found)
+        if nodes > budget:
+            return budget + 1
+    return nodes
 
 
 def jacobi_core(a, q, rel_tol, max_sweeps):

@@ -2,10 +2,12 @@
 
 A lattice is an invertible real basis matrix whose *columns* generate it,
 with the Gram matrix cached at construction.  Short vectors are found by
-depth-first enumeration over the Cholesky factor of the LLL-reduced Gram
-and mapped back through the unimodular transform, so the reported
-coordinate vectors refer to the original basis.  Enumeration is exhaustive:
-exceeding the node budget raises RadiusTooLarge rather than truncating.
+Fincke-Pohst enumeration over the Cholesky factor of the LLL-reduced Gram
+(depth first for small trees, level by level for large ones; see
+``_kernels``) and mapped back through the unimodular transform, so the
+reported coordinate vectors refer to the original basis.  Enumeration is
+exhaustive: exceeding the node budget raises RadiusTooLarge rather than
+truncating.
 
 Boundary handling: the squared radius is inflated by a relative 1e-9 so
 vectors sitting exactly on the radius are included, never dropped.
@@ -13,6 +15,7 @@ vectors sitting exactly on the radius are included, never dropped.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +53,7 @@ class ShortVectorReport:
     the lattice basis, closed under negation.  ``histogram`` maps squared
     length (rounded to 12 significant digits for grouping) to count.
     ``systole2`` is None when no vector lies inside the radius.
+    ``nodes`` is the size of the enumeration tree that found them.
     """
 
     r2: float
@@ -58,6 +62,7 @@ class ShortVectorReport:
     histogram: dict
     systole2: float | None
     kissing: int
+    nodes: int
 
     @property
     def count(self) -> int:
@@ -104,10 +109,12 @@ def _round_sq_length(x: float) -> float:
 
 
 def _histogram(norms: np.ndarray) -> dict:
+    # Round each distinct norm once.  Counter keeps the norms' order of
+    # first occurrence, so the keys keep the order the norms first reach them.
     hist: dict[float, int] = {}
-    for v in norms:
-        key = _round_sq_length(float(v))
-        hist[key] = hist.get(key, 0) + 1
+    for v, count in Counter(norms.tolist()).items():
+        key = _round_sq_length(v)
+        hist[key] = hist.get(key, 0) + count
     return hist
 
 
@@ -120,7 +127,7 @@ def _enumerate_reduced(reduced: Lattice, u: np.ndarray, r2: float,
         raise NumericalBreakdown(f"Cholesky of the reduced Gram failed: {exc}") from exc
     r = np.ascontiguousarray(chol_lower.T)
     cap = float(r2) * (1.0 + BOUNDARY_EPS)
-    coords_z, norms, _, status = _kernels.enumerate_core(r, cap, np.int64(node_budget))
+    coords_z, norms, nodes, status = _kernels.enumerate_core(r, cap, np.int64(node_budget))
     if status != _kernels.OK:
         raise RadiusTooLarge(
             f"enumeration exceeded the node budget of {node_budget}; "
@@ -140,6 +147,7 @@ def _enumerate_reduced(reduced: Lattice, u: np.ndarray, r2: float,
         histogram=hist,
         systole2=systole2,
         kissing=kissing,
+        nodes=int(nodes),
     )
 
 

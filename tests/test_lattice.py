@@ -15,7 +15,7 @@ from symplat import (
     systole,
 )
 from symplat.errors import NotInvariant, NumericalBreakdown, OutOfRange, RadiusTooLarge, Singular
-from symplat.lattice import report_to_obj
+from symplat.lattice import _histogram, report_to_obj
 from symplat.linalg import det_int
 
 from conftest import brute_force_short, coord_multiset, random_invertible
@@ -158,6 +158,24 @@ class TestEnumerate:
     def test_radius_budget(self):
         with pytest.raises(RadiusTooLarge):
             enumerate_short(from_basis(np.eye(4)), 100.0, node_budget=50)
+        with pytest.raises(RadiusTooLarge):
+            enumerate_short(from_basis(np.eye(4)), 100.0, node_budget=5000)
+
+    def test_node_count(self):
+        # 3 nodes at the top level, then 1 + 3 + 1 below them
+        assert enumerate_short(from_basis(np.eye(2)), 1.0).nodes == 8
+
+    def test_histogram_rounds_each_norm(self, rng):
+        # norms repeat and several distinct norms round to one key
+        base = rng.uniform(0.5, 3.0, size=5)
+        norms = rng.choice(np.concatenate([base, base * (1 + 1e-14), base * (1 - 1e-14)]), size=400)
+        expected = {}
+        for v in norms:
+            key = float(f"{float(v):.12g}")
+            expected[key] = expected.get(key, 0) + 1
+        hist = _histogram(norms)
+        assert list(hist.items()) == list(expected.items())
+        assert all(type(c) is int for c in hist.values())
 
     def test_bad_radius(self):
         with pytest.raises(OutOfRange):
@@ -171,6 +189,7 @@ class TestEnumerate:
 
     def test_report_obj(self):
         obj = report_to_obj(enumerate_short(from_basis(np.eye(2)), 1.0))
+        assert "nodes" not in obj
         assert obj["count"] == 4
         assert obj["histogram"] == [[1.0, 4]]
 

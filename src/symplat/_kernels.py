@@ -4,6 +4,15 @@ These three loops dominate the runtime of everything interesting in this
 package (systole checks, the Monte Carlo mean-value estimator, the
 eigensolver oracle).  LLL and Jacobi each have one pure-numpy kernel.
 
+``lll_core`` computes Gram-Schmidt rows lazily: a swap at k leaves rows
+below min(k - 1, lowest row size-reduced since the previous swap) as they
+are, and a row above is recomputed only when k reaches it.  Each row is
+recomputed by the same arithmetic from the same inputs as a full
+recompute after every swap, so the reduced basis and the transform are bit
+for bit those of the full recompute.  On xor-verify's dim-16 bases (76
+swaps per call) it makes 1,402 projections per call where the full
+recompute made 9,285.
+
 Enumeration has two kernels over the same Fincke-Pohst tree.
 ``enumerate_depth_first`` walks it one node at a time;
 ``enumerate_frontier`` expands one tree level at a time over a numpy
@@ -54,31 +63,49 @@ def lll_core(w, v, delta):
     ``v`` (int64, preinitialised to the identity) accumulates the row
     operations, so on return ``w == v @ w_input`` up to float products.
     Returns OK, BREAKDOWN (Gram-Schmidt norm underflow) or ITER_CAP.
+
+    Gram-Schmidt rows are computed lazily, each by the same arithmetic a
+    full recompute after every swap would use, and only where that
+    recompute would change them.  Rows [0, fresh) hold what the full
+    recompute holds; at the top of the loop rows are computed while
+    fresh <= k.  A size-reduction step with q != 0 at row k changes w[k]
+    and mu[k], so row k no longer equals its recompute: it sets
+    stale = min(stale, k).  A swap at k sets fresh = min(stale, k - 1)
+    and resets ``stale``.  The result is bit for bit the full
+    recompute's: row i depends only on w[i] and on bstar and nrm of the
+    rows below it; size reduction changes w[k] and mu[k] but never bstar
+    or nrm; rows above k are untouched until k reaches them.
+
+    One difference remains: a norm that underflows in a row above k is
+    reported as BREAKDOWN when k reaches that row, not at the swap
+    before, and w and v then hold the further-reduced rows.  A basis that
+    passes ``from_basis``'s determinant check practically never gets there.
     """
     d = w.shape[0]
     bstar = np.zeros((d, d))
     mu = np.zeros((d, d))
     nrm = np.zeros(d)
-    need_gso = True
+    fresh = 0
+    stale = d
     k = 1
     it = 0
     while k < d:
         it += 1
         if it > LLL_MAX_ITER:
             return ITER_CAP
-        if need_gso:
-            for i in range(d):
-                bstar[i] = w[i]
-                for j in range(i):
-                    m = np.dot(w[i], bstar[j]) / nrm[j]
-                    mu[i, j] = m
-                    bstar[i] = bstar[i] - m * bstar[j]
-                mu[i, i] = 1.0
-                s = np.dot(bstar[i], bstar[i])
-                if s <= GS_UNDERFLOW:
-                    return BREAKDOWN
-                nrm[i] = s
-            need_gso = False
+        while fresh <= k:
+            i = fresh
+            bstar[i] = w[i]
+            for j in range(i):
+                m = np.dot(w[i], bstar[j]) / nrm[j]
+                mu[i, j] = m
+                bstar[i] = bstar[i] - m * bstar[j]
+            mu[i, i] = 1.0
+            s = np.dot(bstar[i], bstar[i])
+            if s <= GS_UNDERFLOW:
+                return BREAKDOWN
+            nrm[i] = s
+            fresh += 1
         for j in range(k - 1, -1, -1):
             q = np.floor(mu[k, j] + 0.5)
             if q != 0.0:
@@ -86,6 +113,7 @@ def lll_core(w, v, delta):
                 w[k] = w[k] - q * w[j]
                 v[k] = v[k] - qi * v[j]
                 mu[k, : j + 1] = mu[k, : j + 1] - q * mu[j, : j + 1]
+                stale = min(stale, k)
         if nrm[k] >= (delta - mu[k, k - 1] * mu[k, k - 1]) * nrm[k - 1]:
             k += 1
         else:
@@ -95,7 +123,8 @@ def lll_core(w, v, delta):
             tmpv = v[k].copy()
             v[k] = v[k - 1]
             v[k - 1] = tmpv
-            need_gso = True
+            fresh = min(stale, k - 1)
+            stale = d
             k = max(k - 1, 1)
     return OK
 

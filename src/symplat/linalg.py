@@ -26,6 +26,10 @@ from .errors import NotIntegral, NotSPD, NotSymmetric, NumericalBreakdown, Singu
 
 DEFAULT_TOL = 1e-9
 
+#: Relative eigenvalue floor for SPD checks: the smallest eigenvalue must
+#: be above this times the largest, so the check does not depend on scale.
+SPD_REL_FLOOR = 1e-9
+
 #: Jacobi convergence: off-diagonal Frobenius mass below this times ||s||_F.
 JACOBI_REL_TOL = 1e-12
 JACOBI_MAX_SWEEPS = 100
@@ -103,9 +107,7 @@ def sym_eig(s, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     the asymmetry exceeds ``tol``.
     """
     s = as_mat(s)
-    asym = float(np.max(np.abs(s - s.T)))
-    if asym > tol:
-        raise NotSymmetric(f"asymmetry {asym:.3e} exceeds tolerance {tol:.3e}")
+    check_symmetric(s, tol)
     a = 0.5 * (s + s.T)
     q = np.eye(a.shape[0])
     _, status = _kernels.jacobi_core(a, q, JACOBI_REL_TOL, JACOBI_MAX_SWEEPS)
@@ -116,11 +118,27 @@ def sym_eig(s, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     return q[:, order], d[order]
 
 
+def check_symmetric(s: np.ndarray, tol: float = DEFAULT_TOL) -> None:
+    """Raise NotSymmetric when max |s - s^T| exceeds ``tol``."""
+    asym = float(np.max(np.abs(s - s.T)))
+    if asym > tol:
+        raise NotSymmetric(f"asymmetry {asym:.3e} exceeds tolerance {tol:.3e}")
+
+
+def check_spd(d: np.ndarray) -> None:
+    """Raise NotSPD unless the descending eigenvalues ``d`` are positive
+    and the smallest is above SPD_REL_FLOOR times the largest."""
+    if not d[-1] > SPD_REL_FLOOR * max(d[0], 0.0):
+        raise NotSPD(
+            f"smallest eigenvalue {d[-1]:.3e} is not above "
+            f"{SPD_REL_FLOOR:.0e} x the largest, {d[0]:.3e}"
+        )
+
+
 def sqrt_spd(y, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Symmetric positive definite square root via the eigendecomposition."""
     q, d = sym_eig(y, tol)
-    if d[-1] <= tol:
-        raise NotSPD(f"smallest eigenvalue {d[-1]:.3e} is not above tolerance {tol:.3e}")
+    check_spd(d)
     root = (q * np.sqrt(d)) @ q.T
     return 0.5 * (root + root.T)
 

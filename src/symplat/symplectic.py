@@ -21,13 +21,13 @@ own Philox stream, so samples are independent of the order they are drawn in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NotSPD, NotPowerOfTwo, OddDimension, OutOfRange
 from .groups import j_generator, k_prime
-from .linalg import DEFAULT_TOL, as_mat, sym_eig
+from .linalg import DEFAULT_TOL, SPD_REL_FLOOR, as_mat, check_spd, check_symmetric, sym_eig
 from .patterned import (
     KSymParams,
     a2n_eigenvalues,
@@ -39,17 +39,28 @@ from .patterned import (
 )
 from .symmetry import SymmetryWitness, induced_change_of_basis
 
-#: Relative eigenvalue floor for SPD checks on patterned Y.
-SPD_REL_FLOOR = 1e-9
-
 
 @dataclass(frozen=True)
 class SiegelPoint:
-    """Pair (X, Y) with X symmetric (stored exactly symmetrized) and Y SPD."""
+    """Pair (X, Y) with X symmetric (stored exactly symmetrized) and Y SPD.
+
+    ``eig`` is the eigendecomposition (q, d) of the symmetrized Y, with d
+    descending, as ``sym_eig`` returns it; ``p_z`` builds its blocks from
+    it.  ``siegel_point`` passes the one it checks Y with; a point built
+    without it computes it here.
+    """
 
     g: int
     x: np.ndarray
     y: np.ndarray
+    eig: tuple[np.ndarray, np.ndarray] | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.eig is None:
+            # no symmetry check here: p_z checks Y against its own tol
+            object.__setattr__(self, "eig", sym_eig(self.y, np.inf))
+        for a in self.eig:
+            a.setflags(write=False)
 
 
 def siegel_point(x, y, tol: float = DEFAULT_TOL) -> SiegelPoint:
@@ -60,25 +71,24 @@ def siegel_point(x, y, tol: float = DEFAULT_TOL) -> SiegelPoint:
     asym = float(np.max(np.abs(x - x.T)))
     if asym > tol:
         raise ValueError(f"X asymmetry {asym:.3e} exceeds tolerance")
-    _, d = sym_eig(y, tol)
-    if d[-1] <= tol:
-        raise NotSPD(f"Y eigenvalue {d[-1]:.3e} is not above tolerance {tol:.3e}")
+    eig = sym_eig(y, tol)
+    check_spd(eig[1])
     xs = 0.5 * (x + x.T)
     xs.setflags(write=False)
     y = y.copy()
     y.setflags(write=False)
-    return SiegelPoint(g=x.shape[0], x=xs, y=y)
+    return SiegelPoint(g=x.shape[0], x=xs, y=y, eig=eig)
 
 
 def p_z(z: SiegelPoint, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Determinant-one symplectic basis matrix of the Siegel point.
 
-    One eigendecomposition of Y supplies both sqrt(Y) and sqrt(Y^-1), so
-    the two blocks multiply to the identity up to rounding.
+    The point's one eigendecomposition of Y supplies both sqrt(Y) and
+    sqrt(Y^-1), so the two blocks multiply to the identity up to rounding.
     """
-    q, d = sym_eig(z.y, tol)
-    if d[-1] <= tol:
-        raise NotSPD(f"Y eigenvalue {d[-1]:.3e} is not above tolerance {tol:.3e}")
+    check_symmetric(z.y, tol)
+    q, d = z.eig
+    check_spd(d)
     root = np.sqrt(d)
     sqrt_y = (q * root) @ q.T
     sqrt_y_inv = (q / root) @ q.T

@@ -144,6 +144,11 @@ class TestSqrtSpd:
         with pytest.raises(NotSPD):
             sqrt_spd(np.diag([1.0, -1.0]))
 
+    def test_spd_floor_is_relative(self):
+        np.testing.assert_allclose(sqrt_spd(1e-12 * np.eye(3)), 1e-6 * np.eye(3), rtol=1e-12, atol=0.0)
+        with pytest.raises(NotSPD):
+            sqrt_spd(np.diag([1.0, 1e-12]))
+
 
 class TestDet:
     def test_identity(self):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from symplat import symplectic
 from symplat import (
     a2n_family_point,
     enumerate_short,
@@ -12,11 +13,13 @@ from symplat import (
     p_z,
     sample_vcube,
     siegel_point,
+    SiegelPoint,
+    sym_eig,
     systole,
     verify_kprime,
     verify_a2n_symmetries,
 )
-from symplat.errors import NotSPD, OddDimension, OutOfRange
+from symplat.errors import NotSPD, NotSymmetric, OddDimension, OutOfRange
 from symplat.patterned import KSymParams, ksym_param_count, ksym_region
 
 from conftest import random_spd
@@ -137,6 +140,84 @@ class TestKFamily:
             assert rep.count > 0
             for count in rep.histogram.values():
                 assert count % 4 == 0
+
+
+class TestEigReuse:
+    """p_z builds on the eigendecomposition siegel_point already made."""
+
+    @staticmethod
+    def count_sym_eig(monkeypatch):
+        calls = []
+        real = symplectic.sym_eig
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(symplectic, "sym_eig", counting)
+        return calls
+
+    def test_one_decomposition_per_point(self, rng, monkeypatch):
+        calls = self.count_sym_eig(monkeypatch)
+        z = random_siegel(rng, 4)
+        p_z(z)
+        p_z(z)
+        assert len(calls) == 1
+
+    def test_one_decomposition_per_a2n_verification(self, rng, monkeypatch):
+        calls = self.count_sym_eig(monkeypatch)
+        s_row = rng.uniform(0, 1, size=8)
+        s_row[0] += 8
+        z = a2n_family_point(rng.uniform(0, 1, size=8), s_row)
+        verify_a2n_symmetries(z)
+        p_z(z)
+        assert len(calls) == 1
+
+    def test_bit_equal_to_a_fresh_decomposition(self, rng):
+        for g in (1, 2, 4, 8):
+            z = random_siegel(rng, g)
+            q, d = sym_eig(z.y)
+            root = np.sqrt(d)
+            sqrt_y_inv = (q / root) @ q.T
+            expected = np.zeros((2 * g, 2 * g))
+            expected[:g, :g] = sqrt_y_inv
+            expected[:g, g:] = sqrt_y_inv @ z.x
+            expected[g:, g:] = (q * root) @ q.T
+            assert np.array_equal(p_z(z).view(np.int64), expected.view(np.int64))
+
+    def test_point_built_without_decomposition(self, rng):
+        z = random_siegel(rng, 3)
+        bare = SiegelPoint(z.g, z.x, z.y)
+        assert bare == z
+        assert "eig" not in repr(bare)
+        assert np.array_equal(p_z(bare), p_z(z))
+
+    def test_stricter_tol_than_the_point_still_raises(self, rng):
+        y = random_spd(rng, 3)
+        y[0, 1] += 1e-7
+        z = siegel_point(np.zeros((3, 3)), y, tol=1e-6)
+        for point in (z, SiegelPoint(z.g, z.x, z.y)):
+            with pytest.raises(NotSymmetric):
+                p_z(point)
+            assert np.array_equal(p_z(point, 1e-6), p_z(z, 1e-6))
+
+
+class TestLargeHeight:
+    def test_k_family_point_at_height_1e5(self):
+        y = 1e5
+        params = sample_vcube(4, 1, 0)
+        z = k_family_point(params, y)
+        g = z.g
+        expected = np.zeros((2 * g, 2 * g))
+        expected[:g, :g] = y * np.eye(g)
+        expected[:g, g:] = y * z.x
+        expected[g:, g:] = np.eye(g) / y
+        np.testing.assert_allclose(p_z(z), expected, rtol=1e-12, atol=0.0)
+
+    def test_spd_floor_is_relative(self):
+        assert siegel_point(np.zeros((2, 2)), 1e-12 * np.eye(2)).g == 2
+        with pytest.raises(NotSPD):
+            siegel_point(np.zeros((2, 2)), np.diag([1.0, 1e-12]))
 
 
 class TestA2nFamily:

@@ -88,7 +88,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_common(sp, seeded=False):
-        sp.add_argument("--tol", type=float, default=DEFAULT_TOL)
+        sp.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                        help="absolute tolerance of the symmetry and integrality "
+                             "checks; SPD is judged relative to the largest eigenvalue")
         sp.add_argument("--output", choices=("json", "csv"), default="json")
         sp.add_argument("--stable-output", action="store_true",
                         help="omit the timestamp metadata block")

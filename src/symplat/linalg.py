@@ -136,7 +136,11 @@ def check_spd(d: np.ndarray) -> None:
 
 
 def sqrt_spd(y, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Symmetric positive definite square root via the eigendecomposition."""
+    """Symmetric positive definite square root via the eigendecomposition.
+
+    ``tol`` bounds the asymmetry of ``y`` only; NotSPD is raised when the
+    smallest eigenvalue is not above SPD_REL_FLOOR times the largest.
+    """
     q, d = sym_eig(y, tol)
     check_spd(d)
     root = (q * np.sqrt(d)) @ q.T

@@ -45,25 +45,31 @@ class SiegelPoint:
     """Pair (X, Y) with X symmetric (stored exactly symmetrized) and Y SPD.
 
     ``eig`` is the eigendecomposition (q, d) of the symmetrized Y, with d
-    descending, as ``sym_eig`` returns it; ``p_z`` builds its blocks from
-    it.  ``siegel_point`` passes the one it checks Y with; a point built
-    without it computes it here.
+    descending, as ``sym_eig`` returns it.  It is always computed here from
+    ``y``, so ``dataclasses.replace`` cannot pair a Y with another Y's
+    decomposition; ``p_z`` builds its blocks from it.
     """
 
     g: int
     x: np.ndarray
     y: np.ndarray
-    eig: tuple[np.ndarray, np.ndarray] | None = field(default=None, compare=False, repr=False)
+    eig: tuple[np.ndarray, np.ndarray] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.eig is None:
-            # no symmetry check here: p_z checks Y against its own tol
-            object.__setattr__(self, "eig", sym_eig(self.y, np.inf))
-        for a in self.eig:
+        # no symmetry check here: siegel_point and p_z check Y against their tol
+        eig = sym_eig(self.y, np.inf)
+        for a in eig:
             a.setflags(write=False)
+        object.__setattr__(self, "eig", eig)
 
 
 def siegel_point(x, y, tol: float = DEFAULT_TOL) -> SiegelPoint:
+    """Checked Siegel point.
+
+    ``tol`` bounds the asymmetry of X and Y only.  Y is judged SPD
+    relative to its own scale: NotSPD unless its smallest eigenvalue is
+    above SPD_REL_FLOOR times its largest.
+    """
     x = as_mat(x)
     y = as_mat(y)
     if x.shape != y.shape:
@@ -71,13 +77,14 @@ def siegel_point(x, y, tol: float = DEFAULT_TOL) -> SiegelPoint:
     asym = float(np.max(np.abs(x - x.T)))
     if asym > tol:
         raise ValueError(f"X asymmetry {asym:.3e} exceeds tolerance")
-    eig = sym_eig(y, tol)
-    check_spd(eig[1])
+    check_symmetric(y, tol)
     xs = 0.5 * (x + x.T)
     xs.setflags(write=False)
     y = y.copy()
     y.setflags(write=False)
-    return SiegelPoint(g=x.shape[0], x=xs, y=y, eig=eig)
+    z = SiegelPoint(g=x.shape[0], x=xs, y=y)
+    check_spd(z.eig[1])
+    return z
 
 
 def p_z(z: SiegelPoint, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -85,6 +92,8 @@ def p_z(z: SiegelPoint, tol: float = DEFAULT_TOL) -> np.ndarray:
 
     The point's one eigendecomposition of Y supplies both sqrt(Y) and
     sqrt(Y^-1), so the two blocks multiply to the identity up to rounding.
+    ``tol`` bounds the asymmetry of Y only; NotSPD is judged relative to
+    SPD_REL_FLOOR as in ``siegel_point``.
     """
     check_symmetric(z.y, tol)
     q, d = z.eig

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -191,6 +193,16 @@ class TestEigReuse:
         assert bare == z
         assert "eig" not in repr(bare)
         assert np.array_equal(p_z(bare), p_z(z))
+
+    def test_replace_recomputes_the_decomposition(self, rng):
+        z = random_siegel(rng, 3)
+        moved = dataclasses.replace(z, y=2 * z.y)
+        assert np.array_equal(p_z(moved), p_z(siegel_point(z.x, 2 * z.y)))
+
+    def test_decomposition_is_not_a_constructor_argument(self, rng):
+        z = random_siegel(rng, 2)
+        with pytest.raises(TypeError):
+            SiegelPoint(z.g, z.x, z.y, eig=z.eig)
 
     def test_stricter_tol_than_the_point_still_raises(self, rng):
         y = random_spd(rng, 3)

@@ -49,6 +49,7 @@ from .linalg import (
     det_int,
     inverse,
     is_orthogonal,
+    is_unimodular,
     kron,
     kron_complex,
     kron_pow,

@@ -2,10 +2,16 @@
 
 These three loops dominate the runtime of everything interesting in this
 package (systole checks, the Monte Carlo mean-value estimator, the
-eigensolver oracle).  LLL and Jacobi each have one pure-numpy kernel.
+eigensolver oracle).  LLL and Jacobi each have one kernel.
 
 ``lll_core`` computes Gram-Schmidt rows lazily; its docstring gives the
 rule and why the result is bit for bit a full recompute's.
+
+``jacobi_core`` runs its scalar loop on Python floats held in lists, not
+on numpy entries: a rotation touches only a few rows and columns, and
+numpy's per-call overhead outweighs such small arithmetic.  It does the
+same IEEE operations in the same order as a kernel rotating whole numpy
+columns and rows, so the bits are the same; its docstring says why.
 
 Enumeration has two kernels over the same Fincke-Pohst tree.
 ``enumerate_depth_first`` walks it one node at a time;
@@ -22,6 +28,8 @@ Kernels never raise: they return an integer status the callers translate
 into the package's exception types.  All matrices are passed row-major
 with vectors as rows so the inner dot products run on contiguous memory.
 """
+
+import math
 
 import numpy as np
 
@@ -307,41 +315,64 @@ def jacobi_core(a, q, rel_tol, max_sweeps):
     q @ diag(a) @ q.T reconstructs the input.  Converged when the
     off-diagonal Frobenius mass drops below rel_tol times the input
     Frobenius norm.  Returns (sweeps_used, status).
+
+    The sweep runs on Python floats in lists of rows and writes them back
+    into ``a`` and ``q`` on return.  The bits equal those of a kernel that
+    rotates whole numpy columns and rows (``c * colp - s * colq``, and so
+    on), because each entry gets the same IEEE operations in the same
+    order.  Every product and difference is rounded on its own, in CPython
+    as in numpy's elementwise loops, with no fused multiply-add.
+    ``math.sqrt`` and ``np.sqrt`` are both the correctly rounded square
+    root.  The columns are rotated before the rows, and the rows use the
+    rotated columns.  The input's Frobenius norm is still summed by
+    ``np.sum``, whose pairwise order a Python loop would not reproduce.
     """
     n = a.shape[0]
     fro = np.sqrt(np.sum(a * a))
     thresh = rel_tol * fro
+    A = a.tolist()
+    Q = q.tolist()
     for sweep in range(max_sweeps):
         off = 0.0
         for i in range(n):
+            row = A[i]
             for j in range(i + 1, n):
-                off += 2.0 * a[i, j] * a[i, j]
-        if np.sqrt(off) <= thresh:
+                off += 2.0 * row[j] * row[j]
+        if math.sqrt(off) <= thresh:
+            a[...] = A
+            q[...] = Q
             return sweep, OK
         for p in range(n - 1):
+            rowp = A[p]
             for r_ in range(p + 1, n):
-                apq = a[p, r_]
+                apq = rowp[r_]
                 if apq == 0.0:
                     continue
-                tau = (a[r_, r_] - a[p, p]) / (2.0 * apq)
+                rowr = A[r_]
+                tau = (rowr[r_] - rowp[p]) / (2.0 * apq)
                 if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
+                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
                 else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(t * t + 1.0)
+                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
+                c = 1.0 / math.sqrt(t * t + 1.0)
                 s = t * c
-                colp = a[:, p].copy()
-                colq = a[:, r_].copy()
-                a[:, p] = c * colp - s * colq
-                a[:, r_] = s * colp + c * colq
-                rowp = a[p, :].copy()
-                rowq = a[r_, :].copy()
-                a[p, :] = c * rowp - s * rowq
-                a[r_, :] = s * rowp + c * rowq
-                a[p, r_] = 0.0
-                a[r_, p] = 0.0
-                qp = q[:, p].copy()
-                qq = q[:, r_].copy()
-                q[:, p] = c * qp - s * qq
-                q[:, r_] = s * qp + c * qq
+                for row in A:
+                    x = row[p]
+                    y = row[r_]
+                    row[p] = c * x - s * y
+                    row[r_] = s * x + c * y
+                for k in range(n):
+                    x = rowp[k]
+                    y = rowr[k]
+                    rowp[k] = c * x - s * y
+                    rowr[k] = s * x + c * y
+                rowp[r_] = 0.0
+                rowr[p] = 0.0
+                for row in Q:
+                    x = row[p]
+                    y = row[r_]
+                    row[p] = c * x - s * y
+                    row[r_] = s * x + c * y
+    a[...] = A
+    q[...] = Q
     return max_sweeps, ITER_CAP

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotIntegral
-from .lattice import Lattice, from_basis, lattice_det, lll_reduce, scale_to_unit_det
+from .lattice import Lattice, from_basis, lattice_det, scale_to_unit_det
 from .linalg import ComplexMat, DEFAULT_TOL, as_mat, kron_complex, round_to_int
 from .groups import j_matrix, j_generator
 
@@ -102,7 +102,7 @@ def is_unimodular_lattice(lat: Lattice, tol: float = DEFAULT_TOL) -> bool:
     """True iff det = 1 within tol and an LLL-reduced Gram matrix is integral."""
     if abs(lattice_det(lat) - 1.0) > tol:
         return False
-    reduced, _ = lll_reduce(lat)
+    reduced, _ = lat.reduced
     try:
         round_to_int(reduced.gram, tol)
     except NotIntegral:
@@ -122,7 +122,7 @@ def modularity_scan(n: int, tol: float = DEFAULT_TOL) -> dict:
     for k in range(-4, 5):
         scale = 2.0 ** (k / 4.0)
         scaled = from_basis(lat.basis * scale)
-        reduced, _ = lll_reduce(scaled)
+        reduced, _ = scaled.reduced
         try:
             round_to_int(reduced.gram, tol)
         except NotIntegral:

@@ -9,6 +9,12 @@ reported coordinate vectors refer to the original basis.  Enumeration is
 exhaustive: exceeding the node budget raises RadiusTooLarge rather than
 truncating.
 
+Each lattice is reduced at most once at DEFAULT_LLL_DELTA: ``systole``,
+``enumerate_short`` and everything built on them read the cached
+``Lattice.reduced``, so asking one lattice for its systole and then for
+the vectors below a multiple of it runs LLL once.  ``lll_reduce`` itself
+always reduces afresh.
+
 Boundary handling: the squared radius is inflated by a relative 1e-9 so
 vectors sitting exactly on the radius are included, never dropped.
 """
@@ -17,12 +23,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import _kernels
 from .errors import NotInvariant, NumericalBreakdown, OutOfRange, RadiusTooLarge, Singular
-from .linalg import DEFAULT_TOL, as_mat, det_int
+from .linalg import DEFAULT_TOL, as_mat, det_int, is_unimodular
 
 #: Relative slack on the squared enumeration radius.
 BOUNDARY_EPS = 1e-9
@@ -43,6 +50,16 @@ class Lattice:
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
+
+    @cached_property
+    def reduced(self) -> tuple[Lattice, np.ndarray]:
+        """``lll_reduce(self)`` at DEFAULT_LLL_DELTA, computed on first use.
+
+        U is read-only, since every later reader shares it.
+        """
+        reduced, u = lll_reduce(self)
+        u.setflags(write=False)
+        return reduced, u
 
 
 @dataclass(frozen=True)
@@ -99,8 +116,8 @@ def lll_reduce(lat: Lattice, delta: float = DEFAULT_LLL_DELTA) -> tuple[Lattice,
     if status != _kernels.OK:
         raise NumericalBreakdown("Gram-Schmidt norms underflowed during LLL")
     u = v.T.copy()
-    if abs(det_int(u)) != 1:
-        raise NumericalBreakdown("LLL transform is not unimodular")
+    if not is_unimodular(u):
+        raise NumericalBreakdown(f"LLL transform is not unimodular: det {det_int(u)}")
     return from_basis(w.T), u
 
 
@@ -156,7 +173,7 @@ def enumerate_short(lat: Lattice, r2: float,
     """All nonzero coordinate vectors l with l^T G l <= r2 (1 + 1e-9)."""
     if not r2 > 0:
         raise OutOfRange("squared radius must be positive")
-    reduced, u = lll_reduce(lat)
+    reduced, u = lat.reduced
     return _enumerate_reduced(reduced, u, r2, node_budget)
 
 
@@ -167,7 +184,7 @@ def systole(lat: Lattice, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[float
     always bounds the systole from above, so the minimal bucket of the
     report is the systole.  Both signs of each vector are counted.
     """
-    reduced, u = lll_reduce(lat)
+    reduced, u = lat.reduced
     r2 = float(np.min(np.diag(reduced.gram)))
     report = _enumerate_reduced(reduced, u, r2, node_budget)
     if report.systole2 is None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotASymmetry, NotIntegral, NotUnimodular
-from .linalg import DEFAULT_TOL, as_mat, det_int, inverse, is_orthogonal, round_to_int
+from .linalg import DEFAULT_TOL, as_mat, det_int, inverse, is_orthogonal, is_unimodular, round_to_int
 
 #: Stage-one rounding tolerance for entries of A^-1 O A.
 ROUNDING_TOL = 1e-6
@@ -53,7 +53,7 @@ def induced_change_of_basis(a, o, tol: float = DEFAULT_TOL) -> SymmetryWitness:
         raise NotASymmetry(
             f"residual {residual:.3e} exceeds {tol:.1e} * ||A||_inf = {tol * scale:.3e}"
         )
-    if abs(det_int(r)) != 1:
+    if not is_unimodular(r):
         raise NotUnimodular(f"induced matrix has determinant {det_int(r)}")
     return SymmetryWitness(o=o, r=r, residual=residual)
 

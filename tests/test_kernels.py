@@ -1,12 +1,13 @@
 """Status codes of the numpy kernels, parity of the two enumeration kernels,
-and parity of the lazy Gram-Schmidt LLL with a full recompute after every swap."""
+parity of the lazy Gram-Schmidt LLL with a full recompute after every swap,
+and parity of the scalar Jacobi sweep with a numpy one."""
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from symplat import _kernels, bw_lattice
+from symplat import _kernels, a2n_eigenvalues, a2n_family_point, a2n_from_row, bw_lattice
 
 BIG_BUDGET = np.int64(10 ** 7)
 
@@ -230,3 +231,123 @@ def test_lll_iteration_cap_matches_reference(monkeypatch):
     else:
         pytest.fail("the reference did not finish within 1000 iterations")
     assert capped > 20
+
+
+# -- Jacobi ---------------------------------------------------------------------
+
+def jacobi_reference(a, q, rel_tol, max_sweeps):
+    """The cyclic Jacobi kernel that rotates whole numpy columns and rows.
+
+    ``_kernels.jacobi_core`` must match it bit for bit in ``a`` and ``q``,
+    and in the sweep count and status.
+    """
+    n = a.shape[0]
+    fro = np.sqrt(np.sum(a * a))
+    thresh = rel_tol * fro
+    for sweep in range(max_sweeps):
+        off = 0.0
+        for i in range(n):
+            for j in range(i + 1, n):
+                off += 2.0 * a[i, j] * a[i, j]
+        if np.sqrt(off) <= thresh:
+            return sweep, _kernels.OK
+        for p in range(n - 1):
+            for r_ in range(p + 1, n):
+                apq = a[p, r_]
+                if apq == 0.0:
+                    continue
+                tau = (a[r_, r_] - a[p, p]) / (2.0 * apq)
+                if tau >= 0.0:
+                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
+                else:
+                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
+                c = 1.0 / np.sqrt(t * t + 1.0)
+                s = t * c
+                colp = a[:, p].copy()
+                colq = a[:, r_].copy()
+                a[:, p] = c * colp - s * colq
+                a[:, r_] = s * colp + c * colq
+                rowp = a[p, :].copy()
+                rowq = a[r_, :].copy()
+                a[p, :] = c * rowp - s * rowq
+                a[r_, :] = s * rowp + c * rowq
+                a[p, r_] = 0.0
+                a[r_, p] = 0.0
+                qp = q[:, p].copy()
+                qq = q[:, r_].copy()
+                q[:, p] = c * qp - s * qq
+                q[:, r_] = s * qp + c * qq
+    return max_sweeps, _kernels.ITER_CAP
+
+
+def assert_same_jacobi(s, max_sweeps=100, rel_tol=1e-12):
+    """Run both Jacobi kernels on copies of symmetric ``s``; return the status."""
+    out = []
+    for kernel in (_kernels.jacobi_core, jacobi_reference):
+        a = np.array(s, dtype=np.float64)
+        q = np.eye(a.shape[0])
+        with np.errstate(over="ignore"):     # tau * tau may overflow to inf
+            out.append((kernel(a, q, rel_tol, max_sweeps), a, q))
+    (new, a_new, q_new), (ref, a_ref, q_ref) = out
+    assert new == ref
+    assert type(new[0]) is int and type(new[1]) is int
+    assert np.array_equal(a_new.view(np.int64), a_ref.view(np.int64))
+    assert np.array_equal(q_new.view(np.int64), q_ref.view(np.int64))
+    return new[1]
+
+
+def symmetrize(m):
+    return 0.5 * (m + m.T)
+
+
+@st.composite
+def jacobi_inputs(draw):
+    """Symmetric matrices: random dense, XOR-family X and Y at g=8,
+    Walsh-patterned rows (criterion 6's inputs), diagonal, zero, and
+    matrices with exact-zero off-diagonal entries.  A block-diagonal
+    matrix keeps its zeros through every rotation, so the kernels keep
+    skipping them after the first sweep."""
+    kind = draw(st.sampled_from(["random", "xor_x", "xor_y", "walsh", "diagonal", "zero",
+                                 "sparse", "blocks"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "random":
+        return symmetrize(rng.normal(size=(draw(st.integers(1, 32)),) * 2))
+    if kind in ("xor_x", "xor_y"):
+        s_row = rng.uniform(0.0, 1.0, 8)
+        s_row[0] += 0.1 - min(float(np.min(a2n_eigenvalues(s_row))), 0.0)
+        z = a2n_family_point(rng.uniform(0.0, 1.0, 8), s_row)
+        return z.x if kind == "xor_x" else z.y
+    if kind == "walsh":
+        return a2n_from_row(rng.normal(size=2 ** draw(st.integers(1, 5))))
+    n = draw(st.integers(1, 16))
+    if kind == "diagonal":
+        return np.diag(rng.normal(size=n))
+    if kind == "zero":
+        return np.zeros((n, n))
+    m = symmetrize(rng.normal(size=(n, n)))
+    if kind == "sparse":
+        return m * symmetrize(rng.random((n, n)) < 0.5)
+    k = draw(st.integers(0, n))
+    m[:k, k:] = 0.0
+    m[k:, :k] = 0.0
+    return m
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(jacobi_inputs())
+def test_jacobi_matches_numpy_reference(s):
+    assert assert_same_jacobi(s) == _kernels.OK
+
+
+@pytest.mark.parametrize("dim", [16, 24, 32])
+def test_jacobi_matches_numpy_reference_at_large_dims(dim):
+    rng = np.random.default_rng(dim)
+    assert assert_same_jacobi(symmetrize(rng.normal(size=(dim, dim)))) == _kernels.OK
+    if dim != 24:
+        assert assert_same_jacobi(a2n_from_row(rng.normal(size=dim))) == _kernels.OK
+
+
+@pytest.mark.parametrize("max_sweeps", [0, 1, 2, 3])
+def test_jacobi_iteration_cap_matches_reference(max_sweeps):
+    s = symmetrize(np.random.default_rng(9).normal(size=(12, 12)))
+    assert assert_same_jacobi(s, max_sweeps=max_sweeps) == _kernels.ITER_CAP

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from symplat import (
     enumerate_short,
@@ -10,13 +12,14 @@ from symplat import (
     k_prime,
     lattice_det,
     lll_reduce,
+    multiplicity_check,
     orbit_histogram,
     scale_to_unit_det,
     systole,
 )
 from symplat.errors import NotInvariant, NumericalBreakdown, OutOfRange, RadiusTooLarge, Singular
 from symplat.lattice import _histogram, report_to_obj
-from symplat.linalg import det_int
+from symplat.linalg import det_int, is_unimodular
 
 from conftest import brute_force_short, coord_multiset, random_invertible
 
@@ -79,10 +82,27 @@ class TestLLL:
             for k in range(1, dim):
                 assert gs[k] >= (0.99 - mu[k, k - 1] ** 2) * gs[k - 1] * (1.0 - 1e-9)
 
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.integers(2, 12), st.integers(0, 2 ** 32 - 1), st.sampled_from([0.75, 0.99]))
+    def test_reduced_basis_generates_the_same_lattice(self, dim, seed, delta):
+        rng = np.random.default_rng(seed)
+        b = random_invertible(rng, dim, min_det=0.05)
+        scramble = np.eye(dim, dtype=np.int64) + np.triu(rng.integers(-3, 4, size=(dim, dim)), 1)
+        lat = from_basis(b @ scramble)
+        reduced, u = lll_reduce(lat, delta)
+        raw = np.linalg.solve(lat.basis, reduced.basis)
+        rounded = np.rint(raw)
+        assert np.max(np.abs(raw - rounded)) <= 1e-6
+        assert np.array_equal(rounded.astype(np.int64), u)
+        assert is_unimodular(u)
+        assert abs(det_int(u)) == 1
+        scale = np.max(np.abs(lat.basis)) * np.max(np.abs(u)) * dim
+        assert np.allclose(lat.basis @ u, reduced.basis, rtol=0.0, atol=1e-12 * scale)
+
     def test_non_unimodular_transform_raises(self, monkeypatch):
         from symplat import lattice
 
-        monkeypatch.setattr(lattice, "det_int", lambda u: 2)
+        monkeypatch.setattr(lattice, "is_unimodular", lambda u: False)
         with pytest.raises(NumericalBreakdown):
             lll_reduce(from_basis(np.array([[1.0, 0.0], [100.0, 1.0]])))
 
@@ -192,6 +212,65 @@ class TestEnumerate:
         assert "nodes" not in obj
         assert obj["count"] == 4
         assert obj["histogram"] == [[1.0, 4]]
+
+
+class TestReductionCache:
+    @pytest.fixture
+    def lll_calls(self, monkeypatch):
+        from symplat import lattice
+
+        calls = []
+        original = lattice.lll_reduce
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(lattice, "lll_reduce", counting)
+        return calls
+
+    def test_one_reduction_per_lattice(self, rng, lll_calls):
+        b = random_invertible(rng, 6, max_cond=50.0)
+        lat = from_basis(b)
+        s2, kissing = systole(lat)
+        rep = enumerate_short(lat, 2.0 * s2)
+        h = hermite_invariant(lat)
+        assert len(lll_calls) == 1
+        assert systole(from_basis(b)) == (s2, kissing)
+        ref = enumerate_short(from_basis(b), 2.0 * s2)
+        assert np.array_equal(rep.vectors, ref.vectors)
+        assert np.array_equal(rep.norms.view(np.int64), ref.norms.view(np.int64))
+        assert rep.histogram == ref.histogram and rep.nodes == ref.nodes
+        assert h == hermite_invariant(from_basis(b))
+        assert len(lll_calls) == 4
+
+    def test_multiplicity_check_reduces_once_per_sample(self, lll_calls):
+        samples = 3
+        report = multiplicity_check(4, "a2n", samples, seed=5)
+        assert len(lll_calls) == samples
+        lll_calls.clear()
+        from symplat.meanvalue import sample_a2n_family
+
+        counts = []
+        for i in range(samples):
+            s2, _ = systole(sample_a2n_family(4, 5, i))
+            counts += enumerate_short(sample_a2n_family(4, 5, i), 2.0 * s2).histogram.values()
+        assert report.buckets_total == len(counts)
+        assert report.buckets_divisible == sum(c % 8 == 0 for c in counts)
+        assert len(lll_calls) == 2 * samples
+
+    def test_other_delta_reduces_afresh(self, rng, lll_calls):
+        lat = from_basis(random_invertible(rng, 5, max_cond=50.0))
+        cached, u = lat.reduced
+        assert lat.reduced[0] is cached
+        assert len(lll_calls) == 1
+        assert not u.flags.writeable
+        loose, u_loose = lll_reduce(lat, 0.75)
+        assert loose is not cached
+        assert u_loose.flags.writeable
+        again, _ = lll_reduce(lat)
+        assert again is not cached
+        assert np.array_equal(again.basis, cached.basis)
 
 
 class TestSystole:

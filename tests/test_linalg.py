@@ -9,6 +9,7 @@ from symplat import (
     det_int,
     inverse,
     is_orthogonal,
+    is_unimodular,
     kron,
     kron_complex,
     kron_pow,
@@ -18,6 +19,7 @@ from symplat import (
 )
 from symplat.errors import NotIntegral, NotSPD, NotSymmetric, Singular
 from symplat.groups import j_matrix
+from symplat import linalg
 from symplat.linalg import intmat_from_obj, intmat_to_obj, mat_from_obj, mat_to_obj
 
 from conftest import random_spd
@@ -172,6 +174,104 @@ class TestDet:
         # Bareiss works over Python ints; no intermediate overflow
         m = np.diag([10 ** 6] * 6)
         assert det_int(m) == 10 ** 36
+
+
+def unit_triangular_product(rng, n, r):
+    """L @ U with unit triangular integer factors: determinant exactly 1."""
+    low = np.eye(n, dtype=np.int64) + np.tril(rng.integers(-r, r + 1, size=(n, n)), -1)
+    up = np.eye(n, dtype=np.int64) + np.triu(rng.integers(-r, r + 1, size=(n, n)), 1)
+    return low @ up
+
+
+class TestIsUnimodular:
+    """The certificate is tested on every dimension: ``bareiss_calls``
+    turns off the direct Bareiss path for small matrices."""
+
+    @pytest.fixture
+    def bareiss_calls(self, monkeypatch):
+        calls = []
+        original = linalg.det_int
+
+        def counting(a):
+            calls.append(a)
+            return original(a)
+
+        monkeypatch.setattr(linalg, "det_int", counting)
+        monkeypatch.setattr(linalg, "BAREISS_MAX_DIM", 0)
+        return calls
+
+    def test_agrees_with_bareiss_on_random_matrices(self, rng, monkeypatch):
+        for bareiss_max_dim in (linalg.BAREISS_MAX_DIM, 0):
+            monkeypatch.setattr(linalg, "BAREISS_MAX_DIM", bareiss_max_dim)
+            for _ in range(300):
+                n = int(rng.integers(1, 9))
+                m = rng.integers(-2, 3, size=(n, n))
+                assert is_unimodular(m) == (abs(det_int(m)) == 1)
+
+    def test_small_matrices_go_straight_to_bareiss(self, monkeypatch):
+        calls = []
+        original = linalg.det_int
+        monkeypatch.setattr(linalg, "det_int", lambda a: calls.append(a) or original(a))
+        n = linalg.BAREISS_MAX_DIM
+        assert is_unimodular(np.eye(n, dtype=np.int64))
+        assert len(calls) == 1
+        assert is_unimodular(np.eye(n + 1, dtype=np.int64))
+        assert len(calls) == 1
+
+    def test_certificate_decides_moderate_unimodular_matrices(self, rng, bareiss_calls):
+        for n, r in ((1, 2), (2, 2), (8, 2), (16, 2), (32, 1)):
+            for _ in range(5):
+                u = unit_triangular_product(rng, n, r)
+                p = rng.permutation(n)
+                assert is_unimodular(u[p])
+                assert is_unimodular(-u.T)
+        assert bareiss_calls == []
+        # at n = 32 with entries up to 2 the inverse has entries near 1e13,
+        # past the guard
+        assert is_unimodular(unit_triangular_product(np.random.default_rng(1), 32, 2))
+        assert len(bareiss_calls) == 1
+
+    def test_singular_and_determinant_two(self, rng, bareiss_calls):
+        u = unit_triangular_product(rng, 6, 2)
+        singular = u.copy()
+        singular[:, 3] = 2 * singular[:, 1] - singular[:, 0]
+        doubled = u.copy()
+        doubled[:, 2] *= 2
+        for m, d in ((np.zeros((4, 4), dtype=np.int64), 0), (singular, 0), (doubled, 2),
+                     (-doubled, 2), (np.diag([1, 1, 2]), 2), (np.diag([-1, 1, -1]), 1)):
+            assert abs(det_int(m)) == d
+            assert is_unimodular(m) == (d == 1)
+
+    def test_inexact_inverse_falls_back_to_bareiss(self, bareiss_calls):
+        # [[k, k+1], [k-1, k]] has determinant 1 and an inverse of the same
+        # size; at these k the bounds pass the guard, but the rounded float
+        # inverse is wrong
+        for k in (2 ** 20 + 1, 2 ** 25 + 3):
+            m = np.array([[k, k + 1], [k - 1, k]], dtype=np.int64)
+            assert det_int(m) == 1
+            x = np.rint(np.linalg.inv(m.astype(np.float64)))
+            assert 2 * (k + 1) * int(np.max(np.abs(x))) < 2 ** 53
+            assert not np.array_equal(m.astype(np.float64) @ x, np.eye(2))
+            assert is_unimodular(m)
+            assert not is_unimodular(m + np.array([[1, 0], [0, 0]]))
+        assert len(bareiss_calls) == 4
+
+    def test_entries_beyond_the_guard_fall_back_to_bareiss(self, bareiss_calls):
+        # the inverse of [[1, b], [0, 1]] is exact, but 2 b^2 >= 2^53, so
+        # float64 products are not guaranteed exact and Bareiss decides
+        for b in (2 ** 26, 2 ** 40, 2 ** 62):
+            m = np.array([[1, b], [0, 1]], dtype=np.int64)
+            assert is_unimodular(m)
+            assert not is_unimodular(np.array([[2, b], [0, 1]], dtype=np.int64))
+        big = np.array([[2 ** 62, 2 ** 62 + 1], [2 ** 62 - 1, 2 ** 62]], dtype=np.int64)
+        assert det_int(big) == 1
+        assert is_unimodular(big)
+        assert len(bareiss_calls) == 7
+
+    def test_below_the_guard_needs_no_bareiss(self, bareiss_calls):
+        b = 2 ** 25
+        assert is_unimodular(np.array([[1, b], [0, 1]], dtype=np.int64))
+        assert bareiss_calls == []
 
 
 class TestInverse:

@@ -24,19 +24,23 @@ tree size: it runs the depth-first kernel up to SMALL_TREE_NODES nodes
 and, when the tree turns out to be larger, starts over with the frontier
 kernel.
 
-Kernels never raise: they return an integer status the callers translate
-into the package's exception types.  All matrices are passed row-major
-with vectors as rows so the inner dot products run on contiguous memory.
+Each kernel returns plain results and raises the package's own error
+where a failure happens: ``lll_core`` and ``jacobi_core`` raise
+NumericalBreakdown, the enumeration kernels RadiusTooLarge.  All
+matrices are passed row-major with vectors as rows so the inner dot
+products run on contiguous memory.
 """
 
 import math
 
 import numpy as np
 
+from .errors import NumericalBreakdown, RadiusTooLarge
+
 #: GS norms at or below this are treated as a breakdown, not a tiny vector.
 GS_UNDERFLOW = 1e-280
 
-#: Hard cap on LLL main-loop iterations; hitting it is a breakdown signal.
+#: Hard cap on LLL main-loop iterations; hitting it is a breakdown.
 LLL_MAX_ITER = 1_000_000
 
 #: Trees up to this many nodes stay with the depth-first kernel.  On one
@@ -52,19 +56,15 @@ SMALL_TREE_NODES = 64
 #: faster.
 FRONTIER_CHUNK_ROWS = 1 << 11
 
-# status codes shared by the kernels
-OK = 0
-BREAKDOWN = 1
-ITER_CAP = 2
-BUDGET_EXCEEDED = 1
-
 
 def lll_core(w, v, delta):
     """Lovasz-reduce the row vectors of ``w`` in place.
 
     ``v`` (int64, preinitialised to the identity) accumulates the row
     operations, so on return ``w == v @ w_input`` up to float products.
-    Returns OK, BREAKDOWN (Gram-Schmidt norm underflow) or ITER_CAP.
+    Raises NumericalBreakdown when a Gram-Schmidt norm underflows or the
+    loop passes LLL_MAX_ITER iterations; w and v then hold the rows
+    reduced so far.
 
     Gram-Schmidt rows are computed lazily, each by the same arithmetic a
     full recompute after every swap would use, and only where that
@@ -78,10 +78,10 @@ def lll_core(w, v, delta):
     rows below it; size reduction changes w[k] and mu[k] but never bstar
     or nrm; rows above k are untouched until k reaches them.
 
-    One difference remains: a norm that underflows in a row above k is
-    reported as BREAKDOWN when k reaches that row, not at the swap
-    before, and w and v then hold the further-reduced rows.  A basis that
-    passes ``from_basis``'s determinant check practically never gets there.
+    One difference remains: a norm that underflows in a row above k
+    raises when k reaches that row, not at the swap before, and w and v
+    then hold the further-reduced rows.  A basis that passes
+    ``from_basis``'s determinant check practically never gets there.
     """
     d = w.shape[0]
     bstar = np.zeros((d, d))
@@ -94,7 +94,7 @@ def lll_core(w, v, delta):
     while k < d:
         it += 1
         if it > LLL_MAX_ITER:
-            return ITER_CAP
+            raise NumericalBreakdown(f"LLL exceeded its iteration cap of {LLL_MAX_ITER}")
         while fresh <= k:
             i = fresh
             bstar[i] = w[i]
@@ -105,7 +105,7 @@ def lll_core(w, v, delta):
             mu[i, i] = 1.0
             s = np.dot(bstar[i], bstar[i])
             if s <= GS_UNDERFLOW:
-                return BREAKDOWN
+                raise NumericalBreakdown("Gram-Schmidt norms underflowed during LLL")
             nrm[i] = s
             fresh += 1
         for j in range(k - 1, -1, -1):
@@ -128,24 +128,32 @@ def lll_core(w, v, delta):
             fresh = min(stale, k - 1)
             stale = d
             k = max(k - 1, 1)
-    return OK
 
 
 def enumerate_core(r, r2cap, node_budget):
     """All integer z != 0 with ||R z||^2 <= r2cap, by the kernel that suits the tree.
 
     ``r`` is the upper-triangular Cholesky factor of the Gram matrix
-    (R^T R = G).  Returns (coords, norms, nodes, status); coords rows are
-    the z vectors, norms their squared lengths, nodes the size of the
-    enumeration tree.  status BUDGET_EXCEEDED means the tree has more than
-    ``node_budget`` nodes; nodes is then node_budget + 1 and the output is
-    partial.  Trees of more than SMALL_TREE_NODES nodes are enumerated again
-    by the frontier kernel, and the aborted first attempt is not counted.
+    (R^T R = G).  Returns (coords, norms, nodes): coords rows are the z
+    vectors, norms their squared lengths, nodes the size of the
+    enumeration tree.  Raises RadiusTooLarge when the tree has more than
+    ``node_budget`` nodes.  Trees of more than SMALL_TREE_NODES nodes are
+    enumerated again by the frontier kernel, and the aborted first
+    attempt is not counted.
     """
-    out = enumerate_depth_first(r, r2cap, min(node_budget, SMALL_TREE_NODES))
-    if out[3] == OK or node_budget <= SMALL_TREE_NODES:
-        return out
+    try:
+        return enumerate_depth_first(r, r2cap, min(node_budget, SMALL_TREE_NODES))
+    except RadiusTooLarge:
+        if node_budget <= SMALL_TREE_NODES:
+            raise
     return enumerate_frontier(r, r2cap, node_budget)
+
+
+def _over_budget(node_budget):
+    return RadiusTooLarge(
+        f"enumeration exceeded the node budget of {node_budget}; "
+        "shrink the radius or raise the budget"
+    )
 
 
 def enumerate_depth_first(r, r2cap, node_budget):
@@ -163,7 +171,7 @@ def enumerate_depth_first(r, r2cap, node_budget):
     zmax = np.zeros(d, dtype=np.int64)
     shift = np.zeros(d)       # shift[i] = sum_{j>i} R[i,j] z_j
     rho = np.zeros(d)         # rho[i] = squared mass contributed by levels > i
-    nodes = np.int64(0)
+    nodes = 0
 
     i = d - 1
     rad = np.sqrt(r2cap)
@@ -179,7 +187,7 @@ def enumerate_depth_first(r, r2cap, node_budget):
             continue
         nodes += 1
         if nodes > node_budget:
-            return coords[:m].copy(), norms[:m].copy(), nodes, BUDGET_EXCEEDED
+            raise _over_budget(node_budget)
         t = r[i, i] * z[i] + shift[i]
         total = rho[i] + t * t
         if i == 0:
@@ -209,7 +217,7 @@ def enumerate_depth_first(r, r2cap, node_budget):
             rii = r[i, i]
             z[i] = np.int64(np.ceil((-s - rad) / rii - 1e-12))
             zmax[i] = np.int64(np.floor((-s + rad) / rii + 1e-12))
-    return coords[:m].copy(), norms[:m].copy(), nodes, OK
+    return coords[:m].copy(), norms[:m].copy(), nodes
 
 
 def enumerate_frontier(r, r2cap, node_budget):
@@ -225,9 +233,10 @@ def enumerate_frontier(r, r2cap, node_budget):
     d = r.shape[0]
     found = _Found(d)
     nodes = _expand(r, r2cap, node_budget, d, np.zeros((0, 1), dtype=np.int64), np.zeros(1), found)
+    if nodes > node_budget:
+        raise _over_budget(node_budget)
     m = found.m
-    status = OK if nodes <= node_budget else BUDGET_EXCEEDED
-    return found.coords[:m].copy(), found.norms[:m].copy(), np.int64(nodes), status
+    return found.coords[:m].copy(), found.norms[:m].copy(), nodes
 
 
 def _grown(coords, norms, m, need):
@@ -308,30 +317,31 @@ def _expand(r, r2cap, budget, i, zt, rho, found):
     return nodes
 
 
-def jacobi_core(a, q, rel_tol, max_sweeps):
-    """Cyclic Jacobi sweeps on symmetric ``a`` (overwritten in place).
+def jacobi_core(a, rel_tol, max_sweeps):
+    """Cyclic Jacobi sweeps on symmetric ``a``; returns (sweeps, d, q).
 
-    ``q`` (preinitialised to the identity) accumulates rotations so that
-    q @ diag(a) @ q.T reconstructs the input.  Converged when the
-    off-diagonal Frobenius mass drops below rel_tol times the input
-    Frobenius norm.  Returns (sweeps_used, status).
+    ``d`` holds the eigenvalues in diagonal order (unsorted) and the
+    columns of ``q`` the eigenvectors, so q @ diag(d) @ q.T reconstructs
+    ``a``, which is left unchanged.  Converged when the off-diagonal
+    Frobenius mass drops below rel_tol times the input Frobenius norm;
+    raises NumericalBreakdown when ``max_sweeps`` sweeps do not get there.
 
-    The sweep runs on Python floats in lists of rows and writes them back
-    into ``a`` and ``q`` on return.  The bits equal those of a kernel that
-    rotates whole numpy columns and rows (``c * colp - s * colq``, and so
-    on), because each entry gets the same IEEE operations in the same
-    order.  Every product and difference is rounded on its own, in CPython
-    as in numpy's elementwise loops, with no fused multiply-add.
-    ``math.sqrt`` and ``np.sqrt`` are both the correctly rounded square
-    root.  The columns are rotated before the rows, and the rows use the
-    rotated columns.  The input's Frobenius norm is still summed by
-    ``np.sum``, whose pairwise order a Python loop would not reproduce.
+    The sweep runs on Python floats in lists of rows.  The bits equal
+    those of a kernel that rotates whole numpy columns and rows
+    (``c * colp - s * colq``, and so on), because each entry gets the
+    same IEEE operations in the same order.  Every product and difference
+    is rounded on its own, in CPython as in numpy's elementwise loops,
+    with no fused multiply-add.  ``math.sqrt`` and ``np.sqrt`` are both
+    the correctly rounded square root.  The columns are rotated before
+    the rows, and the rows use the rotated columns.  The input's
+    Frobenius norm is still summed by ``np.sum``, whose pairwise order a
+    Python loop would not reproduce.
     """
     n = a.shape[0]
     fro = np.sqrt(np.sum(a * a))
     thresh = rel_tol * fro
     A = a.tolist()
-    Q = q.tolist()
+    Q = np.eye(n).tolist()
     for sweep in range(max_sweeps):
         off = 0.0
         for i in range(n):
@@ -339,9 +349,7 @@ def jacobi_core(a, q, rel_tol, max_sweeps):
             for j in range(i + 1, n):
                 off += 2.0 * row[j] * row[j]
         if math.sqrt(off) <= thresh:
-            a[...] = A
-            q[...] = Q
-            return sweep, OK
+            return sweep, np.array([A[i][i] for i in range(n)]), np.array(Q)
         for p in range(n - 1):
             rowp = A[p]
             for r_ in range(p + 1, n):
@@ -373,6 +381,4 @@ def jacobi_core(a, q, rel_tol, max_sweeps):
                     y = row[r_]
                     row[p] = c * x - s * y
                     row[r_] = s * x + c * y
-    a[...] = A
-    q[...] = Q
-    return max_sweeps, ITER_CAP
+    raise NumericalBreakdown("Jacobi sweeps did not converge within the sweep cap")

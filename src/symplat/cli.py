@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
@@ -173,9 +174,7 @@ def _config_of(args: argparse.Namespace) -> dict:
 
 
 def _cmd_bounds(args):
-    b = bounds(args.g)
-    return {"g": b.g, "buser_sarnak": b.buser_sarnak,
-            "theorem1": b.theorem1, "conjecture": b.conjecture}
+    return asdict(bounds(args.g))
 
 
 def _cmd_systole(args):
@@ -288,11 +287,7 @@ def _cmd_bw(args):
 
 def _cmd_meanvalue(args):
     est = estimate_I(args.g, args.y, args.r2, args.samples, args.seed)
-    return {
-        "g": est.g, "y": est.y, "r2": est.r2, "samples": est.samples,
-        "mean": est.mean, "stderr": est.stderr, "seed": est.seed,
-        "analytic_limit": ball_volume_limit(args.g, args.r2 ** 0.5),
-    }
+    return {**asdict(est), "analytic_limit": ball_volume_limit(args.g, args.r2 ** 0.5)}
 
 
 def _parse_ys(text: str) -> list[float]:
@@ -323,26 +318,12 @@ def _sweep_csv(result: dict) -> str:
 
 
 def _cmd_multiplicity(args):
-    rep = multiplicity_check(args.g, args.family, args.samples,
-                             args.radius_factor, args.seed)
-    return {
-        "family": rep.family, "g": rep.g, "divisor": rep.divisor,
-        "samples": rep.samples, "seed": rep.seed,
-        "radius_factor": rep.radius_factor,
-        "buckets_total": rep.buckets_total,
-        "buckets_divisible": rep.buckets_divisible,
-        "pass_rate": rep.pass_rate,
-        "all_divisible": rep.all_divisible,
-        "violations": rep.violations,
-    }
+    return asdict(multiplicity_check(args.g, args.family, args.samples,
+                                     args.radius_factor, args.seed))
 
 
 def _cmd_search(args):
-    res = witness_search(args.g, args.family, args.target_r2, args.budget, args.seed)
-    return {
-        "family": res.family, "g": res.g, "params": res.params, "y": res.y,
-        "systole2": res.systole2, "evaluations": res.evaluations, "seed": res.seed,
-    }
+    return asdict(witness_search(args.g, args.family, args.target_r2, args.budget, args.seed))
 
 
 _DISPATCH = {

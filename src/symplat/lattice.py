@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _kernels
-from .errors import NotInvariant, NumericalBreakdown, OutOfRange, RadiusTooLarge, Singular
+from .errors import NotInvariant, NumericalBreakdown, OutOfRange, Singular
 from .linalg import DEFAULT_TOL, as_mat, det_int, is_unimodular
 
 #: Relative slack on the squared enumeration radius.
@@ -112,9 +112,7 @@ def lll_reduce(lat: Lattice, delta: float = DEFAULT_LLL_DELTA) -> tuple[Lattice,
         raise OutOfRange("LLL delta must lie in (1/4, 1)")
     w = np.ascontiguousarray(lat.basis.T, dtype=np.float64).copy()
     v = np.eye(lat.dim, dtype=np.int64)
-    status = _kernels.lll_core(w, v, float(delta))
-    if status != _kernels.OK:
-        raise NumericalBreakdown("Gram-Schmidt norms underflowed during LLL")
+    _kernels.lll_core(w, v, float(delta))
     u = v.T.copy()
     if not is_unimodular(u):
         raise NumericalBreakdown(f"LLL transform is not unimodular: det {det_int(u)}")
@@ -144,12 +142,7 @@ def _enumerate_reduced(reduced: Lattice, u: np.ndarray, r2: float,
         raise NumericalBreakdown(f"Cholesky of the reduced Gram failed: {exc}") from exc
     r = np.ascontiguousarray(chol_lower.T)
     cap = float(r2) * (1.0 + BOUNDARY_EPS)
-    coords_z, norms, nodes, status = _kernels.enumerate_core(r, cap, np.int64(node_budget))
-    if status != _kernels.OK:
-        raise RadiusTooLarge(
-            f"enumeration exceeded the node budget of {node_budget}; "
-            "shrink the radius or raise the budget"
-        )
+    coords_z, norms, nodes = _kernels.enumerate_core(r, cap, node_budget)
     coords = coords_z @ u.T
     systole2 = None
     kissing = 0
@@ -164,7 +157,7 @@ def _enumerate_reduced(reduced: Lattice, u: np.ndarray, r2: float,
         histogram=hist,
         systole2=systole2,
         kissing=kissing,
-        nodes=int(nodes),
+        nodes=nodes,
     )
 
 

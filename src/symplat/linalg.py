@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import NotIntegral, NotSPD, NotSymmetric, NumericalBreakdown, Singular
+from .errors import NotIntegral, NotSPD, NotSymmetric, Singular
 
 DEFAULT_TOL = 1e-9
 
@@ -118,16 +118,12 @@ def sym_eig(s, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (q, d) with orthogonal q and eigenvalues d sorted descending,
     so q @ diag(d) @ q.T reconstructs the input.  Raises NotSymmetric when
-    the asymmetry exceeds ``tol``.
+    the asymmetry exceeds ``tol``, and NumericalBreakdown when the sweeps
+    do not converge within JACOBI_MAX_SWEEPS.
     """
     s = as_mat(s)
     check_symmetric(s, tol)
-    a = 0.5 * (s + s.T)
-    q = np.eye(a.shape[0])
-    _, status = _kernels.jacobi_core(a, q, JACOBI_REL_TOL, JACOBI_MAX_SWEEPS)
-    if status != _kernels.OK:
-        raise NumericalBreakdown("Jacobi sweeps did not converge within the sweep cap")
-    d = np.diag(a).copy()
+    _, d, q = _kernels.jacobi_core(0.5 * (s + s.T), JACOBI_REL_TOL, JACOBI_MAX_SWEEPS)
     order = np.argsort(-d, kind="stable")
     return q[:, order], d[order]
 

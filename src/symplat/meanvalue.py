@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OddDimension, OutOfRange
-from .lattice import DEFAULT_NODE_BUDGET, enumerate_short, from_basis, systole
+from .lattice import enumerate_short, from_basis, systole
 from .patterned import KSymParams, a2n_eigenvalues, ksym_region
 from .symplectic import _stream, a2n_family_point, k_family_point, p_z, sample_vcube
 
@@ -118,10 +118,6 @@ def ball_volume_limit(g: int, r: float) -> float:
     return math.exp(g * math.log(_PI) + 2 * g * math.log(r) - math.lgamma(g + 1))
 
 
-def _count_short(lat, r2: float, node_budget: int) -> int:
-    return enumerate_short(lat, r2, node_budget).count
-
-
 def k_family_lattice(p: KSymParams, y: float):
     """Determinant-one lattice of the K-family Siegel point (X from p, height y)."""
     return from_basis(p_z(k_family_point(p, y)))
@@ -156,8 +152,7 @@ def sample_a2n_family(g: int, seed: int, index: int):
     return _a2n_lattice(x_row, s_row)
 
 
-def estimate_I(g: int, y: float, r2: float, samples: int, seed: int, *,
-               node_budget: int = DEFAULT_NODE_BUDGET) -> MeanValueEstimate:
+def estimate_I(g: int, y: float, r2: float, samples: int, seed: int) -> MeanValueEstimate:
     """Monte Carlo mean of the short-vector count over the K-family cube."""
     if samples < 1:
         raise OutOfRange("need at least one sample")
@@ -169,15 +164,14 @@ def estimate_I(g: int, y: float, r2: float, samples: int, seed: int, *,
     counts = np.zeros(samples, dtype=np.float64)
     for i in range(samples):
         params = sample_vcube(g, seed, i)
-        counts[i] = _count_short(k_family_lattice(params, y), r2, node_budget)
+        counts[i] = enumerate_short(k_family_lattice(params, y), r2).count
     mean = float(np.mean(counts))
     stderr = float(np.std(counts, ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     return MeanValueEstimate(g=g, y=float(y), r2=float(r2), samples=samples,
                              mean=mean, stderr=stderr, seed=seed)
 
 
-def limit_sweep(g: int, r2: float, y_list, samples: int, seed: int, *,
-                node_budget: int = DEFAULT_NODE_BUDGET) -> list[MeanValueEstimate]:
+def limit_sweep(g: int, r2: float, y_list, samples: int, seed: int) -> list[MeanValueEstimate]:
     """One estimate per y, for increasing y.
 
     The same seed (hence the same X samples) is reused across heights, so
@@ -190,7 +184,7 @@ def limit_sweep(g: int, r2: float, y_list, samples: int, seed: int, *,
     ys = [float(y) for y in y_list]
     if any(b <= a for a, b in zip(ys, ys[1:])):
         raise OutOfRange("y values must be strictly increasing")
-    return [estimate_I(g, y, r2, samples, seed, node_budget=node_budget) for y in ys]
+    return [estimate_I(g, y, r2, samples, seed) for y in ys]
 
 
 _FAMILY_SAMPLERS = {"k": sample_k_family, "a2n": sample_a2n_family}
@@ -205,8 +199,7 @@ def _family_divisor(family: str, g: int) -> int:
 
 
 def multiplicity_check(g: int, family: str, samples: int,
-                       radius_factor: float = 2.0, seed: int = 0,
-                       node_budget: int = DEFAULT_NODE_BUDGET) -> MultiplicityReport:
+                       radius_factor: float = 2.0, seed: int = 0) -> MultiplicityReport:
     """Divisibility of per-length vector counts on sampled family lattices.
 
     Enumerates each sampled lattice to radius_factor times its squared
@@ -226,8 +219,8 @@ def multiplicity_check(g: int, family: str, samples: int,
     violations = []
     for i in range(samples):
         lat = sampler(g, seed, i)
-        s2, _ = systole(lat, node_budget)
-        rep = enumerate_short(lat, radius_factor * s2, node_budget)
+        s2, _ = systole(lat)
+        rep = enumerate_short(lat, radius_factor * s2)
         for length in sorted(rep.histogram):
             count = rep.histogram[length]
             total += 1
@@ -263,10 +256,10 @@ def _k_point_perturb(point, sigma: float, rng):
     return vec2, y2
 
 
-def _k_point_eval(g: int, point, node_budget: int) -> float:
+def _k_point_eval(g: int, point) -> float:
     vec, y = point
     params = KSymParams(g=g, values=dict(zip(ksym_region(g), (float(v) for v in vec))))
-    return systole(k_family_lattice(params, y), node_budget)[0]
+    return systole(k_family_lattice(params, y))[0]
 
 
 def _a2n_point_random(g: int, rng):
@@ -281,13 +274,12 @@ def _a2n_point_perturb(point, sigma: float, rng):
     )
 
 
-def _a2n_point_eval(g: int, point, node_budget: int) -> float:
-    return systole(_a2n_lattice(*point), node_budget)[0]
+def _a2n_point_eval(g: int, point) -> float:
+    return systole(_a2n_lattice(*point))[0]
 
 
 def witness_search(g: int, family: str, target_r2: float | None, budget: int,
-                   seed: int,
-                   node_budget: int = DEFAULT_NODE_BUDGET) -> SearchResult:
+                   seed: int) -> SearchResult:
     """Best squared systole found by random restarts plus (1+1) hill climbing.
 
     The budget counts systole evaluations; every _BLOCK evaluations start
@@ -312,7 +304,7 @@ def witness_search(g: int, family: str, target_r2: float | None, budget: int,
     evals = 0
     while evals < budget:
         current = rand(g, rng)
-        current_s2 = evaluate(g, current, node_budget)
+        current_s2 = evaluate(g, current)
         evals += 1
         sigma = _SIGMA0
         stall = 0
@@ -322,7 +314,7 @@ def witness_search(g: int, family: str, target_r2: float | None, budget: int,
             if target_r2 is not None and best_s2 >= target_r2:
                 break
             cand = perturb(current, sigma, rng)
-            cand_s2 = evaluate(g, cand, node_budget)
+            cand_s2 = evaluate(g, cand)
             evals += 1
             if cand_s2 > current_s2:
                 current, current_s2 = cand, cand_s2

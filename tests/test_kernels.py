@@ -1,4 +1,4 @@
-"""Status codes of the numpy kernels, parity of the two enumeration kernels,
+"""Errors raised by the numpy kernels, parity of the two enumeration kernels,
 parity of the lazy Gram-Schmidt LLL with a full recompute after every swap,
 and parity of the scalar Jacobi sweep with a numpy one."""
 
@@ -8,8 +8,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from symplat import _kernels, a2n_eigenvalues, a2n_family_point, a2n_from_row, bw_lattice
+from symplat.errors import NumericalBreakdown, RadiusTooLarge
 
-BIG_BUDGET = np.int64(10 ** 7)
+BIG_BUDGET = 10 ** 7
 
 
 def chol_upper(gram):
@@ -20,8 +21,8 @@ def assert_same_enumeration(a, b):
     assert a[0].dtype == b[0].dtype == np.int64
     assert np.array_equal(a[0], b[0])
     assert np.array_equal(a[1].view(np.int64), b[1].view(np.int64))
+    assert type(a[2]) is type(b[2]) is int
     assert a[2] == b[2]
-    assert a[3] == b[3]
 
 
 @st.composite
@@ -40,11 +41,11 @@ def trees(draw):
     return chol_upper(gram), r2
 
 
-def test_enumeration_budget_status(rng):
-    gram = np.eye(4)
-    r = chol_upper(gram)
-    _, _, _, status = _kernels.enumerate_core(r, 100.0, np.int64(10))
-    assert status == _kernels.BUDGET_EXCEEDED
+def test_enumeration_over_budget_raises():
+    r = chol_upper(np.eye(4))
+    with pytest.raises(RadiusTooLarge, match="^enumeration exceeded the node budget of 10; "
+                                             "shrink the radius or raise the budget$"):
+        _kernels.enumerate_core(r, 100.0, 10)
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -52,7 +53,6 @@ def test_enumeration_budget_status(rng):
 def test_frontier_matches_depth_first(tree):
     r, r2 = tree
     ref = _kernels.enumerate_depth_first(r, r2, BIG_BUDGET)
-    assert ref[3] == _kernels.OK
     assert_same_enumeration(_kernels.enumerate_frontier(r, r2, BIG_BUDGET), ref)
     assert_same_enumeration(_kernels.enumerate_core(r, r2, BIG_BUDGET), ref)
 
@@ -82,15 +82,13 @@ def test_frontier_on_ties():
 
 def test_budget_is_exact_above_small_tree_threshold():
     r = np.eye(4)
-    _, _, nodes, status = _kernels.enumerate_core(r, 4.0, BIG_BUDGET)
-    assert status == _kernels.OK
+    nodes = _kernels.enumerate_core(r, 4.0, BIG_BUDGET)[2]
     assert nodes > _kernels.SMALL_TREE_NODES
     for kernel in (_kernels.enumerate_core, _kernels.enumerate_frontier,
                    _kernels.enumerate_depth_first):
-        assert kernel(r, 4.0, nodes)[3] == _kernels.OK
-        _, _, over, status = kernel(r, 4.0, nodes - 1)
-        assert status == _kernels.BUDGET_EXCEEDED
-        assert over == nodes
+        assert kernel(r, 4.0, nodes)[2] == nodes
+        with pytest.raises(RadiusTooLarge, match=f"node budget of {nodes - 1};"):
+            kernel(r, 4.0, nodes - 1)
 
 
 # -- LLL ------------------------------------------------------------------------
@@ -111,7 +109,7 @@ def lll_full_recompute(w, v, delta):
     while k < d:
         it += 1
         if it > _kernels.LLL_MAX_ITER:
-            return _kernels.ITER_CAP
+            raise NumericalBreakdown(f"LLL exceeded its iteration cap of {_kernels.LLL_MAX_ITER}")
         if need_gso:
             for i in range(d):
                 bstar[i] = w[i]
@@ -122,7 +120,7 @@ def lll_full_recompute(w, v, delta):
                 mu[i, i] = 1.0
                 s = np.dot(bstar[i], bstar[i])
                 if s <= _kernels.GS_UNDERFLOW:
-                    return _kernels.BREAKDOWN
+                    raise NumericalBreakdown("Gram-Schmidt norms underflowed during LLL")
                 nrm[i] = s
             need_gso = False
         for j in range(k - 1, -1, -1):
@@ -143,16 +141,24 @@ def lll_full_recompute(w, v, delta):
             v[k - 1] = tmpv
             need_gso = True
             k = max(k - 1, 1)
-    return _kernels.OK
+
+
+def raised(fn, *args):
+    """(type, message) of the NumericalBreakdown ``fn(*args)`` raises, else None."""
+    try:
+        fn(*args)
+    except NumericalBreakdown as exc:
+        return type(exc), str(exc)
+    return None
 
 
 def run_both(w, delta):
-    """(status, w, v) of lll_core and of the reference on copies of ``w``."""
+    """(error, w, v) of lll_core and of the reference on copies of ``w``."""
     out = []
     for kernel in (_kernels.lll_core, lll_full_recompute):
         wk = np.array(w, dtype=np.float64)
         vk = np.eye(wk.shape[0], dtype=np.int64)
-        out.append((kernel(wk, vk, delta), wk, vk))
+        out.append((raised(kernel, wk, vk, delta), wk, vk))
     return out
 
 
@@ -205,7 +211,7 @@ def lll_inputs(draw):
 def test_lll_matches_full_recompute(case):
     w, delta = case
     new, ref = run_both(w, delta)
-    assert ref[0] == _kernels.OK
+    assert ref[0] is None
     assert_same_lll(new, ref)
 
 
@@ -214,7 +220,7 @@ def test_lll_breakdown_on_underflowing_norm():
     for w in ([[1.0, 0.0], [1.0, 1e-150]],
               [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 1e-150]]):
         new, ref = run_both(w, 0.99)
-        assert new[0] == ref[0] == _kernels.BREAKDOWN
+        assert new[0] == ref[0] == (NumericalBreakdown, "Gram-Schmidt norms underflowed during LLL")
 
 
 def test_lll_iteration_cap_matches_reference(monkeypatch):
@@ -224,9 +230,9 @@ def test_lll_iteration_cap_matches_reference(monkeypatch):
         monkeypatch.setattr(_kernels, "LLL_MAX_ITER", cap)
         new, ref = run_both(w, 0.99)
         assert_same_lll(new, ref)
-        if ref[0] == _kernels.OK:
+        if ref[0] is None:
             break
-        assert ref[0] == _kernels.ITER_CAP
+        assert ref[0] == (NumericalBreakdown, f"LLL exceeded its iteration cap of {cap}")
         capped += 1
     else:
         pytest.fail("the reference did not finish within 1000 iterations")
@@ -238,8 +244,8 @@ def test_lll_iteration_cap_matches_reference(monkeypatch):
 def jacobi_reference(a, q, rel_tol, max_sweeps):
     """The cyclic Jacobi kernel that rotates whole numpy columns and rows.
 
-    ``_kernels.jacobi_core`` must match it bit for bit in ``a`` and ``q``,
-    and in the sweep count and status.
+    ``_kernels.jacobi_core`` must match it bit for bit in the diagonal of
+    ``a`` and in ``q``, in the sweep count, and in the error it raises.
     """
     n = a.shape[0]
     fro = np.sqrt(np.sum(a * a))
@@ -250,7 +256,7 @@ def jacobi_reference(a, q, rel_tol, max_sweeps):
             for j in range(i + 1, n):
                 off += 2.0 * a[i, j] * a[i, j]
         if np.sqrt(off) <= thresh:
-            return sweep, _kernels.OK
+            return sweep
         for p in range(n - 1):
             for r_ in range(p + 1, n):
                 apq = a[p, r_]
@@ -277,23 +283,23 @@ def jacobi_reference(a, q, rel_tol, max_sweeps):
                 qq = q[:, r_].copy()
                 q[:, p] = c * qp - s * qq
                 q[:, r_] = s * qp + c * qq
-    return max_sweeps, _kernels.ITER_CAP
+    raise NumericalBreakdown("Jacobi sweeps did not converge within the sweep cap")
 
 
 def assert_same_jacobi(s, max_sweeps=100, rel_tol=1e-12):
-    """Run both Jacobi kernels on copies of symmetric ``s``; return the status."""
-    out = []
-    for kernel in (_kernels.jacobi_core, jacobi_reference):
-        a = np.array(s, dtype=np.float64)
-        q = np.eye(a.shape[0])
-        with np.errstate(over="ignore"):     # tau * tau may overflow to inf
-            out.append((kernel(a, q, rel_tol, max_sweeps), a, q))
-    (new, a_new, q_new), (ref, a_ref, q_ref) = out
-    assert new == ref
-    assert type(new[0]) is int and type(new[1]) is int
-    assert np.array_equal(a_new.view(np.int64), a_ref.view(np.int64))
-    assert np.array_equal(q_new.view(np.int64), q_ref.view(np.int64))
-    return new[1]
+    """Run both Jacobi kernels on copies of symmetric ``s``; return the sweep count."""
+    s = np.array(s, dtype=np.float64)
+    a = s.copy()
+    q = np.eye(a.shape[0])
+    with np.errstate(over="ignore"):     # tau * tau may overflow to inf
+        ref = jacobi_reference(a, q, rel_tol, max_sweeps)
+    s_in = s.copy()
+    sweeps, d, q_new = _kernels.jacobi_core(s_in, rel_tol, max_sweeps)
+    assert type(sweeps) is int and sweeps == ref
+    assert np.array_equal(d.view(np.int64), np.diag(a).view(np.int64))
+    assert np.array_equal(q_new.view(np.int64), q.view(np.int64))
+    assert np.array_equal(s_in.view(np.int64), s.view(np.int64))    # input untouched
+    return sweeps
 
 
 def symmetrize(m):
@@ -336,18 +342,21 @@ def jacobi_inputs(draw):
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(jacobi_inputs())
 def test_jacobi_matches_numpy_reference(s):
-    assert assert_same_jacobi(s) == _kernels.OK
+    assert_same_jacobi(s)
 
 
 @pytest.mark.parametrize("dim", [16, 24, 32])
 def test_jacobi_matches_numpy_reference_at_large_dims(dim):
     rng = np.random.default_rng(dim)
-    assert assert_same_jacobi(symmetrize(rng.normal(size=(dim, dim)))) == _kernels.OK
+    assert assert_same_jacobi(symmetrize(rng.normal(size=(dim, dim)))) > 0
     if dim != 24:
-        assert assert_same_jacobi(a2n_from_row(rng.normal(size=dim))) == _kernels.OK
+        assert assert_same_jacobi(a2n_from_row(rng.normal(size=dim))) > 0
 
 
 @pytest.mark.parametrize("max_sweeps", [0, 1, 2, 3])
 def test_jacobi_iteration_cap_matches_reference(max_sweeps):
     s = symmetrize(np.random.default_rng(9).normal(size=(12, 12)))
-    assert assert_same_jacobi(s, max_sweeps=max_sweeps) == _kernels.ITER_CAP
+    with np.errstate(over="ignore"):
+        ref = raised(jacobi_reference, s.copy(), np.eye(12), 1e-12, max_sweeps)
+    new = raised(_kernels.jacobi_core, s, 1e-12, max_sweeps)
+    assert new == ref == (NumericalBreakdown, "Jacobi sweeps did not converge within the sweep cap")

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from symplat import (
@@ -84,20 +84,27 @@ class TestLLL:
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(st.integers(2, 12), st.integers(0, 2 ** 32 - 1), st.sampled_from([0.75, 0.99]))
+    @example(11, 594500, 0.75)     # cond(B) ~ 1e7: solve(B, B') misses integers by 1.3e-4
     def test_reduced_basis_generates_the_same_lattice(self, dim, seed, delta):
+        # B' = B U with U unimodular, checked without solving against B:
+        # U is exactly unimodular, and each entry of B' is B U's up to the
+        # rounding of its dot product, a relative 1e-12 of |B| @ |U|.
         rng = np.random.default_rng(seed)
         b = random_invertible(rng, dim, min_det=0.05)
         scramble = np.eye(dim, dtype=np.int64) + np.triu(rng.integers(-3, 4, size=(dim, dim)), 1)
         lat = from_basis(b @ scramble)
         reduced, u = lll_reduce(lat, delta)
-        raw = np.linalg.solve(lat.basis, reduced.basis)
-        rounded = np.rint(raw)
-        assert np.max(np.abs(raw - rounded)) <= 1e-6
-        assert np.array_equal(rounded.astype(np.int64), u)
         assert is_unimodular(u)
         assert abs(det_int(u)) == 1
-        scale = np.max(np.abs(lat.basis)) * np.max(np.abs(u)) * dim
-        assert np.allclose(lat.basis @ u, reduced.basis, rtol=0.0, atol=1e-12 * scale)
+        err = np.abs(reduced.basis - lat.basis @ u)
+        assert np.all(err <= 1e-12 * (np.abs(lat.basis) @ np.abs(u)))
+
+    def test_iteration_cap_raises_its_own_breakdown(self, monkeypatch):
+        from symplat import _kernels
+
+        monkeypatch.setattr(_kernels, "LLL_MAX_ITER", 1)
+        with pytest.raises(NumericalBreakdown, match="^LLL exceeded its iteration cap of 1$"):
+            lll_reduce(from_basis(np.array([[1.0, 0.0], [100.0, 1.0]])))
 
     def test_non_unimodular_transform_raises(self, monkeypatch):
         from symplat import lattice

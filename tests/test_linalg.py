@@ -17,7 +17,7 @@ from symplat import (
     sqrt_spd,
     sym_eig,
 )
-from symplat.errors import NotIntegral, NotSPD, NotSymmetric, Singular
+from symplat.errors import NotIntegral, NotSPD, NotSymmetric, NumericalBreakdown, Singular
 from symplat.groups import j_matrix
 from symplat import linalg
 from symplat.linalg import intmat_from_obj, intmat_to_obj, mat_from_obj, mat_to_obj
@@ -106,6 +106,12 @@ class TestSymEig:
     def test_rejects_asymmetric(self):
         with pytest.raises(NotSymmetric):
             sym_eig([[0.0, 1.0], [0.0, 0.0]])
+
+    def test_sweep_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 1)
+        with pytest.raises(NumericalBreakdown,
+                           match="^Jacobi sweeps did not converge within the sweep cap$"):
+            sym_eig(random_spd(np.random.default_rng(1), 6))
 
     def test_reconstruction_random(self, rng):
         for dim in (2, 5, 8, 17, 32):

@@ -44,14 +44,10 @@ from .lattice import (
     systole,
 )
 from .linalg import (
-    ComplexMat,
-    det,
     det_int,
     inverse,
     is_orthogonal,
     is_unimodular,
-    kron,
-    kron_complex,
     kron_pow,
     round_to_int,
     sqrt_spd,

@@ -7,11 +7,11 @@ eigensolver oracle).  LLL and Jacobi each have one kernel.
 ``lll_core`` computes Gram-Schmidt rows lazily; its docstring gives the
 rule and why the result is bit for bit a full recompute's.
 
-``jacobi_core`` runs its scalar loop on Python floats held in lists, not
-on numpy entries: a rotation touches only a few rows and columns, and
-numpy's per-call overhead outweighs such small arithmetic.  It does the
-same IEEE operations in the same order as a kernel rotating whole numpy
-columns and rows, so the bits are the same; its docstring says why.
+``jacobi_core`` and ``enumerate_depth_first`` run their scalar loops on
+Python numbers held in lists, not on numpy entries: numpy's per-element
+and per-call overhead outweighs such small arithmetic.  Each does the
+same IEEE operations in the same order as a numpy kernel would, so the
+bits are the same; ``jacobi_core``'s docstring says why.
 
 Enumeration has two kernels over the same Fincke-Pohst tree.
 ``enumerate_depth_first`` walks it one node at a time;
@@ -20,9 +20,9 @@ frontier, in chunks of at most FRONTIER_CHUNK_ROWS nodes taken depth
 first.  Both do the same float operations per node in the same order, so
 they return the same vectors in the same row order with bit-equal norms
 and the same node count.  ``enumerate_core``, the entry point, picks by
-tree size: it runs the depth-first kernel up to SMALL_TREE_NODES nodes
-and, when the tree turns out to be larger, starts over with the frontier
-kernel.
+tree size: it runs the depth-first kernel up to SMALL_TREE_NODES_PER_LEVEL
+nodes per level of the tree and, when the tree turns out to be larger,
+starts over with the frontier kernel.
 
 Each kernel returns plain results and raises the package's own error
 where a failure happens: ``lll_core`` and ``jacobi_core`` raise
@@ -43,11 +43,13 @@ GS_UNDERFLOW = 1e-280
 #: Hard cap on LLL main-loop iterations; hitting it is a breakdown.
 LLL_MAX_ITER = 1_000_000
 
-#: Trees up to this many nodes stay with the depth-first kernel.  On one
-#: core of a 2-core x86 host it costs about 9 us per node and the frontier
-#: kernel about 55 us per tree level, so the frontier breaks even at about
-#: 40-60 nodes in dimensions 4 and 8 and at 60-100 in dimension 16.
-SMALL_TREE_NODES = 64
+#: Trees up to this many nodes per level (times the dimension) stay with
+#: the depth-first kernel.  On one core of a 2-core x86 host, on
+#: LLL-reduced trees, the depth-first kernel costs about 1.0, 1.3 and 1.7
+#: us per node at d = 4, 8 and 16, the frontier kernel a fixed 170, 340
+#: and 750 us per tree, so the frontier breaks even at about 140-170, 250
+#: and 450 nodes: 28-43 nodes per level.
+SMALL_TREE_NODES_PER_LEVEL = 30
 
 #: Most nodes of one level the frontier kernel turns into coordinate rows
 #: at once.  Each level on its path holds at most one such chunk, so its
@@ -137,14 +139,15 @@ def enumerate_core(r, r2cap, node_budget):
     (R^T R = G).  Returns (coords, norms, nodes): coords rows are the z
     vectors, norms their squared lengths, nodes the size of the
     enumeration tree.  Raises RadiusTooLarge when the tree has more than
-    ``node_budget`` nodes.  Trees of more than SMALL_TREE_NODES nodes are
-    enumerated again by the frontier kernel, and the aborted first
-    attempt is not counted.
+    ``node_budget`` nodes.  Trees of more than SMALL_TREE_NODES_PER_LEVEL
+    nodes per level are enumerated again by the frontier kernel, and the
+    aborted first attempt is not counted.
     """
+    small = SMALL_TREE_NODES_PER_LEVEL * r.shape[0]
     try:
-        return enumerate_depth_first(r, r2cap, min(node_budget, SMALL_TREE_NODES))
+        return enumerate_depth_first(r, r2cap, min(node_budget, small))
     except RadiusTooLarge:
-        if node_budget <= SMALL_TREE_NODES:
+        if node_budget <= small:
             raise
     return enumerate_frontier(r, r2cap, node_budget)
 
@@ -157,27 +160,28 @@ def _over_budget(node_budget):
 
 
 def enumerate_depth_first(r, r2cap, node_budget):
-    """``enumerate_core`` one tree node at a time; the reference kernel.
+    """``enumerate_core`` one tree node at a time, on Python numbers.
 
     Children of a node are visited in ascending order, so rows come out in
-    lexicographic order of (z[d-1], ..., z[0]).
+    lexicographic order of (z[d-1], ..., z[0]).  Python floats round each
+    operation as numpy does, and ``math.sqrt`` is correctly rounded like
+    ``np.sqrt``, so the frontier kernel's bits come out.
     """
     d = r.shape[0]
-    cap = 1024
-    coords = np.empty((cap, d), dtype=np.int64)
-    norms = np.empty(cap, dtype=np.float64)
-    m = 0
-    z = np.zeros(d, dtype=np.int64)
-    zmax = np.zeros(d, dtype=np.int64)
-    shift = np.zeros(d)       # shift[i] = sum_{j>i} R[i,j] z_j
-    rho = np.zeros(d)         # rho[i] = squared mass contributed by levels > i
+    R = r.tolist()
+    rows = []
+    norms = []
+    z = [0] * d
+    zmax = [0] * d
+    shift = [0.0] * d       # shift[i] = sum_{j>i} R[i,j] z_j
+    rho = [0.0] * d         # rho[i] = squared mass contributed by levels > i
     nodes = 0
 
     i = d - 1
-    rad = np.sqrt(r2cap)
-    rii = r[i, i]
-    z[i] = np.int64(np.ceil(-rad / rii - 1e-12))
-    zmax[i] = np.int64(np.floor(rad / rii + 1e-12))
+    rad = math.sqrt(r2cap)
+    rii = R[i][i]
+    z[i] = math.ceil(-rad / rii - 1e-12)
+    zmax[i] = math.floor(rad / rii + 1e-12)
     while True:
         if z[i] > zmax[i]:
             i += 1
@@ -188,36 +192,27 @@ def enumerate_depth_first(r, r2cap, node_budget):
         nodes += 1
         if nodes > node_budget:
             raise _over_budget(node_budget)
-        t = r[i, i] * z[i] + shift[i]
+        t = R[i][i] * z[i] + shift[i]
         total = rho[i] + t * t
         if i == 0:
-            if total <= r2cap:
-                nonzero = False
-                for j in range(d):
-                    if z[j] != 0:
-                        nonzero = True
-                        break
-                if nonzero:
-                    if m == cap:
-                        coords, norms = _grown(coords, norms, m, m + 1)
-                        cap = norms.shape[0]
-                    for j in range(d):
-                        coords[m, j] = z[j]
-                    norms[m] = total
-                    m += 1
+            if total <= r2cap and any(z):
+                rows.append(tuple(z))
+                norms.append(total)
             z[0] += 1
         else:
             rho[i - 1] = total
             i -= 1
+            row = R[i]
             s = 0.0
             for j in range(i + 1, d):
-                s += r[i, j] * z[j]
+                s += row[j] * z[j]
             shift[i] = s
-            rad = np.sqrt(max(r2cap - rho[i], 0.0))
-            rii = r[i, i]
-            z[i] = np.int64(np.ceil((-s - rad) / rii - 1e-12))
-            zmax[i] = np.int64(np.floor((-s + rad) / rii + 1e-12))
-    return coords[:m].copy(), norms[:m].copy(), nodes
+            rad = math.sqrt(max(r2cap - rho[i], 0.0))
+            rii = row[i]
+            z[i] = math.ceil((-s - rad) / rii - 1e-12)
+            zmax[i] = math.floor((-s + rad) / rii + 1e-12)
+    coords = np.array(rows, dtype=np.int64).reshape(len(rows), d)
+    return coords, np.array(norms, dtype=np.float64), nodes
 
 
 def enumerate_frontier(r, r2cap, node_budget):
@@ -239,22 +234,10 @@ def enumerate_frontier(r, r2cap, node_budget):
     return found.coords[:m].copy(), found.norms[:m].copy(), nodes
 
 
-def _grown(coords, norms, m, need):
-    """The first m rows of (coords, norms) in new buffers of at least twice
-    the size and at least ``need`` rows."""
-    cap = max(2 * norms.shape[0], need)
-    c2 = np.empty((cap, coords.shape[1]), dtype=np.int64)
-    n2 = np.empty(cap, dtype=np.float64)
-    c2[:m] = coords[:m]
-    n2[:m] = norms[:m]
-    return c2, n2
-
-
 class _Found:
-    """The frontier kernel's output so far, in buffers that double when full
-    as the depth-first kernel's do.  Collecting small pieces and joining
-    them at the end fragmented the heap: bw16-shells then peaked at 90 MB
-    RSS instead of about 77 MB."""
+    """The frontier kernel's output so far, in buffers that double when full.
+    Collecting small pieces and joining them at the end fragmented the
+    heap: bw16-shells then peaked at 90 MB RSS instead of about 77 MB."""
 
     def __init__(self, d):
         self.coords = np.empty((1024, d), dtype=np.int64)
@@ -262,11 +245,18 @@ class _Found:
         self.m = 0
 
     def add(self, coords, norms):
-        end = self.m + norms.shape[0]
+        m = self.m
+        end = m + norms.shape[0]
         if end > self.norms.shape[0]:
-            self.coords, self.norms = _grown(self.coords, self.norms, self.m, end)
-        self.coords[self.m:end] = coords
-        self.norms[self.m:end] = norms
+            cap = max(2 * self.norms.shape[0], end)
+            grown = np.empty((cap, self.coords.shape[1]), dtype=np.int64)
+            grown[:m] = self.coords[:m]
+            self.coords = grown
+            grown = np.empty(cap, dtype=np.float64)
+            grown[:m] = self.norms[:m]
+            self.norms = grown
+        self.coords[m:end] = coords
+        self.norms[m:end] = norms
         self.m = end
 
 

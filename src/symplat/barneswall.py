@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import NotIntegral
 from .lattice import Lattice, from_basis, lattice_det, scale_to_unit_det
-from .linalg import ComplexMat, DEFAULT_TOL, as_mat, kron_complex, round_to_int
+from .linalg import DEFAULT_TOL, as_mat, round_to_int
 from .groups import j_matrix, j_generator
 
 
@@ -38,23 +38,21 @@ class SymmetryPatternReport:
     j_conjugation: dict
 
 
-def bw_complex(n: int) -> ComplexMat:
-    """n-fold Kronecker power of [[1, 1], [1, i]] as an explicit (re, im) pair."""
+def bw_complex(n: int) -> np.ndarray:
+    """n-fold Kronecker power of [[1, 1], [1, i]] as a complex128 matrix."""
     if n < 1:
         raise ValueError("bw_complex needs n >= 1")
-    base = ComplexMat(
-        re=np.array([[1.0, 1.0], [1.0, 0.0]]),
-        im=np.array([[0.0, 0.0], [0.0, 1.0]]),
-    )
+    base = np.array([[1, 1], [1, 1j]])
     out = base
     for _ in range(n - 1):
-        out = kron_complex(out, base)
+        out = np.kron(out, base)
     return out
 
 
-def realify(mc: ComplexMat) -> np.ndarray:
+def realify(mc) -> np.ndarray:
     """Replace each complex entry a+ib by the block [[a, b], [-b, a]]."""
-    return np.kron(mc.re, np.eye(2)) + np.kron(mc.im, np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    mc = np.asarray(mc, dtype=np.complex128)
+    return np.kron(mc.real, np.eye(2)) + np.kron(mc.imag, np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
 
 def bw_prime(n: int) -> np.ndarray:

@@ -5,8 +5,8 @@ Conventions
 * ``Mat`` is a square float64 ndarray with finite entries.
 * ``IntMat`` is a square int64 ndarray carrying exact integers; exact
   questions (unimodularity, group membership) never go through floats.
-* ``ComplexMat`` keeps real and imaginary parts as two separate ``Mat``
-  values end to end.
+* Complex input is refused: ``as_mat`` and ``as_intmat`` raise
+  ValueError rather than drop the imaginary part.
 
 The symmetric eigensolver is cyclic Jacobi (robust and plenty fast for
 dimensions up to 32); matrix square roots go through it so the output is
@@ -24,8 +24,6 @@ matrices small enough that it is the cheaper test.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,7 +49,10 @@ BAREISS_MAX_DIM = 4
 
 def as_mat(a) -> np.ndarray:
     """Validate and return ``a`` as a square float64 matrix."""
-    arr = np.array(a, dtype=np.float64, copy=True)
+    arr = np.asarray(a)
+    if np.iscomplexobj(arr):
+        raise ValueError("expected a real matrix, got complex entries")
+    arr = np.array(arr, dtype=np.float64, copy=True)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -62,6 +63,8 @@ def as_mat(a) -> np.ndarray:
 def as_intmat(a) -> np.ndarray:
     """Validate and return ``a`` as a square int64 matrix."""
     arr = np.array(a)
+    if np.iscomplexobj(arr):
+        raise ValueError("expected an integer matrix, got complex entries")
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
     if not np.issubdtype(arr.dtype, np.integer):
@@ -70,29 +73,6 @@ def as_intmat(a) -> np.ndarray:
             raise ValueError("integer matrix has non-integer entries")
         arr = np.round(flo)
     return arr.astype(np.int64)
-
-
-@dataclass(frozen=True)
-class ComplexMat:
-    """Complex square matrix stored as an explicit (re, im) pair."""
-
-    re: np.ndarray
-    im: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "re", as_mat(self.re))
-        object.__setattr__(self, "im", as_mat(self.im))
-        if self.re.shape != self.im.shape:
-            raise ValueError("re and im must have the same dimension")
-
-    @property
-    def dim(self) -> int:
-        return self.re.shape[0]
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker (tensor) product; entry ((i*db+k),(j*db+l)) = a[i,j]*b[k,l]."""
-    return np.kron(as_mat(a), as_mat(b))
 
 
 def kron_pow(a, n: int) -> np.ndarray:
@@ -104,13 +84,6 @@ def kron_pow(a, n: int) -> np.ndarray:
     for _ in range(n - 1):
         out = np.kron(out, a)
     return out
-
-
-def kron_complex(a: ComplexMat, b: ComplexMat) -> ComplexMat:
-    """Kronecker product on (re, im) pairs."""
-    re = np.kron(a.re, b.re) - np.kron(a.im, b.im)
-    im = np.kron(a.re, b.im) + np.kron(a.im, b.re)
-    return ComplexMat(re, im)
 
 
 def sym_eig(s, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -155,11 +128,6 @@ def sqrt_spd(y, tol: float = DEFAULT_TOL) -> np.ndarray:
     check_spd(d)
     root = (q * np.sqrt(d)) @ q.T
     return 0.5 * (root + root.T)
-
-
-def det(a) -> float:
-    """Determinant of a real matrix (pivoted LU under the hood)."""
-    return float(np.linalg.det(as_mat(a)))
 
 
 def det_int(a) -> int:

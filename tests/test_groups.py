@@ -8,7 +8,6 @@ from symplat import (
     j_matrix,
     k_matrix,
     k_prime,
-    kron,
 )
 from symplat.errors import OddDimension, OrderExceeded, OutOfRange
 from symplat.linalg import det_int, is_orthogonal
@@ -56,7 +55,9 @@ class TestJGenerator:
         assert np.array_equal(j_generator(2, 2), j_matrix(4))
 
     def test_partial_flip(self):
-        expected = kron(j_matrix(2).astype(float), np.eye(2)).astype(np.int64)
+        # J_2 (x) Id_2 swaps the two row blocks
+        expected = np.zeros((4, 4), dtype=np.int64)
+        expected[0, 2] = expected[1, 3] = expected[2, 0] = expected[3, 1] = 1
         assert np.array_equal(j_generator(2, 1), expected)
 
     def test_out_of_range(self):

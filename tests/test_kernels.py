@@ -30,7 +30,7 @@ def trees(draw):
     """(upper Cholesky factor, squared radius) of a random SPD Gram matrix.
 
     Squared radii run from 0.3 to 4 times the first basis vector's, so
-    trees fall on both sides of SMALL_TREE_NODES.
+    trees fall on both sides of SMALL_TREE_NODES_PER_LEVEL.
     """
     dim = draw(st.integers(2, 8))
     seed = draw(st.integers(0, 2 ** 32 - 1))
@@ -48,13 +48,21 @@ def test_enumeration_over_budget_raises():
         _kernels.enumerate_core(r, 100.0, 10)
 
 
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(trees())
-def test_frontier_matches_depth_first(tree):
-    r, r2 = tree
-    ref = _kernels.enumerate_depth_first(r, r2, BIG_BUDGET)
-    assert_same_enumeration(_kernels.enumerate_frontier(r, r2, BIG_BUDGET), ref)
-    assert_same_enumeration(_kernels.enumerate_core(r, r2, BIG_BUDGET), ref)
+def test_frontier_matches_depth_first():
+    sizes = []
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(trees())
+    def check(tree):
+        r, r2 = tree
+        ref = _kernels.enumerate_frontier(r, r2, BIG_BUDGET)
+        assert_same_enumeration(_kernels.enumerate_depth_first(r, r2, BIG_BUDGET), ref)
+        assert_same_enumeration(_kernels.enumerate_core(r, r2, BIG_BUDGET), ref)
+        sizes.append(ref[2] / r.shape[0])
+
+    check()
+    small = _kernels.SMALL_TREE_NODES_PER_LEVEL
+    assert min(sizes) <= small < max(sizes)
 
 
 def test_frontier_matches_depth_first_over_many_chunks(monkeypatch):
@@ -83,7 +91,7 @@ def test_frontier_on_ties():
 def test_budget_is_exact_above_small_tree_threshold():
     r = np.eye(4)
     nodes = _kernels.enumerate_core(r, 4.0, BIG_BUDGET)[2]
-    assert nodes > _kernels.SMALL_TREE_NODES
+    assert nodes == 140 > 4 * _kernels.SMALL_TREE_NODES_PER_LEVEL
     for kernel in (_kernels.enumerate_core, _kernels.enumerate_frontier,
                    _kernels.enumerate_depth_first):
         assert kernel(r, 4.0, nodes)[2] == nodes

@@ -4,14 +4,10 @@ import numpy as np
 import pytest
 
 from symplat import (
-    ComplexMat,
-    det,
     det_int,
     inverse,
     is_orthogonal,
     is_unimodular,
-    kron,
-    kron_complex,
     kron_pow,
     round_to_int,
     sqrt_spd,
@@ -20,7 +16,7 @@ from symplat import (
 from symplat.errors import NotIntegral, NotSPD, NotSymmetric, NumericalBreakdown, Singular
 from symplat.groups import j_matrix
 from symplat import linalg
-from symplat.linalg import intmat_from_obj, intmat_to_obj, mat_from_obj, mat_to_obj
+from symplat.linalg import as_intmat, as_mat, intmat_from_obj, intmat_to_obj, mat_from_obj, mat_to_obj
 
 from conftest import random_spd
 
@@ -30,17 +26,13 @@ H2 = np.array([[1.0, 1.0], [1.0, -1.0]])
 
 
 class TestKron:
-    def test_identity(self):
-        assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
+    """Kronecker algebra of ``kron_pow``."""
 
-    def test_j2_times_id2_swaps_row_blocks(self):
-        got = kron(J2, np.eye(2))
-        expected = np.zeros((4, 4))
-        expected[0, 2] = expected[1, 3] = expected[2, 0] = expected[3, 1] = 1.0
-        assert np.array_equal(got, expected)
+    def test_identity(self):
+        assert np.array_equal(kron_pow(np.eye(2), 2), np.eye(4))
 
     def test_hadamard_square(self):
-        got = kron(H2, H2)
+        got = kron_pow(H2, 2)
         expected = np.array(
             [
                 [1, 1, 1, 1],
@@ -54,28 +46,30 @@ class TestKron:
 
     def test_associative_exact_on_integer_entries(self, rng):
         # triple products of small integers are exact in float64, so
-        # associativity holds entrywise with no tolerance at all
-        a = rng.integers(-9, 10, size=(2, 2)).astype(float)
-        b = rng.integers(-9, 10, size=(3, 3)).astype(float)
-        c = rng.integers(-9, 10, size=(2, 2)).astype(float)
-        assert np.array_equal(kron(kron(a, b), c), kron(a, kron(b, c)))
+        # either bracketing gives the power entrywise with no tolerance
+        a = rng.integers(-9, 10, size=(3, 3)).astype(float)
+        got = kron_pow(a, 3)
+        assert np.array_equal(got, np.kron(np.kron(a, a), a))
+        assert np.array_equal(got, np.kron(a, np.kron(a, a)))
 
     def test_associative_generic(self, rng):
         a = rng.normal(size=(2, 2))
-        b = rng.normal(size=(3, 3))
-        c = rng.normal(size=(2, 2))
-        lhs = kron(kron(a, b), c)
-        rhs = kron(a, kron(b, c))
-        assert np.allclose(lhs, rhs, rtol=1e-15, atol=0.0)
+        rhs = np.kron(a, np.kron(a, a))
+        assert np.allclose(kron_pow(a, 3), rhs, rtol=1e-15, atol=0.0)
 
     def test_det_multiplicativity(self, rng):
+        # det(a (x) b) = det(a)^db det(b)^da, so det of the n-th power of
+        # a d x d matrix is det(a)^(n d^(n-1))
         for _ in range(20):
-            da, db = rng.integers(2, 5, size=2)
-            a = rng.normal(size=(da, da))
-            b = rng.normal(size=(db, db))
-            lhs = det(kron(a, b))
-            rhs = det(a) ** db * det(b) ** da
+            d, n = (int(k) for k in rng.integers(2, 4, size=2))
+            a = rng.normal(size=(d, d))
+            lhs = np.linalg.det(kron_pow(a, n))
+            rhs = np.linalg.det(a) ** (n * d ** (n - 1))
             assert lhs == pytest.approx(rhs, rel=1e-9)
+
+    def test_rejects_complex(self):
+        with pytest.raises(ValueError, match="complex"):
+            kron_pow([[1, 1], [1, 1j]], 2)
 
 
 class TestKronPow:
@@ -160,12 +154,13 @@ class TestSqrtSpd:
 
 class TestDet:
     def test_identity(self):
-        assert det(np.eye(5)) == pytest.approx(1.0)
+        assert det_int(np.eye(5, dtype=np.int64)) == 1
 
     def test_antidiagonal_sign(self):
-        # reversal permutation of 4 elements has 6 inversions: even, det +1
-        assert det(j_matrix(4).astype(float)) == pytest.approx(1.0)
-        assert det(j_matrix(2).astype(float)) == pytest.approx(-1.0)
+        # reversal permutation of 4 elements has 6 inversions: even, det +1;
+        # Bareiss reaches both by pivot swaps
+        assert det_int(j_matrix(4)) == 1
+        assert det_int(j_matrix(2)) == -1
 
     def test_det_int_diagonal(self):
         assert det_int([[2, 0], [0, 3]]) == 6
@@ -174,7 +169,7 @@ class TestDet:
         for _ in range(25):
             dim = int(rng.integers(2, 6))
             m = rng.integers(-5, 6, size=(dim, dim))
-            assert det_int(m) == pytest.approx(det(m.astype(float)), abs=1e-6)
+            assert det_int(m) == pytest.approx(np.linalg.det(m.astype(float)), abs=1e-6)
 
     def test_det_int_exact_large_entries(self):
         # Bareiss works over Python ints; no intermediate overflow
@@ -322,22 +317,18 @@ class TestRoundToInt:
             round_to_int([[0.5, 0.0], [0.0, 1.0]])
 
 
-class TestComplexMat:
-    def test_kron_complex_matches_numpy(self, rng):
-        for _ in range(10):
-            a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-            got = kron_complex(
-                ComplexMat(a.real.copy(), a.imag.copy()),
-                ComplexMat(b.real.copy(), b.imag.copy()),
-            )
-            expected = np.kron(a, b)
-            assert np.allclose(got.re, expected.real)
-            assert np.allclose(got.im, expected.imag)
+class TestValidation:
+    def test_as_mat_rejects_complex(self):
+        with pytest.raises(ValueError, match="complex"):
+            as_mat([[1.0, 1j], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="complex"):
+            as_mat(np.eye(2, dtype=np.complex128))      # zero imaginary part too
 
-    def test_dim_mismatch(self):
-        with pytest.raises(ValueError):
-            ComplexMat(np.eye(2), np.eye(3))
+    def test_as_intmat_rejects_complex(self):
+        with pytest.raises(ValueError, match="complex"):
+            as_intmat([[1, 1j], [0, 1]])
+        with pytest.raises(ValueError, match="complex"):
+            as_intmat(np.eye(2, dtype=np.complex128))
 
 
 class TestJsonForms:

@@ -177,40 +177,39 @@ def enumerate_depth_first(r, r2cap, node_budget):
     rho = [0.0] * d         # rho[i] = squared mass contributed by levels > i
     nodes = 0
 
-    i = d - 1
-    rad = math.sqrt(r2cap)
-    rii = R[i][i]
-    z[i] = math.ceil(-rad / rii - 1e-12)
-    zmax[i] = math.floor(rad / rii + 1e-12)
+    i = d                   # above the root, whose squared mass is 0
+    total = 0.0
+    descend = True
     while True:
+        if descend:
+            i -= 1
+            rho[i] = total
+            row = R[i]
+            s = 0.0
+            for j in range(i + 1, d):
+                s += row[j] * z[j]
+            shift[i] = s
+            rad = math.sqrt(max(r2cap - total, 0.0))
+            z[i] = math.ceil((-s - rad) / row[i] - 1e-12)
+            zmax[i] = math.floor((-s + rad) / row[i] + 1e-12)
         if z[i] > zmax[i]:
             i += 1
             if i >= d:
                 break
             z[i] += 1
+            descend = False
             continue
         nodes += 1
         if nodes > node_budget:
             raise _over_budget(node_budget)
         t = R[i][i] * z[i] + shift[i]
         total = rho[i] + t * t
-        if i == 0:
+        descend = i > 0
+        if not descend:
             if total <= r2cap and any(z):
                 rows.append(tuple(z))
                 norms.append(total)
             z[0] += 1
-        else:
-            rho[i - 1] = total
-            i -= 1
-            row = R[i]
-            s = 0.0
-            for j in range(i + 1, d):
-                s += row[j] * z[j]
-            shift[i] = s
-            rad = math.sqrt(max(r2cap - rho[i], 0.0))
-            rii = row[i]
-            z[i] = math.ceil((-s - rad) / rii - 1e-12)
-            zmax[i] = math.floor((-s + rad) / rii + 1e-12)
     coords = np.array(rows, dtype=np.int64).reshape(len(rows), d)
     return coords, np.array(norms, dtype=np.float64), nodes
 

@@ -67,8 +67,9 @@ class ShortVectorReport:
     """Exhaustive enumeration result below a squared radius.
 
     ``vectors`` holds integer coordinate vectors (rows) with respect to
-    the lattice basis, closed under negation.  ``histogram`` maps squared
-    length (rounded to 12 significant digits for grouping) to count.
+    the lattice basis, closed under negation.  ``histogram`` maps each
+    shell of squared lengths, keyed by its smallest member rounded to 12
+    significant digits, to its count, in ascending order; see ``_histogram``.
     ``systole2`` is None when no vector lies inside the radius.
     ``nodes`` is the size of the enumeration tree that found them.
     """
@@ -119,17 +120,26 @@ def lll_reduce(lat: Lattice, delta: float = DEFAULT_LLL_DELTA) -> tuple[Lattice,
     return from_basis(w.T), u
 
 
-def _round_sq_length(x: float) -> float:
-    return float(f"{x:.12g}")
-
-
 def _histogram(norms: np.ndarray) -> dict:
-    # Round each distinct norm once.  Counter keeps the norms' order of
-    # first occurrence, so the keys keep the order the norms first reach them.
+    """Squared lengths grouped into shells, ascending: {key: count}.
+
+    A norm joins the current shell while it lies within BOUNDARY_EPS
+    max(|v|, 1) of the shell's smallest norm, and the key is that smallest
+    norm rounded to 12 significant digits.  Rounding each norm on its own
+    would split a shell whose float noise straddles a rounding boundary.
+    """
+    if not norms.size:
+        return {}
     hist: dict[float, int] = {}
-    for v, count in Counter(norms.tolist()).items():
-        key = _round_sq_length(v)
-        hist[key] = hist.get(key, 0) + count
+    counts = Counter(norms.tolist())
+    start = None
+    for v in sorted(counts):
+        if start is not None and v - start <= BOUNDARY_EPS * max(abs(v), 1.0):
+            hist[key] += counts[v]
+        else:
+            start = v
+            key = float(f"{v:.12g}")
+            hist[key] = counts[v]
     return hist
 
 
@@ -144,12 +154,8 @@ def _enumerate_reduced(reduced: Lattice, u: np.ndarray, r2: float,
     cap = float(r2) * (1.0 + BOUNDARY_EPS)
     coords_z, norms, nodes = _kernels.enumerate_core(r, cap, node_budget)
     coords = coords_z @ u.T
-    systole2 = None
-    kissing = 0
     hist = _histogram(norms)
-    if hist:
-        systole2 = min(hist)
-        kissing = hist[systole2]
+    systole2, kissing = next(iter(hist.items()), (None, 0))
     return ShortVectorReport(
         r2=float(r2),
         vectors=coords,

@@ -103,6 +103,19 @@ class TestBwLattice:
             _, count = systole(bw_lattice(n))
             assert count == kiss
 
+    def test_kissing_number_on_scrambled_bases(self):
+        # Scrambles as in the bw16-shells benchmark workload (seeds 1-8).
+        # Float noise in the scrambled norms straddles a 12-digit rounding
+        # boundary of sqrt(8); the shell must still count all 4320 vectors.
+        lat = bw_lattice(3)
+        for seed in range(1, 9):
+            rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 0, 1))))
+            low = np.eye(16, dtype=np.int64) + np.tril(rng.integers(-1, 2, size=(16, 16)), -1)
+            up = np.eye(16, dtype=np.int64) + np.triu(rng.integers(-1, 2, size=(16, 16)), 1)
+            s2, count = systole(from_basis(lat.basis @ (low @ up)))
+            assert s2 == pytest.approx(np.sqrt(8.0), rel=1e-9)
+            assert count == 4320
+
     @pytest.mark.slow
     def test_minimal_norm_g32(self):
         s2, count = systole(bw_lattice(4))

@@ -59,13 +59,17 @@ class TestLoaders:
         assert np.array_equal(z2.x, z.x)
         assert np.array_equal(z2.y, z.y)
 
-    def test_siegel_asymmetric_x(self, tmp_path):
+    def test_siegel_asymmetric_x(self, tmp_path, capsys):
         obj = {"g": 2, "x": mat_to_obj([[0.0, 1.0], [0.0, 0.0]]),
                "y": mat_to_obj(np.eye(2))}
         path = tmp_path / "z.json"
         path.write_text(json.dumps(obj))
-        with pytest.raises(SchemaError):
+        with pytest.raises(ValueError, match="X asymmetry"):
             load_siegel(str(path))
+        code, payload = run_json(capsys, ["family-check", "--family", "k",
+                                          "--siegel-file", str(path)])
+        assert code == 2
+        assert payload["error"]["type"] == "ValueError"
 
 
 class TestCommands:
@@ -211,8 +215,16 @@ class TestOutputContracts:
         assert len(lines) == 3
 
     def test_csv_rejected_elsewhere(self, capsys):
-        code, payload = run_json(capsys, ["bounds", "--g", "2", "--output", "csv"])
-        assert code == 2
+        # --output exists on sweep only, --tol only where a check reads it
+        for argv in (["bounds", "--g", "2", "--output", "csv"],
+                     ["bw", "--n", "1", "--output", "json"],
+                     ["bounds", "--g", "2", "--tol", "1e-6"],
+                     ["meanvalue", "--g", "2", "--y", "8", "--r2", "0.25",
+                      "--samples", "1", "--tol", "1e-6"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_numerical_error_exit_code(self, capsys, tmp_path):
         path = tmp_path / "sing.json"

@@ -18,6 +18,7 @@ from symplat import (
     systole,
 )
 from symplat.errors import NotInvariant, NumericalBreakdown, OutOfRange, RadiusTooLarge, Singular
+from symplat import _kernels
 from symplat.lattice import _histogram, report_to_obj
 from symplat.linalg import det_int, is_unimodular
 
@@ -170,6 +171,24 @@ class TestEnumerate:
             ref_coords, _ = brute_force_short(b, r2)
             assert coord_multiset(rep.vectors) == coord_multiset(ref_coords)
 
+    def test_oracle_equivalence_dims_5_to_7(self, rng):
+        # Box half-widths keep the oracle under about 10^6 points; bases
+        # near the identity keep ||B^-1|| small, so radii are large enough
+        # for trees on both sides of the small-tree threshold.
+        half_width = {5: 7, 6: 4, 7: 3}
+        sizes = []
+        for dim, half in half_width.items():
+            for _ in range(4):
+                b = np.eye(dim) + rng.uniform(-0.4, 0.4, size=(dim, dim))
+                r2_box = (half / np.linalg.norm(np.linalg.inv(b), 2)) ** 2
+                r2 = float(rng.uniform(0.25, 0.999)) * r2_box
+                rep = enumerate_short(from_basis(b), r2)
+                ref_coords, _ = brute_force_short(b, r2)
+                assert coord_multiset(rep.vectors) == coord_multiset(ref_coords)
+                sizes.append(rep.nodes / dim)
+        small = _kernels.SMALL_TREE_NODES_PER_LEVEL
+        assert min(sizes) <= small < max(sizes)
+
     def test_lll_invariance(self, rng):
         for _ in range(10):
             b = random_invertible(rng, 4, max_cond=100.0)
@@ -193,16 +212,24 @@ class TestEnumerate:
         assert enumerate_short(from_basis(np.eye(2)), 1.0).nodes == 8
 
     def test_histogram_rounds_each_norm(self, rng):
-        # norms repeat and several distinct norms round to one key
-        base = rng.uniform(0.5, 3.0, size=5)
-        norms = rng.choice(np.concatenate([base, base * (1 + 1e-14), base * (1 - 1e-14)]), size=400)
+        # Five lengths, each with float noise of 1e-14; the first sits on a
+        # 12-digit rounding boundary, so its noisy copies round to two keys.
+        # Each length is one shell, keyed by its smallest copy, rounded.
+        base = np.concatenate([[2.828427124745], rng.uniform(0.5, 3.0, size=4)])
+        copies = np.stack([base, base * (1 + 1e-14), base * (1 - 1e-14)])
+        pick = rng.integers(0, copies.size, size=400)
+        norms = copies.ravel()[pick]
+        shell = pick % base.size
         expected = {}
-        for v in norms:
-            key = float(f"{float(v):.12g}")
-            expected[key] = expected.get(key, 0) + 1
+        for k in np.argsort(base):
+            members = norms[shell == k]
+            if members.size:
+                expected[float(f"{members.min():.12g}")] = int(members.size)
+        assert len({f"{v:.12g}" for v in norms[shell == 0]}) == 2
         hist = _histogram(norms)
         assert list(hist.items()) == list(expected.items())
         assert all(type(c) is int for c in hist.values())
+        assert _histogram(np.zeros(0)) == {}
 
     def test_bad_radius(self):
         with pytest.raises(OutOfRange):

@@ -210,8 +210,7 @@ def enumerate_depth_first(r, r2cap, node_budget):
                 rows.append(tuple(z))
                 norms.append(total)
             z[0] += 1
-    coords = np.array(rows, dtype=np.int64).reshape(len(rows), d)
-    return coords, np.array(norms, dtype=np.float64), nodes
+    return np.array(rows, dtype=np.int64).reshape(-1, d), np.array(norms, dtype=np.float64), nodes
 
 
 def enumerate_frontier(r, r2cap, node_budget):

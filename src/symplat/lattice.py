@@ -21,6 +21,7 @@ vectors sitting exactly on the radius are included, never dropped.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -170,8 +171,8 @@ def _enumerate_reduced(reduced: Lattice, u: np.ndarray, r2: float,
 def enumerate_short(lat: Lattice, r2: float,
                     node_budget: int = DEFAULT_NODE_BUDGET) -> ShortVectorReport:
     """All nonzero coordinate vectors l with l^T G l <= r2 (1 + 1e-9)."""
-    if not r2 > 0:
-        raise OutOfRange("squared radius must be positive")
+    if not 0 < r2 < math.inf:
+        raise OutOfRange("squared radius must be positive and finite")
     reduced, u = lat.reduced
     return _enumerate_reduced(reduced, u, r2, node_budget)
 

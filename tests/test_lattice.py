@@ -17,8 +17,8 @@ from symplat import (
     scale_to_unit_det,
     systole,
 )
-from symplat.errors import NotInvariant, NumericalBreakdown, OutOfRange, RadiusTooLarge, Singular
 from symplat import _kernels
+from symplat.errors import NotInvariant, NumericalBreakdown, OutOfRange, RadiusTooLarge, Singular
 from symplat.lattice import _histogram, report_to_obj
 from symplat.linalg import det_int, is_unimodular
 
@@ -232,8 +232,9 @@ class TestEnumerate:
         assert _histogram(np.zeros(0)) == {}
 
     def test_bad_radius(self):
-        with pytest.raises(OutOfRange):
-            enumerate_short(from_basis(np.eye(2)), 0.0)
+        for r2 in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(OutOfRange):
+                enumerate_short(from_basis(np.eye(2)), r2)
 
     def test_empty_report(self):
         rep = enumerate_short(from_basis(np.eye(2)), 0.5)

@@ -4,14 +4,17 @@ These three loops dominate the runtime of everything interesting in this
 package (systole checks, the Monte Carlo mean-value estimator, the
 eigensolver oracle).  LLL and Jacobi each have one kernel.
 
-``lll_core`` computes Gram-Schmidt rows lazily; its docstring gives the
-rule and why the result is bit for bit a full recompute's.
-
-``jacobi_core`` and ``enumerate_depth_first`` run their scalar loops on
-Python numbers held in lists, not on numpy entries: numpy's per-element
-and per-call overhead outweighs such small arithmetic.  Each does the
-same IEEE operations in the same order as a numpy kernel would, so the
-bits are the same; ``jacobi_core``'s docstring says why.
+The three scalar loops, ``lll_core``, ``jacobi_core`` and
+``enumerate_depth_first``, run on Python numbers held in lists, not on
+numpy entries: numpy's per-element and per-call overhead outweighs such
+small arithmetic.  Python rounds every float operation on its own, so
+their bits do not depend on the host.  ``jacobi_core`` and
+``enumerate_depth_first`` do the same IEEE operations in the same order
+as a numpy kernel would, so the bits are the same; ``jacobi_core``'s
+docstring says why.  ``lll_core`` sums its dot products left to right,
+where ``np.dot`` leaves the order to the BLAS build, and computes
+Gram-Schmidt rows lazily; its docstring gives the rule and why the
+result is bit for bit a full recompute's.
 
 Enumeration has two kernels over the same Fincke-Pohst tree.
 ``enumerate_depth_first`` walks it one node at a time;
@@ -68,6 +71,15 @@ def lll_core(w, v, delta):
     loop passes LLL_MAX_ITER iterations; w and v then hold the rows
     reduced so far.
 
+    The loop runs on Python numbers: rows of floats for w, Gram-Schmidt
+    rows and mu, rows of ints for v, written back to ``w`` and ``v`` when
+    the loop ends or raises.  Each dot product is a left-to-right loop of
+    ``s += x * y``, every product and sum rounded on its own, so the bits
+    are the same on every host and Python version.  ``np.dot`` would hand
+    them to the BLAS build's ``ddot``, whose summation order and use of
+    fused multiply-adds depend on the CPU and the vector length; ``sum``
+    compensates float sums from Python 3.12 on.
+
     Gram-Schmidt rows are computed lazily, each by the same arithmetic a
     full recompute after every swap would use, and only where that
     recompute would change them.  Rows [0, fresh) hold what the full
@@ -83,53 +95,68 @@ def lll_core(w, v, delta):
     One difference remains: a norm that underflows in a row above k
     raises when k reaches that row, not at the swap before, and w and v
     then hold the further-reduced rows.  A basis that passes
-    ``from_basis``'s determinant check practically never gets there.
+    ``from_basis``'s singularity check practically never gets there.
     """
     d = w.shape[0]
-    bstar = np.zeros((d, d))
-    mu = np.zeros((d, d))
-    nrm = np.zeros(d)
+    W = w.tolist()
+    V = v.tolist()
+    bstar = [None] * d
+    mu = [[0.0] * d for _ in range(d)]
+    nrm = [0.0] * d
     fresh = 0
     stale = d
     k = 1
     it = 0
-    while k < d:
-        it += 1
-        if it > LLL_MAX_ITER:
-            raise NumericalBreakdown(f"LLL exceeded its iteration cap of {LLL_MAX_ITER}")
-        while fresh <= k:
-            i = fresh
-            bstar[i] = w[i]
-            for j in range(i):
-                m = np.dot(w[i], bstar[j]) / nrm[j]
-                mu[i, j] = m
-                bstar[i] = bstar[i] - m * bstar[j]
-            mu[i, i] = 1.0
-            s = np.dot(bstar[i], bstar[i])
-            if s <= GS_UNDERFLOW:
-                raise NumericalBreakdown("Gram-Schmidt norms underflowed during LLL")
-            nrm[i] = s
-            fresh += 1
-        for j in range(k - 1, -1, -1):
-            q = np.floor(mu[k, j] + 0.5)
-            if q != 0.0:
-                qi = np.int64(q)
-                w[k] = w[k] - q * w[j]
-                v[k] = v[k] - qi * v[j]
-                mu[k, : j + 1] = mu[k, : j + 1] - q * mu[j, : j + 1]
-                stale = min(stale, k)
-        if nrm[k] >= (delta - mu[k, k - 1] * mu[k, k - 1]) * nrm[k - 1]:
-            k += 1
-        else:
-            tmp = w[k].copy()
-            w[k] = w[k - 1]
-            w[k - 1] = tmp
-            tmpv = v[k].copy()
-            v[k] = v[k - 1]
-            v[k - 1] = tmpv
-            fresh = min(stale, k - 1)
-            stale = d
-            k = max(k - 1, 1)
+    try:
+        while k < d:
+            it += 1
+            if it > LLL_MAX_ITER:
+                raise NumericalBreakdown(f"LLL exceeded its iteration cap of {LLL_MAX_ITER}")
+            while fresh <= k:
+                i = fresh
+                wi = W[i]
+                mui = mu[i]
+                b = wi
+                for j in range(i):
+                    bj = bstar[j]
+                    s = 0.0
+                    for x, y in zip(wi, bj):
+                        s += x * y
+                    m = s / nrm[j]
+                    mui[j] = m
+                    b = [x - m * y for x, y in zip(b, bj)]
+                mui[i] = 1.0
+                s = 0.0
+                for x in b:
+                    s += x * x
+                if s <= GS_UNDERFLOW:
+                    raise NumericalBreakdown("Gram-Schmidt norms underflowed during LLL")
+                bstar[i] = b
+                nrm[i] = s
+                fresh += 1
+            muk = mu[k]
+            for j in range(k - 1, -1, -1):
+                q = math.floor(muk[j] + 0.5)
+                if q:
+                    qf = float(q)
+                    W[k] = [x - qf * y for x, y in zip(W[k], W[j])]
+                    V[k] = [x - q * y for x, y in zip(V[k], V[j])]
+                    muj = mu[j]
+                    for t in range(j + 1):
+                        muk[t] = muk[t] - qf * muj[t]
+                    stale = min(stale, k)
+            m = muk[k - 1]
+            if nrm[k] >= (delta - m * m) * nrm[k - 1]:
+                k += 1
+            else:
+                W[k - 1], W[k] = W[k], W[k - 1]
+                V[k - 1], V[k] = V[k], V[k - 1]
+                fresh = min(stale, k - 1)
+                stale = d
+                k = max(k - 1, 1)
+    finally:
+        w[:] = W
+        v[:] = V
 
 
 def enumerate_core(r, r2cap, node_budget):

@@ -104,13 +104,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("systole", help="shortest-vector length and count")
     sp.add_argument("--basis-file", required=True)
     sp.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
-    add_common(sp, tol=True)
+    add_common(sp)
 
     sp = sub.add_parser("enumerate", help="all vectors below a squared radius")
     sp.add_argument("--basis-file", required=True)
     sp.add_argument("--r2", type=float, required=True)
     sp.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
-    add_common(sp, tol=True)
+    add_common(sp)
 
     sp = sub.add_parser("eig", help="Jacobi eigendecomposition of a symmetric matrix")
     sp.add_argument("--basis-file", required=True)
@@ -177,13 +177,13 @@ def _cmd_bounds(args):
 
 
 def _cmd_systole(args):
-    lat = from_basis(load_basis(args.basis_file), args.tol)
+    lat = from_basis(load_basis(args.basis_file))
     s2, count = systole(lat, args.node_budget)
     return {"systole2": s2, "count": count}
 
 
 def _cmd_enumerate(args):
-    lat = from_basis(load_basis(args.basis_file), args.tol)
+    lat = from_basis(load_basis(args.basis_file))
     return report_to_obj(enumerate_short(lat, args.r2, args.node_budget))
 
 

@@ -48,7 +48,8 @@ class NotSPD(SymplatError):
 
 
 class Singular(SymplatError):
-    """Matrix determinant is below the invertibility tolerance."""
+    """Matrix is numerically singular: its smallest singular value is at
+    most dim * eps times its largest."""
 
 
 class NotIntegral(SymplatError):

@@ -29,8 +29,8 @@ from functools import cached_property
 import numpy as np
 
 from . import _kernels
-from .errors import NotInvariant, NumericalBreakdown, OutOfRange, Singular
-from .linalg import DEFAULT_TOL, as_mat, det_int, is_unimodular
+from .errors import NotInvariant, NumericalBreakdown, OutOfRange
+from .linalg import DEFAULT_TOL, as_mat, check_nonsingular, det_int, is_unimodular
 
 #: Relative slack on the squared enumeration radius.
 BOUNDARY_EPS = 1e-9
@@ -88,10 +88,10 @@ class ShortVectorReport:
         return int(self.vectors.shape[0])
 
 
-def from_basis(b, tol: float = DEFAULT_TOL) -> Lattice:
+def from_basis(b) -> Lattice:
+    """Lattice of the columns of ``b``; Singular unless ``b`` has full numerical rank."""
     b = as_mat(b)
-    if abs(float(np.linalg.det(b))) <= tol:
-        raise Singular("basis determinant is below the invertibility tolerance")
+    check_nonsingular(b)
     gram = b.T @ b
     gram = 0.5 * (gram + gram.T)
     b.setflags(write=False)

@@ -172,12 +172,26 @@ def is_unimodular(a) -> bool:
     return abs(det_int(arr)) == 1
 
 
-def inverse(a, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Matrix inverse; raises Singular when |det| is not above ``tol``."""
+def check_nonsingular(a: np.ndarray) -> None:
+    """Raise Singular unless the Mat ``a`` has full numerical rank.
+
+    The rule is numpy's ``matrix_rank``: singular when the smallest
+    singular value is at most dim * eps times the largest.  It does not
+    depend on scale, as |det| against an absolute floor does: 0.25 I_16
+    (det 2.3e-10) passes, and 1e10 times a rank-2 3x3 matrix (det 4.6e15)
+    fails.
+    """
+    sv = np.linalg.svd(a, compute_uv=False)
+    floor = a.shape[0] * np.finfo(np.float64).eps * sv[0]
+    if sv[-1] <= floor:
+        raise Singular(f"smallest singular value {sv[-1]:.3e} is not above "
+                       f"dim * eps * largest = {floor:.3e}")
+
+
+def inverse(a) -> np.ndarray:
+    """Matrix inverse; raises Singular as ``check_nonsingular`` does."""
     a = as_mat(a)
-    d = abs(float(np.linalg.det(a)))
-    if d <= tol:
-        raise Singular(f"|det| = {d:.3e} is not above tolerance {tol:.3e}")
+    check_nonsingular(a)
     return np.linalg.inv(a)
 
 

@@ -42,7 +42,7 @@ def induced_change_of_basis(a, o, tol: float = DEFAULT_TOL) -> SymmetryWitness:
         raise ValueError("basis and orthogonal candidate must share one dimension")
     if not is_orthogonal(o, max(tol, ROUNDING_TOL)):
         raise NotASymmetry("candidate matrix is not orthogonal")
-    raw = inverse(a, tol=1e-12) @ o @ a
+    raw = inverse(a) @ o @ a
     try:
         r = round_to_int(raw, ROUNDING_TOL)
     except NotIntegral as exc:

@@ -219,6 +219,8 @@ class TestOutputContracts:
         for argv in (["bounds", "--g", "2", "--output", "csv"],
                      ["bw", "--n", "1", "--output", "json"],
                      ["bounds", "--g", "2", "--tol", "1e-6"],
+                     ["systole", "--basis-file", "b.json", "--tol", "1e-6"],
+                     ["enumerate", "--basis-file", "b.json", "--r2", "1", "--tol", "1e-6"],
                      ["meanvalue", "--g", "2", "--y", "8", "--r2", "0.25",
                       "--samples", "1", "--tol", "1e-6"]):
             with pytest.raises(SystemExit) as exc:

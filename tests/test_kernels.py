@@ -1,6 +1,8 @@
-"""Errors raised by the numpy kernels, parity of the two enumeration kernels,
+"""Errors raised by the kernels, parity of the two enumeration kernels,
 parity of the lazy Gram-Schmidt LLL with a full recompute after every swap,
 and parity of the scalar Jacobi sweep with a numpy one."""
+
+import math
 
 import numpy as np
 import pytest
@@ -101,54 +103,66 @@ def test_budget_is_exact_above_small_tree_threshold():
 
 # -- LLL ------------------------------------------------------------------------
 
+def dot(x, y):
+    """Left to right, each product and sum rounded on its own."""
+    s = 0.0
+    for a, b in zip(x, y):
+        s += a * b
+    return s
+
+
 def lll_full_recompute(w, v, delta):
     """The LLL kernel that recomputes every Gram-Schmidt row after every swap.
 
     ``_kernels.lll_core`` must match it bit for bit; it reads the module's
     constants at call time, so a monkeypatched LLL_MAX_ITER caps both.
+    Like the kernel it runs on Python numbers and writes ``w`` and ``v``
+    back however it ends.
     """
     d = w.shape[0]
-    bstar = np.zeros((d, d))
-    mu = np.zeros((d, d))
-    nrm = np.zeros(d)
+    rows = w.tolist()
+    ops = v.tolist()
+    bstar = [[0.0] * d for _ in range(d)]
+    mu = [[0.0] * d for _ in range(d)]
+    nrm = [0.0] * d
     need_gso = True
     k = 1
     it = 0
-    while k < d:
-        it += 1
-        if it > _kernels.LLL_MAX_ITER:
-            raise NumericalBreakdown(f"LLL exceeded its iteration cap of {_kernels.LLL_MAX_ITER}")
-        if need_gso:
-            for i in range(d):
-                bstar[i] = w[i]
-                for j in range(i):
-                    m = np.dot(w[i], bstar[j]) / nrm[j]
-                    mu[i, j] = m
-                    bstar[i] = bstar[i] - m * bstar[j]
-                mu[i, i] = 1.0
-                s = np.dot(bstar[i], bstar[i])
-                if s <= _kernels.GS_UNDERFLOW:
-                    raise NumericalBreakdown("Gram-Schmidt norms underflowed during LLL")
-                nrm[i] = s
-            need_gso = False
-        for j in range(k - 1, -1, -1):
-            q = np.floor(mu[k, j] + 0.5)
-            if q != 0.0:
-                qi = np.int64(q)
-                w[k] = w[k] - q * w[j]
-                v[k] = v[k] - qi * v[j]
-                mu[k, : j + 1] = mu[k, : j + 1] - q * mu[j, : j + 1]
-        if nrm[k] >= (delta - mu[k, k - 1] * mu[k, k - 1]) * nrm[k - 1]:
-            k += 1
-        else:
-            tmp = w[k].copy()
-            w[k] = w[k - 1]
-            w[k - 1] = tmp
-            tmpv = v[k].copy()
-            v[k] = v[k - 1]
-            v[k - 1] = tmpv
-            need_gso = True
-            k = max(k - 1, 1)
+    try:
+        while k < d:
+            it += 1
+            if it > _kernels.LLL_MAX_ITER:
+                raise NumericalBreakdown(f"LLL exceeded its iteration cap of {_kernels.LLL_MAX_ITER}")
+            if need_gso:
+                for i in range(d):
+                    bstar[i] = list(rows[i])
+                    for j in range(i):
+                        m = dot(rows[i], bstar[j]) / nrm[j]
+                        mu[i][j] = m
+                        bstar[i] = [a - m * b for a, b in zip(bstar[i], bstar[j])]
+                    mu[i][i] = 1.0
+                    s = dot(bstar[i], bstar[i])
+                    if s <= _kernels.GS_UNDERFLOW:
+                        raise NumericalBreakdown("Gram-Schmidt norms underflowed during LLL")
+                    nrm[i] = s
+                need_gso = False
+            for j in range(k - 1, -1, -1):
+                q = math.floor(mu[k][j] + 0.5)
+                if q != 0:
+                    rows[k] = [a - q * b for a, b in zip(rows[k], rows[j])]
+                    ops[k] = [a - q * b for a, b in zip(ops[k], ops[j])]
+                    for t in range(j + 1):
+                        mu[k][t] -= q * mu[j][t]
+            if nrm[k] >= (delta - mu[k][k - 1] * mu[k][k - 1]) * nrm[k - 1]:
+                k += 1
+            else:
+                rows[k], rows[k - 1] = rows[k - 1], rows[k]
+                ops[k], ops[k - 1] = ops[k - 1], ops[k]
+                need_gso = True
+                k = max(k - 1, 1)
+    finally:
+        w[:] = rows
+        v[:] = ops
 
 
 def raised(fn, *args):
@@ -185,6 +199,8 @@ def scramble(rng, d, r):
 
 BW_BASES = {n: bw_lattice(n).basis for n in (2, 3)}
 
+LLL_DIMS = st.one_of(st.integers(2, 15), st.integers(16, 20))
+
 
 @st.composite
 def lll_inputs(draw):
@@ -193,13 +209,15 @@ def lll_inputs(draw):
     Scrambled Z^n and Barnes-Wall bases have integer Gram matrices, so
     size-reduction coefficients meet exact half-integer ties.  There a mu
     row updated by size reduction and the same row recomputed can round
-    to different integers, which random bases almost never show.
+    to different integers, which random bases almost never show.  Random
+    and Z^n dimensions fall on both sides of 16, the length at which
+    numpy's dot switches BLAS kernels on common builds.
     """
     kind = draw(st.sampled_from(["random", "near_dependent", "zn", "bw2", "bw3"]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     delta = draw(st.sampled_from([0.75, 0.99]))
     if kind == "random":
-        d = draw(st.integers(2, 16))
+        d = draw(LLL_DIMS)
         w = rng.normal(size=(d, d))
     elif kind == "near_dependent":
         d = draw(st.integers(2, 8))
@@ -207,20 +225,27 @@ def lll_inputs(draw):
         eps = 10.0 ** -draw(st.integers(3, 8))
         w[-1] = rng.integers(-3, 4, size=d - 1) @ w[:-1] + eps * rng.normal(size=d)
     elif kind == "zn":
-        w = scramble(rng, draw(st.integers(2, 16)), draw(st.integers(1, 3))).T.astype(np.float64)
+        w = scramble(rng, draw(LLL_DIMS), draw(st.integers(1, 3))).T.astype(np.float64)
     else:
         basis = BW_BASES[int(kind[2])]
         w = (basis @ scramble(rng, basis.shape[0], draw(st.integers(1, 3)))).T
     return np.ascontiguousarray(w), delta
 
 
-@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(lll_inputs())
-def test_lll_matches_full_recompute(case):
-    w, delta = case
-    new, ref = run_both(w, delta)
-    assert ref[0] is None
-    assert_same_lll(new, ref)
+def test_lll_matches_full_recompute():
+    dims = []
+
+    @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(lll_inputs())
+    def check(case):
+        w, delta = case
+        new, ref = run_both(w, delta)
+        assert ref[0] is None
+        assert_same_lll(new, ref)
+        dims.append(w.shape[0])
+
+    check()
+    assert min(dims) < 16 <= max(dims)
 
 
 def test_lll_breakdown_on_underflowing_norm():

@@ -14,6 +14,7 @@ from symplat import (
     lll_reduce,
     multiplicity_check,
     orbit_histogram,
+    sample_vcube,
     scale_to_unit_det,
     systole,
 )
@@ -21,6 +22,7 @@ from symplat import _kernels
 from symplat.errors import NotInvariant, NumericalBreakdown, OutOfRange, RadiusTooLarge, Singular
 from symplat.lattice import _histogram, report_to_obj
 from symplat.linalg import det_int, is_unimodular
+from symplat.meanvalue import k_family_lattice
 
 from conftest import brute_force_short, coord_multiset, random_invertible
 
@@ -38,6 +40,28 @@ class TestConstruction:
     def test_singular_rejected(self):
         with pytest.raises(Singular):
             from_basis([[1.0, 2.0], [2.0, 4.0]])
+
+    def test_singularity_is_scale_free(self):
+        assert from_basis(0.25 * np.eye(16)).dim == 16      # det 2.3e-10
+        rank2 = np.arange(1.0, 10.0).reshape(3, 3)
+        with pytest.raises(Singular):
+            from_basis(1e10 * rank2)                        # det 4.6e15
+        rng = np.random.default_rng(5)
+        full = random_invertible(rng, 6, max_cond=100.0)
+        for b, ok in ((full, True), (np.eye(4), True), (rank2, False),
+                      (np.vstack([full[:5], full[:5].sum(axis=0)]), False)):
+            for c in (1e-3, 1.0, 1e3):
+                if ok:
+                    assert from_basis(c * b).dim == b.shape[0]
+                else:
+                    with pytest.raises(Singular):
+                        from_basis(c * b)
+
+    @pytest.mark.parametrize("g", [2, 4, 8])
+    def test_k_family_accepted_at_large_heights(self, g):
+        for y in (100.0, 1e4):
+            for i in range(5):
+                assert k_family_lattice(sample_vcube(g, 1, i), y).dim == 2 * g
 
     def test_dets(self):
         assert lattice_det(from_basis(np.eye(3))) == pytest.approx(1.0)

@@ -290,6 +290,13 @@ class TestInverse:
         with pytest.raises(Singular):
             inverse(np.zeros((2, 2)))
 
+    def test_singularity_is_scale_free(self):
+        # det 2.3e-10
+        assert np.allclose(inverse(0.25 * np.eye(16)), 4.0 * np.eye(16))
+        # rank 2 with det 4.6e15
+        with pytest.raises(Singular):
+            inverse(1e10 * np.arange(1.0, 10.0).reshape(3, 3))
+
 
 class TestIsOrthogonal:
     def test_identity(self):

@@ -87,6 +87,13 @@ class TestEstimate:
         limit = ball_volume_limit(2, 0.5)
         assert abs(est.mean - limit) <= 3.0 * est.stderr
 
+    @pytest.mark.parametrize("seed, total", [(1, 300), (2, 276), (3, 176)])
+    def test_pinned_totals(self, seed, total):
+        # the benchmark's mc-k parameters; counts are integers, so a change
+        # in LLL's float bits must leave these exactly as they are
+        est = estimate_I(2, 8.0, 0.25, 1000, seed=seed)
+        assert round(est.mean * 1000) == total
+
     def test_single_sample(self):
         est = estimate_I(2, 8.0, 0.25, 1, seed=2)
         assert est.stderr == 0.0

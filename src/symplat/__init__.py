@@ -17,8 +17,6 @@ from .barneswall import (
     bw_complex,
     bw_lattice,
     bw_prime,
-    is_unimodular_lattice,
-    modularity_scan,
     realify,
     symmetry_pattern,
 )
@@ -36,10 +34,8 @@ from .lattice import (
     ShortVectorReport,
     enumerate_short,
     from_basis,
-    hermite_invariant,
     lattice_det,
     lll_reduce,
-    orbit_histogram,
     scale_to_unit_det,
     systole,
 )
@@ -50,7 +46,6 @@ from .linalg import (
     is_unimodular,
     kron_pow,
     round_to_int,
-    sqrt_spd,
     sym_eig,
 )
 from .meanvalue import (
@@ -70,7 +65,6 @@ from .patterned import (
     a2n_eigenvalues,
     a2n_from_row,
     circulant_from_row,
-    is_circulant,
     is_in_a2n,
     k_symmetric_from_params,
     ksym_param_count,

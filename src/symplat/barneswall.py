@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotIntegral
-from .lattice import Lattice, from_basis, lattice_det, scale_to_unit_det
-from .linalg import DEFAULT_TOL, as_mat, round_to_int
+from .lattice import Lattice, from_basis, scale_to_unit_det
+from .linalg import as_mat
 from .groups import j_matrix, j_generator
+from .patterned import PATTERN_REL_TOL
 
 
 @dataclass(frozen=True)
@@ -72,16 +72,15 @@ def bw_lattice(n: int) -> Lattice:
     return scale_to_unit_det(from_basis(realify(bw_complex(n))))
 
 
-def symmetry_pattern(m, tol: float = DEFAULT_TOL) -> SymmetryPatternReport:
+def symmetry_pattern(m) -> SymmetryPatternReport:
     """Check reflection symmetries and bit-flip conjugations of ``m``.
 
-    Thresholds are tol * ||m||_inf.  Persymmetry means equality with the
-    reflection along the second main diagonal, i.e. M = J M^T J.
+    Thresholds are PATTERN_REL_TOL * max |m|.  Persymmetry means equality
+    with the reflection along the second main diagonal, i.e. M = J M^T J.
     """
     m = as_mat(m)
     dim = m.shape[0]
-    scale = max(float(np.max(np.abs(m))), 1e-300)
-    thr = tol * scale
+    thr = PATTERN_REL_TOL * float(np.max(np.abs(m)))
     j = j_matrix(dim).astype(np.float64)
     sym = float(np.max(np.abs(m - m.T))) <= thr
     persym = float(np.max(np.abs(m - j @ m.T @ j))) <= thr
@@ -94,39 +93,6 @@ def symmetry_pattern(m, tol: float = DEFAULT_TOL) -> SymmetryPatternReport:
     return SymmetryPatternReport(
         dim=dim, is_symmetric=sym, is_persymmetric=persym, j_conjugation=conj
     )
-
-
-def is_unimodular_lattice(lat: Lattice, tol: float = DEFAULT_TOL) -> bool:
-    """True iff det = 1 within tol and an LLL-reduced Gram matrix is integral."""
-    if abs(lattice_det(lat) - 1.0) > tol:
-        return False
-    reduced, _ = lat.reduced
-    try:
-        round_to_int(reduced.gram, tol)
-    except NotIntegral:
-        return False
-    return True
-
-
-def modularity_scan(n: int, tol: float = DEFAULT_TOL) -> dict:
-    """Try rescalings by 2^(k/4) and report which give an integral Gram.
-
-    The determinant-one lattices alternate between having integral Gram
-    directly and only after rescaling; this reports the observed scales
-    without asserting which ones must work.
-    """
-    lat = bw_lattice(n)
-    hits = []
-    for k in range(-4, 5):
-        scale = 2.0 ** (k / 4.0)
-        scaled = from_basis(lat.basis * scale)
-        reduced, _ = scaled.reduced
-        try:
-            round_to_int(reduced.gram, tol)
-        except NotIntegral:
-            continue
-        hits.append({"k_quarter": k, "scale": scale, "det": lattice_det(scaled)})
-    return {"n": n, "g": 2 ** (n + 1), "integral_gram_scales": hits}
 
 
 def pattern_to_obj(report: SymmetryPatternReport) -> dict:

@@ -33,9 +33,9 @@ from .errors import (
     ParseError,
     SchemaError,
 )
-from .groups import cyclic_shift, group_closure, j_generator
+from .groups import cyclic_shift, group_closure, j_generator, k_matrix
 from .lattice import DEFAULT_NODE_BUDGET, enumerate_short, from_basis, lattice_det, report_to_obj, systole
-from .linalg import DEFAULT_TOL, mat_from_obj, mat_to_obj, sym_eig
+from .linalg import mat_from_obj, mat_to_obj, sym_eig
 from .meanvalue import (
     ball_volume_limit,
     bounds,
@@ -44,9 +44,9 @@ from .meanvalue import (
     multiplicity_check,
     witness_search,
 )
-from .patterned import is_in_a2n
+from .patterned import PATTERN_REL_TOL, is_in_a2n
 from .symmetry import count_symmetries, witness_to_obj
-from .symplectic import SiegelPoint, is_symplectic, siegel_point, verify_kprime, verify_a2n_symmetries
+from .symplectic import SiegelPoint, is_symplectic, p_z, siegel_point, verify_kprime, verify_a2n_symmetries
 
 
 def load_basis(path: str) -> np.ndarray:
@@ -54,7 +54,7 @@ def load_basis(path: str) -> np.ndarray:
     return mat_from_obj(_load_json(path), what=path)
 
 
-def load_siegel(path: str, tol: float = DEFAULT_TOL) -> SiegelPoint:
+def load_siegel(path: str) -> SiegelPoint:
     """Read a Siegel point file ({"g": g, "x": Mat, "y": Mat})."""
     obj = _load_json(path)
     if not isinstance(obj, dict):
@@ -64,9 +64,9 @@ def load_siegel(path: str, tol: float = DEFAULT_TOL) -> SiegelPoint:
             raise SchemaError(f"{path}: missing required field {field!r}")
     x = mat_from_obj(obj["x"], what=f"{path}:x")
     y = mat_from_obj(obj["y"], what=f"{path}:y")
-    if not isinstance(obj["g"], int) or obj["g"] != x.shape[0]:
+    if type(obj["g"]) is not int or obj["g"] != x.shape[0]:
         raise SchemaError(f"{path}:g must equal the matrix dimension {x.shape[0]}")
-    return siegel_point(x, y, tol)
+    return siegel_point(x, y)
 
 
 def _load_json(path: str):
@@ -87,11 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, seeded=False, tol=False):
-        if tol:
-            sp.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                            help="absolute tolerance of the symmetry and integrality "
-                                 "checks; SPD is judged relative to the largest eigenvalue")
+    def add_common(sp, seeded=False):
         sp.add_argument("--stable-output", action="store_true",
                         help="omit the timestamp metadata block")
         if seeded:
@@ -114,19 +110,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("eig", help="Jacobi eigendecomposition of a symmetric matrix")
     sp.add_argument("--basis-file", required=True)
-    add_common(sp, tol=True)
+    add_common(sp)
 
     sp = sub.add_parser("symmetries", help="count witnessed symmetries of a basis")
     sp.add_argument("--basis-file", required=True)
     sp.add_argument("--candidates", choices=("cyclic", "jgroup"), required=True)
-    add_common(sp, tol=True)
+    add_common(sp)
 
     sp = sub.add_parser("family-check", help="verify the symmetries of a family point")
     sp.add_argument("--family", choices=("k", "a2n"), required=True)
     sp.add_argument("--siegel-file", required=True)
     sp.add_argument("--verify", action="store_true",
                     help="re-run all applicable invariant checks, failing loudly")
-    add_common(sp, tol=True)
+    add_common(sp)
 
     sp = sub.add_parser("bw", help="Barnes-Wall lattice report")
     sp.add_argument("--n", type=int, required=True)
@@ -134,7 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="allow the expensive n >= 4 cases")
     sp.add_argument("--verify", action="store_true")
     sp.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
-    add_common(sp, tol=True)
+    add_common(sp)
 
     sp = sub.add_parser("meanvalue", help="Monte Carlo short-vector mean")
     sp.add_argument("--g", type=int, required=True)
@@ -188,7 +184,7 @@ def _cmd_enumerate(args):
 
 
 def _cmd_eig(args):
-    q, d = sym_eig(load_basis(args.basis_file), args.tol)
+    q, d = sym_eig(load_basis(args.basis_file))
     return {"eigenvalues": [float(v) for v in d], "q": mat_to_obj(q)}
 
 
@@ -210,16 +206,25 @@ def _cmd_symmetries(args):
         eye = np.eye(dim, dtype=np.int64)
         cands = [e.astype(np.float64) for e in grp.elements
                  if not np.array_equal(e, eye)]
-    count, witnesses = count_symmetries(basis, cands, args.tol)
+    count, witnesses = count_symmetries(basis, cands)
     return {"count": count, "witnesses": [witness_to_obj(w) for w in witnesses]}
 
 
+#: ``family-check --verify`` refuses |det P_Z - 1| above this.
+DET_TOL = 1e-9
+
+
+def _within(a, b) -> bool:
+    """max |a - b| <= PATTERN_REL_TOL * max |b|, the rule of the pattern checks."""
+    return float(np.max(np.abs(a - b))) <= PATTERN_REL_TOL * float(np.max(np.abs(b)))
+
+
 def _cmd_family_check(args):
-    z = load_siegel(args.siegel_file, args.tol)
+    z = load_siegel(args.siegel_file)
     if args.family == "k":
-        witnesses = [verify_kprime(z, args.tol)]
+        witnesses = [verify_kprime(z)]
     else:
-        witnesses = verify_a2n_symmetries(z, args.tol)
+        witnesses = verify_a2n_symmetries(z)
     result = {
         "family": args.family,
         "g": z.g,
@@ -227,25 +232,20 @@ def _cmd_family_check(args):
         "witnesses": [witness_to_obj(w) for w in witnesses],
     }
     if args.verify:
-        from .symplectic import p_z
-
-        basis = p_z(z, args.tol)
+        basis = p_z(z)
         checks = {
-            "symplectic": is_symplectic(basis, args.tol),
+            "symplectic": is_symplectic(basis),
             "det": float(np.linalg.det(basis)),
         }
         if args.family == "k":
-            from .groups import k_matrix
-
             k = k_matrix(z.g).astype(np.float64)
-            checks["x_fixed_by_k"] = float(np.max(np.abs(k @ z.x @ k - z.x))) <= args.tol
-            y0 = float(z.y[0, 0])
-            checks["y_scalar"] = float(np.max(np.abs(z.y - y0 * np.eye(z.g)))) <= args.tol
+            checks["x_fixed_by_k"] = _within(k @ z.x @ k, z.x)
+            checks["y_scalar"] = _within(float(z.y[0, 0]) * np.eye(z.g), z.y)
         else:
-            checks["x_patterned"] = is_in_a2n(z.x, args.tol)
-            checks["y_patterned"] = is_in_a2n(z.y, args.tol)
+            checks["x_patterned"] = is_in_a2n(z.x)
+            checks["y_patterned"] = is_in_a2n(z.y)
         failed = [k for k, v in checks.items()
-                  if v is False or (k == "det" and abs(v - 1.0) > args.tol)]
+                  if v is False or (k == "det" and abs(v - 1.0) > DET_TOL)]
         if failed:
             raise NotInvariant(f"verification failed: {failed}")
         result["checks"] = checks
@@ -260,7 +260,7 @@ def _cmd_bw(args):
     lat = bw_lattice(args.n)
     g = lat.dim
     s2, count = systole(lat, args.node_budget)
-    pattern = symmetry_pattern(bw_prime(args.n), args.tol)
+    pattern = symmetry_pattern(bw_prime(args.n))
     result = {
         "n": args.n,
         "g": g,

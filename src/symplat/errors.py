@@ -77,7 +77,7 @@ class NotUnimodular(SymplatError):
 
 
 class NotInvariant(SymplatError):
-    """Group element fails to preserve vector lengths on the given lattice."""
+    """A ``--verify`` check of a family point or lattice fails."""
 
 
 #: Errors the CLI reports with exit code 2 (bad input).

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import OddDimension, OrderExceeded, OutOfRange
-from .linalg import as_intmat, intmat_to_obj
+from .linalg import as_intmat
 
 DEFAULT_MAX_ORDER = 4096
 
@@ -128,12 +128,3 @@ def group_closure(gens, max_order: int = DEFAULT_MAX_ORDER) -> MatrixGroup:
         frontier = new
     generator_indices = [seen[m.tobytes()] for m in mats]
     return MatrixGroup(dim=dim, elements=elements, generator_indices=generator_indices)
-
-
-def group_to_obj(group: MatrixGroup) -> dict:
-    return {
-        "dim": group.dim,
-        "order": group.order,
-        "elements": [intmat_to_obj(m) for m in group.elements],
-        "generator_indices": list(group.generator_indices),
-    }

@@ -29,8 +29,8 @@ from functools import cached_property
 import numpy as np
 
 from . import _kernels
-from .errors import NotInvariant, NumericalBreakdown, OutOfRange
-from .linalg import DEFAULT_TOL, as_mat, check_nonsingular, det_int, is_unimodular
+from .errors import NumericalBreakdown, OutOfRange
+from .linalg import as_mat, check_nonsingular, det_int, is_unimodular
 
 #: Relative slack on the squared enumeration radius.
 BOUNDARY_EPS = 1e-9
@@ -190,55 +190,6 @@ def systole(lat: Lattice, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[float
     if report.systole2 is None:
         raise NumericalBreakdown("no vector found within the shortest LLL basis length")
     return report.systole2, report.kissing
-
-
-def hermite_invariant(lat: Lattice) -> float:
-    """Systole squared normalized by det^(2/dim); scale invariant."""
-    s2, _ = systole(lat)
-    return s2 / lattice_det(lat) ** (2.0 / lat.dim)
-
-
-def orbit_histogram(lat: Lattice, group, r2: float,
-                    tol: float = DEFAULT_TOL,
-                    node_budget: int = DEFAULT_NODE_BUDGET) -> dict:
-    """Partition the short vectors into orbits under the group and negation.
-
-    The group acts on coordinate vectors; every element must be integral
-    and length-preserving on this lattice (NotInvariant otherwise).
-    Returns a map orbit size -> number of orbits of that size.
-    """
-    report = enumerate_short(lat, r2, node_budget)
-    elements = [np.asarray(e, dtype=np.int64) for e in group.elements]
-    norm_of = {tuple(int(c) for c in vec): float(n)
-               for vec, n in zip(report.vectors, report.norms)}
-
-    for e in elements:
-        for vec, n in zip(report.vectors, report.norms):
-            img = e @ vec
-            w = lat.basis @ img.astype(np.float64)
-            n_img = float(w @ w)
-            if abs(n_img - n) > tol * max(1.0, abs(n)):
-                raise NotInvariant(
-                    f"group element changes a squared length by {abs(n_img - n):.3e}"
-                )
-
-    seen: set[tuple] = set()
-    sizes: dict[int, int] = {}
-    for vec in report.vectors:
-        key = tuple(int(c) for c in vec)
-        if key in seen:
-            continue
-        orbit = set()
-        for e in elements:
-            img = e @ vec
-            for signed in (img, -img):
-                t = tuple(int(c) for c in signed)
-                if t not in norm_of:
-                    raise NotInvariant("orbit leaves the enumerated radius")
-                orbit.add(t)
-        seen |= orbit
-        sizes[len(orbit)] = sizes.get(len(orbit), 0) + 1
-    return sizes
 
 
 def report_to_obj(report: ShortVectorReport) -> dict:

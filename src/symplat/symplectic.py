@@ -25,9 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotSPD, NotPowerOfTwo, OddDimension, OutOfRange
+from .errors import NotSPD, NotSymmetric, OddDimension, OutOfRange
 from .groups import j_generator, k_prime
-from .linalg import DEFAULT_TOL, SPD_REL_FLOOR, as_mat, check_spd, check_symmetric, sym_eig
+from .linalg import SPD_REL_FLOOR, as_mat, check_spd, check_symmetric, sym_eig
 from .patterned import (
     KSymParams,
     a2n_eigenvalues,
@@ -40,64 +40,55 @@ from .patterned import (
 from .symmetry import SymmetryWitness, induced_change_of_basis
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SiegelPoint:
     """Pair (X, Y) with X symmetric (stored exactly symmetrized) and Y SPD.
 
-    ``eig`` is the eigendecomposition (q, d) of the symmetrized Y, with d
-    descending, as ``sym_eig`` returns it.  It is always computed here from
-    ``y``, so ``dataclasses.replace`` cannot pair a Y with another Y's
-    decomposition; ``p_z`` builds its blocks from it.
+    Every point, ``dataclasses.replace`` included, is checked here once:
+    X and Y must be g x g, X symmetric (ValueError) and Y symmetric
+    (NotSymmetric) by ``check_symmetric``'s rule, and Y SPD as
+    ``check_spd`` judges.  X, Y and ``eig``, the decomposition (q, d) of Y
+    that ``p_z`` builds on, are stored read-only.  Points compare by
+    identity, since their fields are arrays.
     """
 
     g: int
     x: np.ndarray
     y: np.ndarray
-    eig: tuple[np.ndarray, np.ndarray] = field(init=False, compare=False, repr=False)
+    eig: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
-        # no symmetry check here: siegel_point and p_z check Y against their tol
-        eig = sym_eig(self.y, np.inf)
-        for a in eig:
+        x = as_mat(self.x)
+        y = as_mat(self.y)
+        if x.shape != y.shape or x.shape[0] != self.g:
+            raise ValueError(f"X {x.shape} and Y {y.shape} must both be {self.g} x {self.g}")
+        try:
+            check_symmetric(x)
+        except NotSymmetric as exc:
+            raise ValueError(f"X {exc}") from exc
+        x = 0.5 * (x + x.T)
+        eig = sym_eig(y)
+        check_spd(eig[1])
+        for a in (x, y, *eig):
             a.setflags(write=False)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
         object.__setattr__(self, "eig", eig)
 
 
-def siegel_point(x, y, tol: float = DEFAULT_TOL) -> SiegelPoint:
-    """Checked Siegel point.
-
-    ``tol`` bounds the asymmetry of X and Y only.  Y is judged SPD
-    relative to its own scale: NotSPD unless its smallest eigenvalue is
-    above SPD_REL_FLOOR times its largest.
-    """
+def siegel_point(x, y) -> SiegelPoint:
+    """Siegel point of the matrices ``x`` and ``y``, checked as SiegelPoint is."""
     x = as_mat(x)
-    y = as_mat(y)
-    if x.shape != y.shape:
-        raise ValueError("X and Y must share one dimension")
-    asym = float(np.max(np.abs(x - x.T)))
-    if asym > tol:
-        raise ValueError(f"X asymmetry {asym:.3e} exceeds tolerance")
-    check_symmetric(y, tol)
-    xs = 0.5 * (x + x.T)
-    xs.setflags(write=False)
-    y = y.copy()
-    y.setflags(write=False)
-    z = SiegelPoint(g=x.shape[0], x=xs, y=y)
-    check_spd(z.eig[1])
-    return z
+    return SiegelPoint(g=x.shape[0], x=x, y=y)
 
 
-def p_z(z: SiegelPoint, tol: float = DEFAULT_TOL) -> np.ndarray:
+def p_z(z: SiegelPoint) -> np.ndarray:
     """Determinant-one symplectic basis matrix of the Siegel point.
 
     The point's one eigendecomposition of Y supplies both sqrt(Y) and
     sqrt(Y^-1), so the two blocks multiply to the identity up to rounding.
-    ``tol`` bounds the asymmetry of Y only; NotSPD is judged relative to
-    SPD_REL_FLOOR as in ``siegel_point``.
     """
-    check_symmetric(z.y, tol)
     q, d = z.eig
-    check_spd(d)
     root = np.sqrt(d)
     sqrt_y = (q * root) @ q.T
     sqrt_y_inv = (q / root) @ q.T
@@ -117,12 +108,16 @@ def standard_form(g: int) -> np.ndarray:
     return j
 
 
-def is_symplectic(m, tol: float = DEFAULT_TOL) -> bool:
+SYMPLECTIC_TOL = 1e-9                   # is_symplectic's bound on max |M^T J M - J|
+
+
+def is_symplectic(m) -> bool:
+    """True iff max |m^T J m - J| <= SYMPLECTIC_TOL, J the standard form."""
     m = as_mat(m)
     if m.shape[0] % 2 != 0:
         raise OddDimension("symplectic matrices have even dimension")
     j = standard_form(m.shape[0] // 2)
-    return float(np.max(np.abs(m.T @ j @ m - j))) <= tol
+    return float(np.max(np.abs(m.T @ j @ m - j))) <= SYMPLECTIC_TOL
 
 
 def _stream(seed: int, *key: int) -> np.random.Generator:
@@ -177,7 +172,7 @@ def a2n_family_point(x_row, sqrt_y_row) -> SiegelPoint:
     return siegel_point(x, s @ s)
 
 
-def verify_a2n_symmetries(z: SiegelPoint, tol: float = DEFAULT_TOL) -> list[SymmetryWitness]:
+def verify_a2n_symmetries(z: SiegelPoint) -> list[SymmetryWitness]:
     """Witness the g-1 block-diagonal bit-flip symmetries of an XOR-family lattice.
 
     For every non-identity element E of the bit-flip group, diag(E, E)
@@ -185,7 +180,7 @@ def verify_a2n_symmetries(z: SiegelPoint, tol: float = DEFAULT_TOL) -> list[Symm
     itself.  A failure here means the input is not in the family.
     """
     n = _log2_exact(z.g)
-    basis = p_z(z, tol)
+    basis = p_z(z)
     from .groups import group_closure
 
     grp = group_closure([j_generator(n, k) for k in range(1, n + 1)])
@@ -197,11 +192,11 @@ def verify_a2n_symmetries(z: SiegelPoint, tol: float = DEFAULT_TOL) -> list[Symm
         o = np.zeros((2 * z.g, 2 * z.g))
         o[: z.g, : z.g] = e
         o[z.g:, z.g:] = e
-        witnesses.append(induced_change_of_basis(basis, o, tol))
+        witnesses.append(induced_change_of_basis(basis, o))
     return witnesses
 
 
-def verify_kprime(z: SiegelPoint, tol: float = DEFAULT_TOL) -> SymmetryWitness:
+def verify_kprime(z: SiegelPoint) -> SymmetryWitness:
     """Witness the diag(K, K^T) symmetry of a K-family lattice.
 
     The induced R equals diag(K, K^T), which squares to -Id, the source
@@ -209,9 +204,9 @@ def verify_kprime(z: SiegelPoint, tol: float = DEFAULT_TOL) -> SymmetryWitness:
     """
     if z.g % 2 != 0:
         raise OddDimension("the K family needs an even dimension")
-    basis = p_z(z, tol)
+    basis = p_z(z)
     o = k_prime(z.g).astype(np.float64)
-    return induced_change_of_basis(basis, o, tol)
+    return induced_change_of_basis(basis, o)
 
 
 def siegel_to_obj(z: SiegelPoint, params=None, seed: int | None = None) -> dict:

@@ -1,12 +1,15 @@
 import json
 import math
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from symplat.cli import load_basis, load_siegel, main
+from symplat.cli import _DISPATCH, _build_parser, load_basis, load_siegel, main
 from symplat.errors import ParseError, SchemaError
 from symplat.linalg import mat_to_obj
 
@@ -70,6 +73,18 @@ class TestLoaders:
                                           "--siegel-file", str(path)])
         assert code == 2
         assert payload["error"]["type"] == "ValueError"
+
+    def test_boolean_integers_are_refused(self, tmp_path, capsys):
+        basis = tmp_path / "b.json"
+        basis.write_text(json.dumps({"dim": True, "rows": [[2.0]]}))
+        point = tmp_path / "z.json"
+        point.write_text(json.dumps({"g": True, "x": mat_to_obj([[0.0]]),
+                                     "y": mat_to_obj([[1.0]])}))
+        for argv in (["systole", "--basis-file", str(basis)],
+                     ["family-check", "--family", "a2n", "--siegel-file", str(point)]):
+            code, payload = run_json(capsys, argv)
+            assert code == 2
+            assert payload["error"]["type"] == "SchemaError"
 
 
 class TestCommands:
@@ -138,6 +153,27 @@ class TestCommands:
         assert code == 0
         assert payload["result"]["count"] == 1
         assert payload["result"]["checks"]["symplectic"] is True
+
+    def test_family_check_a2n_large_y(self, capsys, tmp_path):
+        # Y = S^2 reaches 1e8; BLAS rounding leaves its XOR pattern ~1e-9 off
+        from symplat import a2n_family_point
+        from symplat.symplectic import siegel_to_obj
+
+        rng = np.random.default_rng(0)
+        x = rng.uniform(0, 1, 8)
+        s = rng.uniform(0, 1, 8)
+        s[0] += 8
+        s *= 1e3
+        path = tmp_path / "z.json"
+        path.write_text(json.dumps(siegel_to_obj(a2n_family_point(x, s))))
+        code, payload = run_json(capsys, ["family-check", "--family", "a2n",
+                                          "--siegel-file", str(path),
+                                          "--verify", "--stable-output"])
+        assert code == 0, payload
+        assert payload["result"]["count"] == 7
+        checks = payload["result"]["checks"]
+        assert checks["x_patterned"] is True and checks["y_patterned"] is True
+        assert checks["symplectic"] is True
 
     def test_bw(self, capsys):
         code, payload = run_json(capsys, ["bw", "--n", "2", "--verify",
@@ -215,14 +251,23 @@ class TestOutputContracts:
         assert len(lines) == 3
 
     def test_csv_rejected_elsewhere(self, capsys):
-        # --output exists on sweep only, --tol only where a check reads it
-        for argv in (["bounds", "--g", "2", "--output", "csv"],
+        # --output exists on sweep only; no command takes --tol, each check
+        # owns its threshold
+        valid = [["bounds", "--g", "2"],
+                 ["systole", "--basis-file", "b.json"],
+                 ["enumerate", "--basis-file", "b.json", "--r2", "1"],
+                 ["eig", "--basis-file", "b.json"],
+                 ["symmetries", "--basis-file", "b.json", "--candidates", "cyclic"],
+                 ["family-check", "--family", "k", "--siegel-file", "z.json"],
+                 ["bw", "--n", "1"],
+                 ["meanvalue", "--g", "2", "--y", "8", "--r2", "0.25", "--samples", "1"],
+                 ["sweep", "--g", "2", "--r2", "0.25", "--ys", "4", "--samples", "1"],
+                 ["multiplicity", "--family", "k", "--g", "2", "--samples", "1"],
+                 ["search", "--family", "k", "--g", "2", "--budget", "1"]]
+        assert sorted(argv[0] for argv in valid) == sorted(_DISPATCH)
+        for argv in [["bounds", "--g", "2", "--output", "csv"],
                      ["bw", "--n", "1", "--output", "json"],
-                     ["bounds", "--g", "2", "--tol", "1e-6"],
-                     ["systole", "--basis-file", "b.json", "--tol", "1e-6"],
-                     ["enumerate", "--basis-file", "b.json", "--r2", "1", "--tol", "1e-6"],
-                     ["meanvalue", "--g", "2", "--y", "8", "--r2", "0.25",
-                      "--samples", "1", "--tol", "1e-6"]):
+                     *(argv + ["--tol", "1e-6"] for argv in valid)]:
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2
@@ -259,3 +304,15 @@ class TestEntryPoint:
         assert proc.returncode == 0
         payload = json.loads(proc.stdout)
         assert payload["result"]["g"] == 2
+
+
+class TestReadme:
+    def test_cli_block_parses(self):
+        """Every ``symplat ...`` line of README's CLI block is a valid command line."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"^## CLI$.*?^```sh\n(.*?)^```$", readme, re.M | re.S).group(1)
+        lines = [ln for ln in block.splitlines() if ln.startswith("symplat ")]
+        assert len(lines) == len(_DISPATCH)
+        parser = _build_parser()
+        for line in lines:
+            parser.parse_args(shlex.split(line, comments=True)[1:])

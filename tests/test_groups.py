@@ -164,14 +164,3 @@ class TestGroupClosure:
         grp = group_closure(gens)
         for idx, gen in zip(grp.generator_indices, gens):
             assert np.array_equal(grp.elements[idx], gen)
-
-
-class TestSerialization:
-    def test_group_to_obj(self):
-        from symplat.groups import group_to_obj
-
-        grp = group_closure([cyclic_shift(3)])
-        obj = group_to_obj(grp)
-        assert obj["order"] == 3
-        assert len(obj["elements"]) == 3
-        assert obj["elements"][0]["rows"][0] == [0, 1, 0]

@@ -1,4 +1,4 @@
-import math
+import json
 
 import numpy as np
 import pytest
@@ -10,13 +10,12 @@ from symplat import (
     is_unimodular,
     kron_pow,
     round_to_int,
-    sqrt_spd,
     sym_eig,
 )
-from symplat.errors import NotIntegral, NotSPD, NotSymmetric, NumericalBreakdown, Singular
+from symplat.errors import NotIntegral, NotSymmetric, NumericalBreakdown, Singular
 from symplat.groups import j_matrix
 from symplat import linalg
-from symplat.linalg import as_intmat, as_mat, intmat_from_obj, intmat_to_obj, mat_from_obj, mat_to_obj
+from symplat.linalg import as_intmat, as_mat, check_symmetric, intmat_to_obj, mat_from_obj, mat_to_obj
 
 from conftest import random_spd
 
@@ -87,7 +86,7 @@ class TestSymEig:
     def test_identity(self):
         q, d = sym_eig(np.eye(3))
         assert np.allclose(d, [1, 1, 1])
-        assert is_orthogonal(q, 1e-12)
+        assert np.max(np.abs(q.T @ q - np.eye(3))) <= 1e-12
 
     def test_two_by_two(self):
         _, d = sym_eig([[2.0, 1.0], [1.0, 2.0]])
@@ -114,42 +113,19 @@ class TestSymEig:
             q, d = sym_eig(s)
             err = np.max(np.abs(q @ np.diag(d) @ q.T - s))
             assert err <= 1e-10 * max(np.max(np.abs(s)), 1e-30)
-            assert is_orthogonal(q, 1e-10)
+            assert np.max(np.abs(q.T @ q - np.eye(dim))) <= 1e-10
 
     def test_zero_matrix(self):
         q, d = sym_eig(np.zeros((4, 4)))
         assert np.array_equal(d, np.zeros(4))
-        assert is_orthogonal(q, 0.0)
+        assert np.max(np.abs(q.T @ q - np.eye(4))) <= 0.0
 
 
-class TestSqrtSpd:
-    def test_identity(self):
-        assert np.allclose(sqrt_spd(np.eye(4)), np.eye(4))
-
-    def test_diagonal(self):
-        assert sqrt_spd(np.diag([4.0, 9.0])) == pytest.approx(np.diag([2.0, 3.0]))
-
-    def test_two_by_two_closed_form(self):
-        got = sqrt_spd([[2.0, 1.0], [1.0, 2.0]])
-        r3 = math.sqrt(3.0)
-        expected = 0.5 * np.array([[r3 + 1, r3 - 1], [r3 - 1, r3 + 1]])
-        assert got == pytest.approx(expected, abs=1e-12)
-
-    def test_square_round_trip(self, rng):
-        for dim in (2, 3, 6, 12):
-            y = random_spd(rng, dim)
-            r = sqrt_spd(y)
-            assert np.array_equal(r, r.T)
-            assert np.max(np.abs(r @ r - y)) <= 1e-9 * np.max(np.abs(y))
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(NotSPD):
-            sqrt_spd(np.diag([1.0, -1.0]))
-
-    def test_spd_floor_is_relative(self):
-        np.testing.assert_allclose(sqrt_spd(1e-12 * np.eye(3)), 1e-6 * np.eye(3), rtol=1e-12, atol=0.0)
-        with pytest.raises(NotSPD):
-            sqrt_spd(np.diag([1.0, 1e-12]))
+class TestCheckSymmetric:
+    def test_bound_is_relative_to_the_largest_entry(self):
+        check_symmetric(np.array([[4.0, 1.0], [1.0 + 3e-9, 0.0]]))
+        with pytest.raises(NotSymmetric):
+            check_symmetric(np.array([[4.0, 1.0], [1.0 + 5e-9, 0.0]]))
 
 
 class TestDet:
@@ -310,14 +286,22 @@ class TestIsOrthogonal:
     def test_shear_is_not(self):
         assert not is_orthogonal([[1.0, 1.0], [0.0, 1.0]])
 
+    def test_threshold_is_the_rounding_tolerance(self):
+        assert is_orthogonal([[1.0 + 4e-7, 0.0], [0.0, 1.0]])
+        assert not is_orthogonal([[1.0 + 6e-7, 0.0], [0.0, 1.0]])
+
 
 class TestRoundToInt:
     def test_identity(self):
         assert np.array_equal(round_to_int(np.eye(3)), np.eye(3, dtype=np.int64))
 
     def test_near_integer(self):
-        got = round_to_int([[1.0000000001, 0.0], [0.0, 1.0]], tol=1e-6)
+        got = round_to_int([[1.0000009, 0.0], [0.0, 1.0]])
         assert np.array_equal(got, np.eye(2, dtype=np.int64))
+
+    def test_rejects_beyond_the_rounding_threshold(self):
+        with pytest.raises(NotIntegral):
+            round_to_int([[1.0000011, 0.0], [0.0, 1.0]])
 
     def test_rejects_half_integer(self):
         with pytest.raises(NotIntegral):
@@ -345,7 +329,10 @@ class TestJsonForms:
 
     def test_intmat_round_trip(self):
         m = np.array([[1, -2], [3, 4]], dtype=np.int64)
-        assert np.array_equal(intmat_from_obj(intmat_to_obj(m)), m)
+        obj = json.loads(json.dumps(intmat_to_obj(m)))
+        assert obj["dim"] == 2
+        assert all(type(x) is int for row in obj["rows"] for x in row)
+        assert np.array_equal(as_intmat(obj["rows"]), m)
 
     def test_schema_errors(self):
         from symplat.errors import SchemaError
@@ -354,5 +341,9 @@ class TestJsonForms:
             mat_from_obj({"dim": 2, "rows": [[1.0, 2.0]]})
         with pytest.raises(SchemaError):
             mat_from_obj({"rows": [[1.0]]})
-        with pytest.raises(SchemaError):
-            intmat_from_obj({"dim": 1, "rows": [[1.5]]})
+
+    def test_boolean_dim_is_refused(self):
+        from symplat.errors import SchemaError
+
+        with pytest.raises(SchemaError, match="dim"):
+            mat_from_obj({"dim": True, "rows": [[2.0]]})

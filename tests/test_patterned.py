@@ -1,4 +1,5 @@
 import cmath
+import json
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from symplat import (
     a2n_from_row,
     circulant_from_row,
     cyclic_shift,
-    is_circulant,
     is_in_a2n,
     k_matrix,
     k_symmetric_from_params,
@@ -40,11 +40,6 @@ class TestCirculant:
             a = circulant_from_row(rng.normal(size=g))
             c = cyclic_shift(g).astype(float)
             assert np.array_equal(c.T @ a @ c, a)
-            assert is_circulant(a, 0.0)
-
-    def test_non_circulant(self):
-        assert not is_circulant([[1.0, 2.0], [3.0, 4.0]])
-        assert is_circulant(np.eye(5))
 
     def test_dft_eigenvalue_oracle(self, rng):
         # symmetric circulants have real spectrum; compare Jacobi with the
@@ -115,7 +110,7 @@ class TestA2n:
             a = a2n_from_row(ra)
             b = a2n_from_row(rb)
             prod = a @ b
-            assert is_in_a2n(prod, 1e-9)
+            assert is_in_a2n(prod)
             assert np.max(np.abs(prod - b @ a)) <= 1e-9
 
 
@@ -203,24 +198,24 @@ class TestKSymmetric:
             KSymParams(2, {(1, 1): 0.0, (1, 2): 0.0, (2, 2): 0.0})
 
 
+def params_from_json(text: str) -> KSymParams:
+    obj = json.loads(text)
+    return KSymParams(obj["g"], {(r["i"], r["j"]): r["value"] for r in obj["values"]})
+
+
 class TestParamSerialization:
     def test_round_trip(self, rng):
-        from symplat.patterned import ksym_params_from_obj, ksym_params_to_obj
+        from symplat.patterned import ksym_params_to_obj
 
         g = 4
         values = {key: float(v) for key, v in
                   zip(ksym_region(g), rng.uniform(0, 1, size=ksym_param_count(g)))}
         p = KSymParams(g, values)
-        p2 = ksym_params_from_obj(ksym_params_to_obj(p))
-        assert p2 == p
+        assert params_from_json(json.dumps(ksym_params_to_obj(p))) == p
 
     def test_nan_value_is_inconsistent(self):
-        import json
-
-        from symplat.patterned import ksym_params_from_obj
-
         # the stdlib json module accepts NaN, so a parameter file can carry one
-        obj = json.loads('{"g": 2, "values": [{"i": 1, "j": 1, "value": NaN},'
-                         ' {"i": 1, "j": 2, "value": 0.5}]}')
+        p = params_from_json('{"g": 2, "values": [{"i": 1, "j": 1, "value": NaN},'
+                             ' {"i": 1, "j": 2, "value": 0.5}]}')
         with pytest.raises(InconsistentParams):
-            k_symmetric_from_params(ksym_params_from_obj(obj))
+            k_symmetric_from_params(p)

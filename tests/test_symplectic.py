@@ -45,6 +45,74 @@ class TestSiegelPoint:
         with pytest.raises(NotSPD):
             siegel_point(np.zeros((2, 2)), np.diag([1.0, -1.0]))
 
+    def test_y_symmetry_threshold_scales_with_y(self):
+        small = 1e-8 * np.eye(2)
+        small[0, 1] += 5e-10
+        with pytest.raises(NotSymmetric):
+            siegel_point(np.zeros((2, 2)), small)
+        large = 1e8 * np.eye(2)
+        large[0, 1] += 1e-8
+        assert np.array_equal(siegel_point(np.zeros((2, 2)), large).y, large)
+
+    def test_x_symmetry_threshold_scales_with_x(self):
+        small = np.array([[1e-8, 5e-10], [0.0, 1e-8]])
+        with pytest.raises(ValueError, match="X asymmetry"):
+            siegel_point(small, np.eye(2))
+        large = np.array([[1e8, 1e-8], [0.0, 1e8]])
+        z = siegel_point(large, np.eye(2))
+        assert np.array_equal(z.x, 0.5 * (large + large.T))
+
+    def test_checks_run_in_order(self):
+        bad_x = [[0.0, 1.0], [0.0, 0.0]]
+        bad_y = [[1.0, 1.0], [0.0, 1.0]]
+        with pytest.raises(ValueError, match="must both be"):
+            siegel_point(np.zeros((3, 3)), bad_y)
+        with pytest.raises(ValueError, match="X asymmetry"):
+            siegel_point(bad_x, bad_y)
+        with pytest.raises(NotSymmetric):
+            siegel_point(np.zeros((2, 2)), [[-1.0, 1.0], [0.0, 1.0]])
+
+    def test_stored_matrices_are_read_only_copies(self):
+        x = np.zeros((2, 2))
+        y = np.eye(2)
+        z = SiegelPoint(2, x, y)
+        x[0, 0] = y[0, 0] = 5.0
+        assert z.x[0, 0] == 0.0 and z.y[0, 0] == 1.0
+        for a in (z.x, z.y, *z.eig):
+            assert not a.flags.writeable
+
+
+class TestValidByConstruction:
+    """Every SiegelPoint is checked where it is made, ``replace`` included."""
+
+    def test_replace_runs_the_checks(self, rng):
+        z = random_siegel(rng, 3)
+        with pytest.raises(ValueError, match="X asymmetry"):
+            dataclasses.replace(z, x=np.triu(np.ones((3, 3))))
+        with pytest.raises(NotSymmetric):
+            dataclasses.replace(z, y=np.triu(np.ones((3, 3))))
+        with pytest.raises(NotSPD):
+            dataclasses.replace(z, y=-z.y)
+        with pytest.raises(ValueError, match="must both be"):
+            dataclasses.replace(z, g=2)
+
+    def test_direct_construction_runs_the_checks(self):
+        with pytest.raises(NotSPD):
+            SiegelPoint(2, np.zeros((2, 2)), np.diag([1.0, 0.0]))
+
+    def test_basis_and_witnesses_check_nothing_again(self, monkeypatch):
+        z = k_family_point(sample_vcube(4, 3), 1.3)
+        za = a2n_family_point([0.1, 0.2, 0.3, 0.4], [4.0, 0.5, 0.25, 0.1])
+
+        def refuse(*args):
+            raise AssertionError("the point was checked again")
+
+        for name in ("check_symmetric", "check_spd", "sym_eig"):
+            monkeypatch.setattr(symplectic, name, refuse)
+        p_z(z)
+        verify_kprime(z)
+        verify_a2n_symmetries(za)
+
 
 class TestPz:
     def test_trivial_point(self):
@@ -61,7 +129,7 @@ class TestPz:
         for g in (1, 2, 3, 4, 8):
             for _ in range(20):
                 basis = p_z(random_siegel(rng, g))
-                assert is_symplectic(basis, 1e-9)
+                assert is_symplectic(basis)
                 assert abs(np.linalg.det(basis) - 1.0) <= 1e-9
 
 
@@ -190,7 +258,7 @@ class TestEigReuse:
     def test_point_built_without_decomposition(self, rng):
         z = random_siegel(rng, 3)
         bare = SiegelPoint(z.g, z.x, z.y)
-        assert bare == z
+        assert np.array_equal(bare.x, z.x) and np.array_equal(bare.y, z.y)
         assert "eig" not in repr(bare)
         assert np.array_equal(p_z(bare), p_z(z))
 
@@ -203,15 +271,6 @@ class TestEigReuse:
         z = random_siegel(rng, 2)
         with pytest.raises(TypeError):
             SiegelPoint(z.g, z.x, z.y, eig=z.eig)
-
-    def test_stricter_tol_than_the_point_still_raises(self, rng):
-        y = random_spd(rng, 3)
-        y[0, 1] += 1e-7
-        z = siegel_point(np.zeros((3, 3)), y, tol=1e-6)
-        for point in (z, SiegelPoint(z.g, z.x, z.y)):
-            with pytest.raises(NotSymmetric):
-                p_z(point)
-            assert np.array_equal(p_z(point, 1e-6), p_z(z, 1e-6))
 
 
 class TestLargeHeight:

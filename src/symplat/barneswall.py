@@ -21,7 +21,7 @@ import numpy as np
 from .lattice import Lattice, from_basis, scale_to_unit_det
 from .linalg import as_mat
 from .groups import j_matrix, j_generator
-from .patterned import PATTERN_REL_TOL
+from .patterned import agrees
 
 
 @dataclass(frozen=True)
@@ -75,21 +75,21 @@ def bw_lattice(n: int) -> Lattice:
 def symmetry_pattern(m) -> SymmetryPatternReport:
     """Check reflection symmetries and bit-flip conjugations of ``m``.
 
-    Thresholds are PATTERN_REL_TOL * max |m|.  Persymmetry means equality
-    with the reflection along the second main diagonal, i.e. M = J M^T J.
+    Each identity is judged by ``patterned.agrees``.  Persymmetry means
+    equality with the reflection along the second main diagonal, i.e.
+    M = J M^T J.
     """
     m = as_mat(m)
     dim = m.shape[0]
-    thr = PATTERN_REL_TOL * float(np.max(np.abs(m)))
     j = j_matrix(dim).astype(np.float64)
-    sym = float(np.max(np.abs(m - m.T))) <= thr
-    persym = float(np.max(np.abs(m - j @ m.T @ j))) <= thr
+    sym = agrees(m.T, m)
+    persym = agrees(j @ m.T @ j, m)
     conj = {}
     if dim >= 2 and dim & (dim - 1) == 0:
         n = dim.bit_length() - 1
         for k in range(1, n + 1):
             jk = j_generator(n, k).astype(np.float64)
-            conj[k] = float(np.max(np.abs(jk @ m @ jk - m))) <= thr
+            conj[k] = agrees(jk @ m @ jk, m)
     return SymmetryPatternReport(
         dim=dim, is_symmetric=sym, is_persymmetric=persym, j_conjugation=conj
     )

@@ -44,7 +44,7 @@ from .meanvalue import (
     multiplicity_check,
     witness_search,
 )
-from .patterned import PATTERN_REL_TOL, is_in_a2n
+from .patterned import agrees, is_in_a2n
 from .symmetry import count_symmetries, witness_to_obj
 from .symplectic import SiegelPoint, is_symplectic, p_z, siegel_point, verify_kprime, verify_a2n_symmetries
 
@@ -214,11 +214,6 @@ def _cmd_symmetries(args):
 DET_TOL = 1e-9
 
 
-def _within(a, b) -> bool:
-    """max |a - b| <= PATTERN_REL_TOL * max |b|, the rule of the pattern checks."""
-    return float(np.max(np.abs(a - b))) <= PATTERN_REL_TOL * float(np.max(np.abs(b)))
-
-
 def _cmd_family_check(args):
     z = load_siegel(args.siegel_file)
     if args.family == "k":
@@ -239,8 +234,8 @@ def _cmd_family_check(args):
         }
         if args.family == "k":
             k = k_matrix(z.g).astype(np.float64)
-            checks["x_fixed_by_k"] = _within(k @ z.x @ k, z.x)
-            checks["y_scalar"] = _within(float(z.y[0, 0]) * np.eye(z.g), z.y)
+            checks["x_fixed_by_k"] = agrees(k @ z.x @ k, z.x)
+            checks["y_scalar"] = agrees(float(z.y[0, 0]) * np.eye(z.g), z.y)
         else:
             checks["x_patterned"] = is_in_a2n(z.x)
             checks["y_patterned"] = is_in_a2n(z.y)

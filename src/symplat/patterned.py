@@ -26,8 +26,7 @@ from .errors import InconsistentParams, NotPowerOfTwo, OddDimension
 from .groups import j_generator, k_matrix
 from .linalg import as_mat, kron_pow
 
-#: Pattern checks (``is_in_a2n`` and the Barnes-Wall symmetry report) refuse
-#: a deviation above this times the largest entry of the matrix checked.
+#: ``agrees``: the bound of every pattern check, relative to the matrix checked.
 PATTERN_REL_TOL = 1e-9
 
 
@@ -45,6 +44,15 @@ def _as_row(row) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError("first row entries must be finite")
     return arr
+
+
+def agrees(image, a) -> bool:
+    """True iff max |image - a| <= PATTERN_REL_TOL * max |a|.
+
+    The one rule of the pattern checks: ``is_in_a2n``, the Barnes-Wall
+    symmetry report and ``family-check --verify``.
+    """
+    return float(np.max(np.abs(image - a))) <= PATTERN_REL_TOL * float(np.max(np.abs(a)))
 
 
 # -- circulants ---------------------------------------------------------------
@@ -69,16 +77,11 @@ def a2n_from_row(row) -> np.ndarray:
 
 
 def is_in_a2n(a) -> bool:
-    """True iff all n bit-flip conjugation identities J^k a J^k = a hold
-    within PATTERN_REL_TOL * max |a|."""
+    """True iff all n bit-flip conjugation identities J^k a J^k = a hold, as ``agrees`` judges."""
     a = as_mat(a)
     n = _log2_exact(a.shape[0])
-    thr = PATTERN_REL_TOL * float(np.max(np.abs(a)))
-    for k in range(1, n + 1):
-        jk = j_generator(n, k).astype(np.float64)
-        if float(np.max(np.abs(jk @ a @ jk - a))) > thr:
-            return False
-    return True
+    jks = (j_generator(n, k).astype(np.float64) for k in range(1, n + 1))
+    return all(agrees(jk @ a @ jk, a) for jk in jks)
 
 
 def walsh_matrix(n: int) -> np.ndarray:

@@ -108,7 +108,8 @@ def standard_form(g: int) -> np.ndarray:
     return j
 
 
-SYMPLECTIC_TOL = 1e-9                   # is_symplectic's bound on max |M^T J M - J|
+#: ``is_symplectic``'s bound on max |M^T J M - J|.
+SYMPLECTIC_TOL = 1e-9
 
 
 def is_symplectic(m) -> bool:

@@ -2,7 +2,9 @@
 
 These three loops dominate the runtime of everything interesting in this
 package (systole checks, the Monte Carlo mean-value estimator, the
-eigensolver oracle).  LLL and Jacobi each have one kernel.
+eigensolver oracle).  Jacobi has one kernel.  LLL has two with the same
+bits: ``lll_core`` reduces one basis, ``lll_stack`` a stack of bases at
+once, for the estimator's thousands of small ones.
 
 The three scalar loops, ``lll_core``, ``jacobi_core`` and
 ``enumerate_depth_first``, run on Python numbers held in lists, not on
@@ -14,7 +16,9 @@ as a numpy kernel would, so the bits are the same; ``jacobi_core``'s
 docstring says why.  ``lll_core`` sums its dot products left to right,
 where ``np.dot`` leaves the order to the BLAS build, and computes
 Gram-Schmidt rows lazily; its docstring gives the rule and why the
-result is bit for bit a full recompute's.
+result is bit for bit a full recompute's.  ``lll_stack`` does the same
+float operations elementwise over the stack, with the same left-to-right
+sums, and recomputes Gram-Schmidt in full after a swap.
 
 Enumeration has two kernels over the same Fincke-Pohst tree.
 ``enumerate_depth_first`` walks it one node at a time;
@@ -28,7 +32,7 @@ nodes per level of the tree and, when the tree turns out to be larger,
 starts over with the frontier kernel.
 
 Each kernel returns plain results and raises the package's own error
-where a failure happens: ``lll_core`` and ``jacobi_core`` raise
+where a failure happens: the LLL kernels and ``jacobi_core`` raise
 NumericalBreakdown, the enumeration kernels RadiusTooLarge.  All
 matrices are passed row-major with vectors as rows so the inner dot
 products run on contiguous memory.
@@ -157,6 +161,93 @@ def lll_core(w, v, delta):
     finally:
         w[:] = W
         v[:] = V
+
+
+def lll_stack(w, v, delta):
+    """``lll_core`` on every matrix of an (N, d, d) stack at once, in place.
+
+    ``v`` (int64, N identities) accumulates each sample's row operations.
+    Each sample keeps its own k; every pass of the loop takes one LLL
+    iteration of every unfinished sample, so a sample's iteration count is
+    the pass count while it runs.  Size reduction and swaps are masked to
+    the samples they apply to, and Gram-Schmidt is recomputed, all rows,
+    for the samples that swapped, as the full recompute after every swap
+    does.  Every float operation is elementwise: products, then sums
+    accumulated left to right along the coordinate axis from 0.0 + x0*y0.
+    So each sample's ``w`` and ``v`` are bit for bit ``lll_core``'s, and
+    the errors are its type and message: NumericalBreakdown when a norm
+    underflows or a sample passes LLL_MAX_ITER iterations, raised for the
+    whole stack with the rows reduced so far left in ``w`` and ``v``.
+
+    One difference remains: ``v`` is int64 throughout, where ``lll_core``
+    runs on Python ints and overflows only when it writes ``v`` back.
+    A single basis costs far more here than in ``lll_core``: on one core
+    of a 2-core x86 host, 3.3 ms against 0.15 ms for an mc-k basis (d = 4),
+    where a stack of 1,000 of them takes about 20 ms.
+    """
+    n, d = w.shape[:2]
+    bstar = np.zeros_like(w)
+    mu = np.zeros_like(w)
+    nrm = np.zeros((n, d))
+    k = np.ones(n, dtype=np.intp)
+    run = np.flatnonzero(k < d)
+    swapped = run
+    it = 0
+    while run.size:
+        it += 1
+        if it > LLL_MAX_ITER:
+            raise NumericalBreakdown(f"LLL exceeded its iteration cap of {LLL_MAX_ITER}")
+        if swapped.size:
+            _gram_schmidt(w[swapped], bstar, mu, nrm, swapped)
+        kr = k[run]
+        for j in range(d - 2, -1, -1):
+            q = np.floor(mu[run, kr, j] + 0.5)
+            hit = (kr > j) & (q != 0.0)
+            if hit.any():
+                s, ks, qf = run[hit], kr[hit], q[hit, None]
+                w[s, ks] = w[s, ks] - qf * w[s, j]
+                v[s, ks] = v[s, ks] - qf.astype(np.int64) * v[s, j]
+                mu[s, ks, :j + 1] = mu[s, ks, :j + 1] - qf * mu[s, j, :j + 1]
+        m = mu[run, kr, kr - 1]
+        up = nrm[run, kr] >= (delta - m * m) * nrm[run, kr - 1]
+        k[run[up]] += 1
+        swapped, ks = run[~up], kr[~up]
+        w[swapped, ks - 1], w[swapped, ks] = w[swapped, ks], w[swapped, ks - 1]
+        v[swapped, ks - 1], v[swapped, ks] = v[swapped, ks], v[swapped, ks - 1]
+        k[swapped] = np.maximum(ks - 1, 1)
+        run = np.flatnonzero(k < d)
+
+
+def _dots(x, y):
+    """Dot products over the last axis, each summed left to right from 0.0 + x0*y0."""
+    p = x * y
+    p[..., 0] += 0.0
+    return np.add.accumulate(p, axis=-1)[..., -1]
+
+
+def _gram_schmidt(w, bstar, mu, nrm, rows):
+    """Gram-Schmidt of the stack ``w`` into bstar, mu and nrm at ``rows``,
+    by ``lll_core``'s arithmetic; NumericalBreakdown when a norm underflows."""
+    d = w.shape[1]
+    b = np.empty_like(w)
+    m = np.zeros_like(w)
+    s = np.empty(w.shape[:2])
+    for i in range(d):
+        bi = w[:, i]
+        if i:
+            mi = _dots(w[:, i, None], b[:, :i]) / s[:, :i]
+            m[:, i, :i] = mi
+            for j in range(i):
+                bi = bi - mi[:, j, None] * b[:, j]
+        m[:, i, i] = 1.0
+        si = _dots(bi, bi)
+        if (si <= GS_UNDERFLOW).any():
+            raise NumericalBreakdown("Gram-Schmidt norms underflowed during LLL")
+        b[:, i] = bi
+        s[:, i] = si
+    bstar[rows] = b
+    mu[rows] = m
+    nrm[rows] = s
 
 
 def enumerate_core(r, r2cap, node_budget):

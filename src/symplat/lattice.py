@@ -177,6 +177,48 @@ def enumerate_short(lat: Lattice, r2: float,
     return _enumerate_reduced(reduced, u, r2, node_budget)
 
 
+def short_counts(bases: np.ndarray, r2: float) -> np.ndarray:
+    """``enumerate_short(from_basis(b), r2).count`` for each basis b of an (N, d, d) stack.
+
+    Applies ``from_basis``'s and ``lll_reduce``'s checks to the whole
+    stack: finite entries, full rank before and after LLL, exact
+    unimodularity, and Cholesky failure as NumericalBreakdown; a check
+    raises for the stack when any sample fails it.  LLL runs as
+    ``_kernels.lll_stack``, bit for bit ``lll_core``.  numpy's stacked
+    matmul and Cholesky call, on each matrix, the BLAS and LAPACK routine
+    the 2-D call does on the same memory layout, so every Gram matrix and
+    Cholesky factor has the one-lattice path's bits, and each tree then
+    goes through ``_kernels.enumerate_core`` as that path's does.
+    """
+    if not 0 < r2 < math.inf:
+        raise OutOfRange("squared radius must be positive and finite")
+    if not np.isfinite(bases).all():
+        raise ValueError("matrix entries must be finite")
+    check_nonsingular(bases)
+    n, d = bases.shape[:2]
+    w = np.ascontiguousarray(bases.transpose(0, 2, 1))
+    v = np.zeros((n, d, d), dtype=np.int64)
+    v[:, np.arange(d), np.arange(d)] = 1
+    _kernels.lll_stack(w, v, DEFAULT_LLL_DELTA)
+    u = v.transpose(0, 2, 1)
+    bad = np.flatnonzero(~is_unimodular(u))
+    if bad.size:
+        raise NumericalBreakdown(f"LLL transform is not unimodular: det {det_int(u[bad[0]])}")
+    if not np.isfinite(w).all():
+        raise ValueError("matrix entries must be finite")
+    reduced = w.transpose(0, 2, 1)
+    check_nonsingular(reduced)
+    gram = reduced.transpose(0, 2, 1) @ reduced
+    gram = 0.5 * (gram + gram.transpose(0, 2, 1))
+    try:
+        chol_lower = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalBreakdown(f"Cholesky of the reduced Gram failed: {exc}") from exc
+    r = np.ascontiguousarray(chol_lower.transpose(0, 2, 1))
+    cap = float(r2) * (1.0 + BOUNDARY_EPS)
+    return np.array([_kernels.enumerate_core(ri, cap, DEFAULT_NODE_BUDGET)[0].shape[0] for ri in r])
+
+
 def systole(lat: Lattice, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[float, int]:
     """(squared length of a shortest nonzero vector, count of such vectors).
 

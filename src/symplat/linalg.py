@@ -145,40 +145,57 @@ def det_int(a) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def is_unimodular(a) -> bool:
-    """True iff the integer matrix ``a`` has |det a| = 1 (exact; see the module notes)."""
-    arr = as_intmat(a)
-    n = arr.shape[0]
-    if n <= BAREISS_MAX_DIM:
-        return abs(det_int(arr)) == 1
+def is_unimodular(a):
+    """True iff the integer matrix ``a`` has |det a| = 1 (exact; see the module notes).
+
+    On an (N, n, n) integer stack it returns a bool array of N: the
+    certificate runs on the whole stack, at every dimension, and Bareiss
+    on each sample it does not prove.
+    """
+    arr = np.asarray(a)
+    stack = arr.ndim == 3
+    if not stack:
+        arr = as_intmat(arr)
+        if arr.shape[0] <= BAREISS_MAX_DIM:
+            return abs(det_int(arr)) == 1
+    elif arr.shape[1] != arr.shape[2] or not np.issubdtype(arr.dtype, np.integer):
+        raise ValueError(f"expected a stack of square integer matrices, got {arr.dtype} {arr.shape}")
+    n = arr.shape[-1]
     af = arr.astype(np.float64)
     try:
         x = np.rint(np.linalg.inv(af))
     except np.linalg.LinAlgError:      # singular in floats only, perhaps
-        return abs(det_int(arr)) == 1
-    # Below 2^53 both maxima are exact; NaN and inf fail the comparison.
-    amax = np.abs(af).max()
-    xmax = np.abs(x).max()
-    if (amax < 2.0 ** 53 and xmax < 2.0 ** 53 and n * int(amax) * int(xmax) < 2 ** 53
-            and (af @ x == np.eye(n)).all()):
-        return True
-    return abs(det_int(arr)) == 1
+        x = np.zeros_like(af)          # proves nothing: A @ 0 != I
+    # n max|A| is exact below 2^53 and rounding is monotone, so the float
+    # product is below 2^53 only when the exact one is; NaN and inf fail
+    # the comparison and are kept out of the matrix product.
+    exact = n * np.abs(af).max(axis=(-2, -1)) * np.abs(x).max(axis=(-2, -1)) < 2.0 ** 53
+    x = np.where(exact[..., None, None], x, 0.0)
+    ok = exact & (af @ x == np.eye(n)).all(axis=(-2, -1))
+    if not stack:
+        return bool(ok) or abs(det_int(arr)) == 1
+    for i in np.flatnonzero(~ok):
+        ok[i] = abs(det_int(arr[i])) == 1
+    return ok
 
 
 def check_nonsingular(a: np.ndarray) -> None:
-    """Raise Singular unless the Mat ``a`` has full numerical rank.
+    """Raise Singular unless the Mat ``a``, or every matrix of a stack, has full numerical rank.
 
     The rule is numpy's ``matrix_rank``: singular when the smallest
     singular value is at most dim * eps times the largest.  It does not
     depend on scale, as |det| against an absolute floor does: 0.25 I_16
     (det 2.3e-10) passes, and 1e10 times a rank-2 3x3 matrix (det 4.6e15)
-    fails.
+    fails.  A stack reports its first singular matrix.
     """
     sv = np.linalg.svd(a, compute_uv=False)
-    floor = a.shape[0] * np.finfo(np.float64).eps * sv[0]
-    if sv[-1] <= floor:
-        raise Singular(f"smallest singular value {sv[-1]:.3e} is not above "
-                       f"dim * eps * largest = {floor:.3e}")
+    low = sv[..., -1]
+    floor = a.shape[-1] * np.finfo(np.float64).eps * sv[..., 0]
+    bad = low <= floor
+    if bad.any():
+        i = np.argmax(bad)
+        raise Singular(f"smallest singular value {low.flat[i]:.3e} is not above "
+                       f"dim * eps * largest = {floor.flat[i]:.3e}")
 
 
 def inverse(a) -> np.ndarray:

@@ -16,8 +16,12 @@ its standard error; the decreasing trend in y is reported, not asserted,
 because single estimates carry Monte Carlo noise.
 
 Everything is reproducible: sample i of seed s draws from the
-counter-based stream keyed (s, i), and the estimator visits samples in
-order, so a fixed seed gives the same output bits.
+counter-based stream keyed (s, i), so a fixed seed gives the same output
+bits.  The estimator builds, checks and LLL-reduces its samples as
+stacks, with closed-form bases and ``_kernels.lll_stack``, and each
+sample's count is bit for bit what one ``k_family_lattice`` and
+``enumerate_short`` give it, so the chunk size does not show in the
+output.
 """
 
 from __future__ import annotations
@@ -28,9 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OddDimension, OutOfRange
-from .lattice import enumerate_short, from_basis, systole
-from .patterned import KSymParams, a2n_eigenvalues, ksym_region
-from .symplectic import _stream, a2n_family_point, k_family_point, p_z, sample_vcube
+from .lattice import enumerate_short, from_basis, short_counts, systole
+from .patterned import (KSymParams, a2n_eigenvalues, k_symmetric_from_params, k_symmetric_stack,
+                        ksym_region)
+from .symplectic import _stream, a2n_family_point, k_family_bases, p_z, sample_vcube
 
 _PI = math.pi
 
@@ -38,6 +43,10 @@ _PI = math.pi
 _TAG_Y = 1
 _TAG_A2N = 2
 _TAG_SEARCH = 3
+
+#: Most samples ``estimate_I`` reduces as one stack.  A full chunk's
+#: arrays peak at 2.4 MB at g = 2 and 22 MB at g = 8 (tracemalloc).
+ESTIMATE_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -120,7 +129,7 @@ def ball_volume_limit(g: int, r: float) -> float:
 
 def k_family_lattice(p: KSymParams, y: float):
     """Determinant-one lattice of the K-family Siegel point (X from p, height y)."""
-    return from_basis(p_z(k_family_point(p, y)))
+    return from_basis(k_family_bases(k_symmetric_from_params(p)[None], y)[0])
 
 
 def sample_k_family(g: int, seed: int, index: int):
@@ -153,18 +162,28 @@ def sample_a2n_family(g: int, seed: int, index: int):
 
 
 def estimate_I(g: int, y: float, r2: float, samples: int, seed: int) -> MeanValueEstimate:
-    """Monte Carlo mean of the short-vector count over the K-family cube."""
+    """Monte Carlo mean of the short-vector count over the K-family cube.
+
+    Samples run as stacks of at most ESTIMATE_CHUNK: the wedges from the
+    streams ``sample_vcube`` draws from, X by ``k_symmetric_stack``, the
+    bases by ``k_family_bases``, the counts by ``short_counts``.  Each
+    sample's count is the one ``enumerate_short(k_family_lattice(...))``
+    gives, for any chunk size; a check that any sample of a chunk fails
+    raises for the whole estimate.
+    """
     if samples < 1:
         raise OutOfRange("need at least one sample")
     if not y > 0:
         raise OutOfRange("height parameter y must be positive")
-    if not r2 > 0:
-        raise OutOfRange("squared radius must be positive")
+    if not 0 < r2 < math.inf:
+        raise OutOfRange("squared radius must be positive and finite")
 
+    size = len(ksym_region(g))
     counts = np.zeros(samples, dtype=np.float64)
-    for i in range(samples):
-        params = sample_vcube(g, seed, i)
-        counts[i] = enumerate_short(k_family_lattice(params, y), r2).count
+    for lo in range(0, samples, ESTIMATE_CHUNK):
+        hi = min(lo + ESTIMATE_CHUNK, samples)
+        wedge = [_stream(seed, i).uniform(0.0, 1.0, size=size) for i in range(lo, hi)]
+        counts[lo:hi] = short_counts(k_family_bases(k_symmetric_stack(g, wedge), y), r2)
     mean = float(np.mean(counts))
     stderr = float(np.std(counts, ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     return MeanValueEstimate(g=g, y=float(y), r2=float(r2), samples=samples,

@@ -138,7 +138,15 @@ def ksym_param_count(g: int) -> int:
 
 
 def k_symmetric_from_params(p: KSymParams) -> np.ndarray:
-    """Build the symmetric matrix X with K X K = X from its wedge entries.
+    """Build the symmetric matrix X with K X K = X from its wedge entries
+    (``k_symmetric_stack`` of one sample)."""
+    wedge = [[p.values[key] for key in ksym_region(p.g)]]
+    return k_symmetric_stack(p.g, wedge)[0]
+
+
+def k_symmetric_stack(g: int, wedge) -> np.ndarray:
+    """The (N, g, g) stack of K-symmetric X whose rows of ``wedge`` (N, g(g+2)/4)
+    hold the entries of the canonical wedge, in ``ksym_region`` order.
 
     Each wedge value propagates to its orbit under transposition and the
     signed point reflection X[g+1-i, g+1-j] = sigma(i,j) X[i, j], with
@@ -147,22 +155,21 @@ def k_symmetric_from_params(p: KSymParams) -> np.ndarray:
     defining identities hold exactly, which the final checks confirm (a
     non-finite value breaks them and raises InconsistentParams).
     """
-    g = p.g
-    x = np.zeros((g, g))
-    for (i, j), v in p.values.items():
-        v = float(v)
+    wedge = np.asarray(wedge, dtype=np.float64)
+    region = ksym_region(g)
+    x = np.zeros((wedge.shape[0], g, g))
+    for col, (i, j) in enumerate(region):
+        v = wedge[:, col]
         s = -1.0 if (i + j) % 2 == 0 else 1.0
-        ii, jj = i - 1, j - 1
-        ri, rj = g - i, g - j
-        x[ii, jj] = v
-        x[jj, ii] = v
-        x[ri, rj] = s * v
-        x[rj, ri] = s * v
+        x[:, i - 1, j - 1] = v
+        x[:, j - 1, i - 1] = v
+        x[:, g - i, g - j] = s * v
+        x[:, g - j, g - i] = s * v
 
     k = k_matrix(g).astype(np.float64)
     if not np.array_equal(k @ x @ k, x):
         raise InconsistentParams("wedge propagation broke K X K = X")
-    if not np.array_equal(x, x.T):
+    if not np.array_equal(x, x.transpose(0, 2, 1)):
         raise InconsistentParams("wedge propagation broke symmetry")
     return x
 

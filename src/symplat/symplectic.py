@@ -149,6 +149,34 @@ def k_family_point(p: KSymParams, y: float) -> SiegelPoint:
     return siegel_point(x, yy)
 
 
+def k_family_bases(x, y: float) -> np.ndarray:
+    """P_Z of the K-family points (X, (1/y^2) Id), in closed form, for a stack ``x`` of K-symmetric X.
+
+    Y = (1/y^2) Id has the eigenvalue d = 1/y^2 and Jacobi's eigenvectors
+    Id, so P_Z = [[a Id, a X], [0, r Id]] with r = sqrt(d) and a = 1/r.
+    These are the floats ``p_z`` computes from that decomposition, whose
+    matrix products add only zeros to them, so the bases are bit for bit
+    ``p_z(k_family_point(p, y))``.  Y is checked as ``SiegelPoint``
+    checks it: finite, and SPD as ``check_spd`` judges.
+    """
+    if not y > 0:
+        raise OutOfRange("height parameter y must be positive")
+    with np.errstate(divide="ignore"):
+        d = np.float64(1.0) / (y * y)
+    if not np.isfinite(d):
+        raise ValueError("matrix entries must be finite")
+    n, g = x.shape[:2]
+    check_spd(np.full(g, d))
+    r = np.sqrt(d)
+    a = 1.0 / r
+    diag = np.arange(g)
+    out = np.zeros((n, 2 * g, 2 * g))
+    out[:, diag, diag] = a
+    out[:, :g, g:] = a * x
+    out[:, g + diag, g + diag] = r
+    return out
+
+
 def a2n_family_point(x_row, sqrt_y_row) -> SiegelPoint:
     """Siegel point with XOR-patterned X and Y = S^2 for XOR-patterned S.
 

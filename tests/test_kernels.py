@@ -1,6 +1,7 @@
 """Errors raised by the kernels, parity of the two enumeration kernels,
-parity of the lazy Gram-Schmidt LLL with a full recompute after every swap,
-and parity of the scalar Jacobi sweep with a numpy one."""
+parity of the lazy Gram-Schmidt LLL and of the stacked LLL with a full
+recompute after every swap, and parity of the scalar Jacobi sweep with a
+numpy one."""
 
 import math
 
@@ -9,8 +10,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from symplat import _kernels, a2n_eigenvalues, a2n_family_point, a2n_from_row, bw_lattice
+from symplat import _kernels, a2n_eigenvalues, a2n_family_point, a2n_from_row, bw_lattice, sample_vcube
 from symplat.errors import NumericalBreakdown, RadiusTooLarge
+from symplat.meanvalue import k_family_lattice
 
 BIG_BUDGET = 10 ** 7
 
@@ -117,7 +119,7 @@ def lll_full_recompute(w, v, delta):
     ``_kernels.lll_core`` must match it bit for bit; it reads the module's
     constants at call time, so a monkeypatched LLL_MAX_ITER caps both.
     Like the kernel it runs on Python numbers and writes ``w`` and ``v``
-    back however it ends.
+    back however it ends.  Returns its iteration count.
     """
     d = w.shape[0]
     rows = w.tolist()
@@ -160,6 +162,7 @@ def lll_full_recompute(w, v, delta):
                 ops[k], ops[k - 1] = ops[k - 1], ops[k]
                 need_gso = True
                 k = max(k - 1, 1)
+        return it
     finally:
         w[:] = rows
         v[:] = ops
@@ -266,6 +269,89 @@ def test_lll_iteration_cap_matches_reference(monkeypatch):
         if ref[0] is None:
             break
         assert ref[0] == (NumericalBreakdown, f"LLL exceeded its iteration cap of {cap}")
+        capped += 1
+    else:
+        pytest.fail("the reference did not finish within 1000 iterations")
+    assert capped > 20
+
+
+def identities(n, d):
+    return np.broadcast_to(np.eye(d, dtype=np.int64), (n, d, d)).copy()
+
+
+@st.composite
+def lll_stacks(draw):
+    """(stack of rows to reduce, delta): 1-20 bases of one dimension from 2 to 8.
+
+    Random bases mix with scrambled Z^n bases, whose half-integer ties
+    tell a recomputed mu row from a size-reduced one (see ``lll_inputs``),
+    and at dimensions 4 and 8 with K-family bases of heights 0.7 to 1e3.
+    Samples take from a few to some hundred iterations.
+    """
+    d = draw(st.integers(2, 8))
+    n = draw(st.integers(1, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    delta = draw(st.sampled_from([0.75, 0.99]))
+    w = rng.normal(size=(n, d, d))
+    for i, kind in enumerate(rng.integers(0, 3, size=n)):
+        if kind == 1:
+            w[i] = scramble(rng, d, int(rng.integers(1, 4))).T
+        elif kind == 2 and d in (4, 8):
+            y = float(rng.choice([0.7, 8.0, 1e3]))
+            w[i] = k_family_lattice(sample_vcube(d // 2, int(rng.integers(2 ** 31)), 0), y).basis.T
+    return w, delta
+
+
+def test_lll_stack_matches_scalar_kernels():
+    spread = []
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(lll_stacks())
+    def check(case):
+        w, delta = case
+        n, d = w.shape[:2]
+        ws, vs = w.copy(), identities(n, d)
+        _kernels.lll_stack(ws, vs, delta)
+        iterations = set()
+        for i in range(n):
+            core, vcore = w[i].copy(), np.eye(d, dtype=np.int64)
+            _kernels.lll_core(core, vcore, delta)
+            full, vfull = w[i].copy(), np.eye(d, dtype=np.int64)
+            iterations.add(lll_full_recompute(full, vfull, delta))
+            assert_same_lll((None, ws[i], vs[i]), (None, core, vcore))
+            assert_same_lll((None, ws[i], vs[i]), (None, full, vfull))
+        spread.append(len(iterations) > 1)
+
+    check()
+    assert sum(spread) > 50
+
+
+def test_lll_stack_breakdown_on_underflowing_norm():
+    # the underflowing basis first, last, and alone
+    rng = np.random.default_rng(5)
+    for bad in ([[1.0, 0.0], [1.0, 1e-150]],
+                [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 1e-150]]):
+        good = rng.normal(size=(3, len(bad), len(bad)))
+        for w in (np.concatenate([[bad], good]), np.concatenate([good, [bad]]), np.array([bad])):
+            got = raised(_kernels.lll_stack, w, identities(*w.shape[:2]), 0.99)
+            assert got == (NumericalBreakdown, "Gram-Schmidt norms underflowed during LLL")
+
+
+def test_lll_stack_iteration_cap_matches_reference(monkeypatch):
+    w = np.random.default_rng(3).normal(size=(4, 6, 6))
+    capped = 0
+    for cap in range(1, 1000):
+        monkeypatch.setattr(_kernels, "LLL_MAX_ITER", cap)
+        refs = [run_both(wi, 0.99) for wi in w]
+        ws, vs = w.copy(), identities(4, 6)
+        got = raised(_kernels.lll_stack, ws, vs, 0.99)
+        first = next((ref[0] for _, ref in refs if ref[0] is not None), None)
+        assert got == first
+        if first is None:
+            for i, (new, ref) in enumerate(refs):
+                assert_same_lll((None, ws[i], vs[i]), ref)
+            break
+        assert first == (NumericalBreakdown, f"LLL exceeded its iteration cap of {cap}")
         capped += 1
     else:
         pytest.fail("the reference did not finish within 1000 iterations")

@@ -15,7 +15,7 @@ from symplat import (
 )
 from symplat import _kernels
 from symplat.errors import NumericalBreakdown, OutOfRange, RadiusTooLarge, Singular
-from symplat.lattice import _histogram, report_to_obj
+from symplat.lattice import _histogram, report_to_obj, short_counts
 from symplat.linalg import det_int, is_unimodular
 from symplat.meanvalue import k_family_lattice
 
@@ -266,6 +266,28 @@ class TestEnumerate:
         assert "nodes" not in obj
         assert obj["count"] == 4
         assert obj["histogram"] == [[1.0, 4]]
+
+
+class TestShortCounts:
+    def test_counts_match_enumerate_short(self, rng):
+        for d in (2, 3, 6):
+            bases = np.array([random_invertible(rng, d, max_cond=50.0) for _ in range(40)])
+            r2 = 1.5 * float(np.median([systole(from_basis(b))[0] for b in bases]))
+            got = short_counts(bases, r2)
+            assert got.tolist() == [enumerate_short(from_basis(b), r2).count for b in bases]
+            assert 0 < got.sum()
+
+    def test_checks_apply_to_the_stack(self, rng):
+        bases = np.array([random_invertible(rng, 3) for _ in range(4)])
+        with pytest.raises(OutOfRange):
+            short_counts(bases, np.inf)
+        bad = bases.copy()
+        bad[2, :, 1] = 2.0 * bad[2, :, 0]
+        with pytest.raises(Singular):
+            short_counts(bad, 1.0)
+        bad[2, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            short_counts(bad, 1.0)
 
 
 class TestReductionCache:

@@ -251,6 +251,61 @@ class TestIsUnimodular:
         assert bareiss_calls == []
 
 
+    def test_stack_agrees_with_bareiss(self, rng):
+        for n in (1, 2, 4, 8):
+            stack = rng.integers(-2, 3, size=(200, n, n))
+            stack[:20] = [unit_triangular_product(rng, n, 2) for _ in range(20)]
+            got = is_unimodular(stack)
+            assert got.dtype == bool and got.shape == (200,)
+            assert got.tolist() == [abs(det_int(m)) == 1 for m in stack]
+            assert got[:20].all()
+
+    def test_stack_falls_back_per_sample(self, monkeypatch):
+        calls = []
+        original = linalg.det_int
+        monkeypatch.setattr(linalg, "det_int", lambda a: calls.append(a) or original(a))
+        b = 2 ** 40
+        stack = np.array([np.eye(2, dtype=np.int64), [[1, b], [0, 1]], [[2, b], [0, 1]], [[1, 5], [0, 1]]])
+        assert is_unimodular(stack).tolist() == [True, True, False, True]
+        assert len(calls) == 2
+        # a singular matrix makes the stacked inverse fail: every sample goes to Bareiss
+        calls.clear()
+        stack[0] = 0
+        assert is_unimodular(stack).tolist() == [False, True, False, True]
+        assert len(calls) == 4
+
+
+class TestStacks:
+    """numpy's stacked calls give each matrix the bits of the 2-D call, which
+    ``lattice.short_counts`` relies on; ``check_nonsingular`` takes stacks."""
+
+    def test_matmul_cholesky_svd_bits(self, rng):
+        for d in (2, 4, 8, 16):
+            w = rng.normal(size=(50, d, d))
+            b = w.transpose(0, 2, 1)
+            gram = b.transpose(0, 2, 1) @ b
+            chol = np.linalg.cholesky(gram)
+            sv = np.linalg.svd(b, compute_uv=False)
+            for i in range(50):
+                bi = np.array(w[i].T)             # a copy, as from_basis makes
+                gi = bi.T @ bi
+                assert np.array_equal(gram[i].view(np.int64), gi.view(np.int64))
+                assert np.array_equal(chol[i].view(np.int64), np.linalg.cholesky(gi).view(np.int64))
+                assert np.array_equal(sv[i].view(np.int64),
+                                      np.linalg.svd(bi, compute_uv=False).view(np.int64))
+
+    def test_check_nonsingular_on_a_stack(self, rng):
+        stack = rng.normal(size=(5, 3, 3))
+        linalg.check_nonsingular(stack)
+        stack[3] = 1e10 * np.arange(1.0, 10.0).reshape(3, 3)
+        stack[4] = 0.0
+        with pytest.raises(Singular) as one:
+            linalg.check_nonsingular(stack[3])
+        with pytest.raises(Singular) as many:
+            linalg.check_nonsingular(stack)
+        assert str(many.value) == str(one.value)
+
+
 class TestInverse:
     def test_identity(self):
         assert np.allclose(inverse(np.eye(3)), np.eye(3))

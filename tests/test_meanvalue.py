@@ -4,14 +4,21 @@ import numpy as np
 import pytest
 
 from symplat import (
+    _kernels,
     ball_volume_limit,
     bounds,
+    enumerate_short,
     estimate_I,
+    k_family_point,
     limit_sweep,
+    meanvalue,
     multiplicity_check,
+    p_z,
+    sample_vcube,
     witness_search,
 )
-from symplat.errors import OddDimension, OutOfRange
+from symplat.errors import NotSPD, OddDimension, OutOfRange
+from symplat.meanvalue import k_family_lattice
 
 
 class TestBounds:
@@ -105,6 +112,79 @@ class TestEstimate:
             estimate_I(2, -1.0, 0.25, 1, seed=0)
 
 
+def counted_estimate(monkeypatch, *args, **kwargs):
+    """(estimate_I(*args), the vector count of every _kernels.enumerate_core call)."""
+    counts = []
+    original = _kernels.enumerate_core
+
+    def counting(r, r2cap, node_budget):
+        out = original(r, r2cap, node_budget)
+        counts.append(out[0].shape[0])
+        return out
+
+    monkeypatch.setattr(_kernels, "enumerate_core", counting)
+    est = estimate_I(*args, **kwargs)
+    monkeypatch.setattr(_kernels, "enumerate_core", original)
+    return est, counts
+
+
+class TestStackPipeline:
+    """estimate_I runs its samples as stacks; each sample must count what
+    the one-lattice path counts, whatever the chunk size."""
+
+    @pytest.mark.parametrize("g, y, r2", [(2, 0.7, 1.5), (2, 8.0, 0.25), (2, 1e3, 0.5),
+                                          (4, 0.7, 1.0), (4, 8.0, 1.0), (4, 1e3, 0.8)])
+    def test_counts_match_one_lattice_path(self, monkeypatch, g, y, r2):
+        samples = 60
+        ref = [enumerate_short(k_family_lattice(sample_vcube(g, 5, i), y), r2).count
+               for i in range(samples)]
+        est, counts = counted_estimate(monkeypatch, g, y, r2, samples, seed=5)
+        assert counts == ref
+        assert est.mean == np.mean(np.array(ref, dtype=np.float64))
+        assert sum(ref) > 0
+
+    def test_chunk_size_leaves_the_bits(self, monkeypatch):
+        runs = []
+        for chunk in (1, 7, 64, 100, 5000):
+            monkeypatch.setattr(meanvalue, "ESTIMATE_CHUNK", chunk)
+            runs.append(counted_estimate(monkeypatch, 2, 2.0, 1.0, 100, seed=11))
+        for est, counts in runs[1:]:
+            assert est == runs[0][0]
+            assert counts == runs[0][1]
+        assert len(set(runs[0][1])) > 1
+
+    def test_enumeration_once_per_sample_through_the_module(self, monkeypatch):
+        monkeypatch.setattr(meanvalue, "ESTIMATE_CHUNK", 16)
+        est, counts = counted_estimate(monkeypatch, 2, 8.0, 0.25, 50, seed=3)
+        assert len(counts) == 50
+        assert sum(counts) == round(est.mean * 50)
+
+    def test_infinite_radius_is_refused(self):
+        with pytest.raises(OutOfRange, match="squared radius must be positive and finite"):
+            estimate_I(2, 8.0, math.inf, 5, seed=0)
+
+
+class TestKFamilyLattice:
+    def test_basis_is_p_z_bit_for_bit(self):
+        n = 0
+        for g in (2, 4):
+            for y in (0.5, 1.0, 8.0, 100.0, 1e3, 1e4):
+                for i in range(25):
+                    p = sample_vcube(g, 17, i)
+                    ref = p_z(k_family_point(p, y))
+                    basis = k_family_lattice(p, y).basis
+                    assert np.array_equal(basis.view(np.int64), ref.view(np.int64))
+                    n += 1
+        assert n == 300
+
+    def test_height_past_the_float_range_is_not_spd(self):
+        p = sample_vcube(2, 1, 0)
+        with pytest.raises(NotSPD):
+            k_family_lattice(p, 1e200)
+        with pytest.raises(NotSPD):
+            estimate_I(2, 1e200, 0.25, 3, seed=0)
+
+
 class TestSweep:
     def test_trend_toward_limit(self):
         ests = limit_sweep(2, 0.25, [2.0, 4.0, 8.0, 16.0], 400, seed=6)
@@ -177,6 +257,12 @@ class TestSearch:
         res = witness_search(4, "a2n", None, 10, seed=8)
         assert res.systole2 > 0
         assert set(res.params) == {"x_row", "sqrt_y_row"}
+
+    def test_within_the_hermite_bounds(self):
+        # reads 1.41094: above Theorem 1's 0.9003, and no lattice of
+        # dimension 4 and determinant 1 beats gamma_4 = sqrt(2) (D4)
+        res = witness_search(2, "k", None, 2000, seed=99)
+        assert bounds(2).theorem1 < res.systole2 <= math.sqrt(2.0)
 
     def test_regression_floor(self):
         # 80% of the g=2 lower bound, reached quickly from random starts

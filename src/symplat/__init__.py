@@ -67,7 +67,6 @@ from .patterned import (
     circulant_from_row,
     is_in_a2n,
     k_symmetric_from_params,
-    ksym_param_count,
     ksym_region,
     walsh_matrix,
 )

@@ -4,7 +4,9 @@ These three loops dominate the runtime of everything interesting in this
 package (systole checks, the Monte Carlo mean-value estimator, the
 eigensolver oracle).  Jacobi has one kernel.  LLL has two with the same
 bits: ``lll_core`` reduces one basis, ``lll_stack`` a stack of bases at
-once, for the estimator's thousands of small ones.
+once.  ``lattice`` picks by stack size, so a single lattice (``systole``,
+``enumerate_short``) goes through ``lll_core`` and the Monte Carlo
+estimator's stacks of small bases through ``lll_stack``.
 
 The three scalar loops, ``lll_core``, ``jacobi_core`` and
 ``enumerate_depth_first``, run on Python numbers held in lists, not on

@@ -15,6 +15,13 @@ Each lattice is reduced at most once at DEFAULT_LLL_DELTA: ``systole``,
 the vectors below a multiple of it runs LLL once.  ``lll_reduce`` itself
 always reduces afresh.
 
+One lattice and a stack of them take the same steps.  ``_reduce`` runs
+LLL on an (N, d, d) stack and checks the result, ``_enumerate_grams``
+factorises each Gram and enumerates its tree.  ``lll_reduce`` passes a
+stack of one, which ``_kernels.lll_core`` reduces; ``short_counts``
+passes the Monte Carlo estimator's stacks, which ``_kernels.lll_stack``
+reduces, giving each basis the same bits.
+
 Boundary handling: the squared radius is inflated by a relative 1e-9 so
 vectors sitting exactly on the radius are included, never dropped.
 """
@@ -92,11 +99,26 @@ def from_basis(b) -> Lattice:
     """Lattice of the columns of ``b``; Singular unless ``b`` has full numerical rank."""
     b = as_mat(b)
     check_nonsingular(b)
-    gram = b.T @ b
-    gram = 0.5 * (gram + gram.T)
-    b.setflags(write=False)
+    return _lattice(b, _gram(b))
+
+
+def _lattice(basis: np.ndarray, gram: np.ndarray) -> Lattice:
+    basis.setflags(write=False)
     gram.setflags(write=False)
-    return Lattice(basis=b, gram=gram)
+    return Lattice(basis=basis, gram=gram)
+
+
+def _gram(b: np.ndarray) -> np.ndarray:
+    """B^T B, symmetrised, of a basis or of each basis of a stack."""
+    gram = np.swapaxes(b, -1, -2) @ b
+    return 0.5 * (gram + np.swapaxes(gram, -1, -2))
+
+
+def _check_bases(b: np.ndarray) -> None:
+    """ValueError unless every entry is finite, then ``check_nonsingular``."""
+    if not np.isfinite(b).all():
+        raise ValueError("matrix entries must be finite")
+    check_nonsingular(b)
 
 
 def lattice_det(lat: Lattice) -> float:
@@ -112,13 +134,32 @@ def lll_reduce(lat: Lattice, delta: float = DEFAULT_LLL_DELTA) -> tuple[Lattice,
     """Lovasz-reduce; returns (reduced lattice, unimodular U with B' = B U)."""
     if not 0.25 < delta < 1.0:
         raise OutOfRange("LLL delta must lie in (1/4, 1)")
-    w = np.ascontiguousarray(lat.basis.T, dtype=np.float64).copy()
-    v = np.eye(lat.dim, dtype=np.int64)
-    _kernels.lll_core(w, v, float(delta))
-    u = v.T.copy()
-    if not is_unimodular(u):
-        raise NumericalBreakdown(f"LLL transform is not unimodular: det {det_int(u)}")
-    return from_basis(w.T), u
+    reduced, u, gram = _reduce(lat.basis[None], float(delta))
+    return _lattice(reduced[0], gram[0]), u[0]
+
+
+def _reduce(bases: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """LLL on each basis of an (N, d, d) stack: (reduced bases, U, Grams) with B' = B U.
+
+    One basis goes through ``_kernels.lll_core``, a larger stack through
+    ``_kernels.lll_stack``; both give each basis the same bits.  Raises
+    NumericalBreakdown unless every U is unimodular, then as
+    ``_check_bases`` does on the reduced bases.
+    """
+    n, d = bases.shape[:2]
+    w = bases.transpose(0, 2, 1).copy()          # the kernels reduce rows in place
+    v = np.tile(np.eye(d, dtype=np.int64), (n, 1, 1))
+    if n == 1:
+        _kernels.lll_core(w[0], v[0], delta)
+    else:
+        _kernels.lll_stack(w, v, delta)
+    u = v.transpose(0, 2, 1)
+    bad = np.flatnonzero(~is_unimodular(u))
+    if bad.size:
+        raise NumericalBreakdown(f"LLL transform is not unimodular: det {det_int(u[bad[0]])}")
+    reduced = w.transpose(0, 2, 1)
+    _check_bases(reduced)
+    return reduced, u, _gram(reduced)
 
 
 def _histogram(norms: np.ndarray) -> dict:
@@ -144,16 +185,24 @@ def _histogram(norms: np.ndarray) -> dict:
     return hist
 
 
-def _enumerate_reduced(reduced: Lattice, u: np.ndarray, r2: float,
-                       node_budget: int) -> ShortVectorReport:
-    gram = np.ascontiguousarray(reduced.gram)
+def _enumerate_grams(gram: np.ndarray, r2: float, node_budget: int):
+    """``_kernels.enumerate_core`` below r2 (1 + BOUNDARY_EPS) on each Gram of an (N, d, d) stack.
+
+    Factorises every Gram first, raising NumericalBreakdown when one
+    fails, then yields one tree's results at a time.
+    """
     try:
         chol_lower = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError as exc:
         raise NumericalBreakdown(f"Cholesky of the reduced Gram failed: {exc}") from exc
-    r = np.ascontiguousarray(chol_lower.T)
     cap = float(r2) * (1.0 + BOUNDARY_EPS)
-    coords_z, norms, nodes = _kernels.enumerate_core(r, cap, node_budget)
+    return (_kernels.enumerate_core(r, cap, node_budget)
+            for r in np.ascontiguousarray(chol_lower.transpose(0, 2, 1)))
+
+
+def _enumerate_reduced(reduced: Lattice, u: np.ndarray, r2: float,
+                       node_budget: int) -> ShortVectorReport:
+    coords_z, norms, nodes = next(_enumerate_grams(reduced.gram[None], r2, node_budget))
     coords = coords_z @ u.T
     hist = _histogram(norms)
     systole2, kissing = next(iter(hist.items()), (None, 0))
@@ -168,11 +217,15 @@ def _enumerate_reduced(reduced: Lattice, u: np.ndarray, r2: float,
     )
 
 
+def _check_radius(r2: float) -> None:
+    if not 0 < r2 < math.inf:
+        raise OutOfRange("squared radius must be positive and finite")
+
+
 def enumerate_short(lat: Lattice, r2: float,
                     node_budget: int = DEFAULT_NODE_BUDGET) -> ShortVectorReport:
     """All nonzero coordinate vectors l with l^T G l <= r2 (1 + 1e-9)."""
-    if not 0 < r2 < math.inf:
-        raise OutOfRange("squared radius must be positive and finite")
+    _check_radius(r2)
     reduced, u = lat.reduced
     return _enumerate_reduced(reduced, u, r2, node_budget)
 
@@ -180,43 +233,16 @@ def enumerate_short(lat: Lattice, r2: float,
 def short_counts(bases: np.ndarray, r2: float) -> np.ndarray:
     """``enumerate_short(from_basis(b), r2).count`` for each basis b of an (N, d, d) stack.
 
-    Applies ``from_basis``'s and ``lll_reduce``'s checks to the whole
-    stack: finite entries, full rank before and after LLL, exact
-    unimodularity, and Cholesky failure as NumericalBreakdown; a check
-    raises for the stack when any sample fails it.  LLL runs as
-    ``_kernels.lll_stack``, bit for bit ``lll_core``.  numpy's stacked
-    matmul and Cholesky call, on each matrix, the BLAS and LAPACK routine
-    the 2-D call does on the same memory layout, so every Gram matrix and
-    Cholesky factor has the one-lattice path's bits, and each tree then
-    goes through ``_kernels.enumerate_core`` as that path's does.
+    The stack takes the one-lattice path's steps and checks; a check
+    raises for the stack when any basis fails it.  numpy's stacked matmul,
+    SVD and Cholesky call, on each matrix, the BLAS and LAPACK routine a
+    stack of one does on the same memory layout, so each count is the one
+    ``enumerate_short`` gives.
     """
-    if not 0 < r2 < math.inf:
-        raise OutOfRange("squared radius must be positive and finite")
-    if not np.isfinite(bases).all():
-        raise ValueError("matrix entries must be finite")
-    check_nonsingular(bases)
-    n, d = bases.shape[:2]
-    w = np.ascontiguousarray(bases.transpose(0, 2, 1))
-    v = np.zeros((n, d, d), dtype=np.int64)
-    v[:, np.arange(d), np.arange(d)] = 1
-    _kernels.lll_stack(w, v, DEFAULT_LLL_DELTA)
-    u = v.transpose(0, 2, 1)
-    bad = np.flatnonzero(~is_unimodular(u))
-    if bad.size:
-        raise NumericalBreakdown(f"LLL transform is not unimodular: det {det_int(u[bad[0]])}")
-    if not np.isfinite(w).all():
-        raise ValueError("matrix entries must be finite")
-    reduced = w.transpose(0, 2, 1)
-    check_nonsingular(reduced)
-    gram = reduced.transpose(0, 2, 1) @ reduced
-    gram = 0.5 * (gram + gram.transpose(0, 2, 1))
-    try:
-        chol_lower = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalBreakdown(f"Cholesky of the reduced Gram failed: {exc}") from exc
-    r = np.ascontiguousarray(chol_lower.transpose(0, 2, 1))
-    cap = float(r2) * (1.0 + BOUNDARY_EPS)
-    return np.array([_kernels.enumerate_core(ri, cap, DEFAULT_NODE_BUDGET)[0].shape[0] for ri in r])
+    _check_radius(r2)
+    _check_bases(bases)
+    _, _, gram = _reduce(bases, DEFAULT_LLL_DELTA)
+    return np.array([out[0].shape[0] for out in _enumerate_grams(gram, r2, DEFAULT_NODE_BUDGET)])
 
 
 def systole(lat: Lattice, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[float, int]:

@@ -18,8 +18,7 @@ and multiplies back.  When n max|A| max|X| < 2^53, every product and
 partial sum of A @ X is an integer below 2^53, so float64 computes it
 exactly in any order.  A @ X == I then proves det A det X = 1 over the
 integers, hence |det A| = 1.  Otherwise (an inexact or failed inverse,
-or entries too large for the guard) Bareiss decides, as it does for
-matrices small enough that it is the cheaper test.
+or entries too large for the guard) Bareiss decides.
 """
 
 from __future__ import annotations
@@ -43,12 +42,6 @@ SPD_REL_FLOOR = 1e-9
 #: Jacobi convergence: off-diagonal Frobenius mass below this times ||s||_F.
 JACOBI_REL_TOL = 1e-12
 JACOBI_MAX_SWEEPS = 100
-
-#: ``is_unimodular`` runs Bareiss directly up to this dimension, where its
-#: Python loop costs less than the certificate's numpy calls (on one core
-#: of a 2-core x86 host, about 20 us against 30 us at dimension 4, and 70
-#: us against 35 us at dimension 8).
-BAREISS_MAX_DIM = 4
 
 
 def as_mat(a) -> np.ndarray:
@@ -148,16 +141,14 @@ def det_int(a) -> int:
 def is_unimodular(a):
     """True iff the integer matrix ``a`` has |det a| = 1 (exact; see the module notes).
 
-    On an (N, n, n) integer stack it returns a bool array of N: the
-    certificate runs on the whole stack, at every dimension, and Bareiss
-    on each sample it does not prove.
+    On an (N, n, n) integer stack it returns a bool array of N.  A single
+    matrix runs as a stack of one: the certificate on the whole stack,
+    then Bareiss on each matrix it does not prove.
     """
     arr = np.asarray(a)
-    stack = arr.ndim == 3
-    if not stack:
-        arr = as_intmat(arr)
-        if arr.shape[0] <= BAREISS_MAX_DIM:
-            return abs(det_int(arr)) == 1
+    single = arr.ndim != 3
+    if single:
+        arr = as_intmat(arr)[None]
     elif arr.shape[1] != arr.shape[2] or not np.issubdtype(arr.dtype, np.integer):
         raise ValueError(f"expected a stack of square integer matrices, got {arr.dtype} {arr.shape}")
     n = arr.shape[-1]
@@ -170,13 +161,11 @@ def is_unimodular(a):
     # product is below 2^53 only when the exact one is; NaN and inf fail
     # the comparison and are kept out of the matrix product.
     exact = n * np.abs(af).max(axis=(-2, -1)) * np.abs(x).max(axis=(-2, -1)) < 2.0 ** 53
-    x = np.where(exact[..., None, None], x, 0.0)
+    x = np.where(exact[:, None, None], x, 0.0)
     ok = exact & (af @ x == np.eye(n)).all(axis=(-2, -1))
-    if not stack:
-        return bool(ok) or abs(det_int(arr)) == 1
     for i in np.flatnonzero(~ok):
         ok[i] = abs(det_int(arr[i])) == 1
-    return ok
+    return bool(ok[0]) if single else ok
 
 
 def check_nonsingular(a: np.ndarray) -> None:

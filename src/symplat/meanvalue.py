@@ -17,11 +17,11 @@ because single estimates carry Monte Carlo noise.
 
 Everything is reproducible: sample i of seed s draws from the
 counter-based stream keyed (s, i), so a fixed seed gives the same output
-bits.  The estimator builds, checks and LLL-reduces its samples as
-stacks, with closed-form bases and ``_kernels.lll_stack``, and each
-sample's count is bit for bit what one ``k_family_lattice`` and
-``enumerate_short`` give it, so the chunk size does not show in the
-output.
+bits.  The estimator builds its samples as stacks of closed-form bases
+and counts them with ``lattice.short_counts``, which takes the steps and
+checks of the one-lattice path, so each sample's count is bit for bit
+what one ``k_family_lattice`` and ``enumerate_short`` give it, and the
+chunk size does not show in the output.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 from .errors import OddDimension, OutOfRange
 from .lattice import enumerate_short, from_basis, short_counts, systole
 from .patterned import (KSymParams, a2n_eigenvalues, k_symmetric_from_params, k_symmetric_stack,
-                        ksym_region)
+                        ksym_params_to_obj, ksym_region)
 from .symplectic import _stream, a2n_family_point, k_family_bases, p_z, sample_vcube
 
 _PI = math.pi
@@ -275,10 +275,13 @@ def _k_point_perturb(point, sigma: float, rng):
     return vec2, y2
 
 
+def _k_params(g: int, vec) -> KSymParams:
+    return KSymParams(g=g, values=dict(zip(ksym_region(g), (float(v) for v in vec))))
+
+
 def _k_point_eval(g: int, point) -> float:
     vec, y = point
-    params = KSymParams(g=g, values=dict(zip(ksym_region(g), (float(v) for v in vec))))
-    return systole(k_family_lattice(params, y))[0]
+    return systole(k_family_lattice(_k_params(g, vec), y))[0]
 
 
 def _a2n_point_random(g: int, rng):
@@ -350,15 +353,8 @@ def witness_search(g: int, family: str, target_r2: float | None, budget: int,
 
     if family == "k":
         vec, y = best_point
-        params = {
-            "g": g,
-            "values": [
-                {"i": i, "j": j, "value": float(v)}
-                for (i, j), v in zip(ksym_region(g), vec)
-            ],
-        }
-        return SearchResult(family=family, g=g, params=params, y=float(y),
-                            systole2=float(best_s2), evaluations=evals, seed=seed)
+        return SearchResult(family=family, g=g, params=ksym_params_to_obj(_k_params(g, vec)),
+                            y=float(y), systole2=float(best_s2), evaluations=evals, seed=seed)
     x_row, s_row = best_point
     params = {"x_row": [float(v) for v in x_row],
               "sqrt_y_row": [float(v) for v in s_row]}

@@ -130,13 +130,6 @@ def ksym_region(g: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(1, g // 2 + 1) for j in range(i, g + 2 - i)]
 
 
-def ksym_param_count(g: int) -> int:
-    """Number of free parameters: g(g+2)/4."""
-    if g % 2 != 0 or g < 2:
-        raise OddDimension("K-symmetric matrices need an even dimension >= 2")
-    return g * (g + 2) // 4
-
-
 def k_symmetric_from_params(p: KSymParams) -> np.ndarray:
     """Build the symmetric matrix X with K X K = X from its wedge entries
     (``k_symmetric_stack`` of one sample)."""

@@ -129,7 +129,7 @@ class TestLLL:
     def test_non_unimodular_transform_raises(self, monkeypatch):
         from symplat import lattice
 
-        monkeypatch.setattr(lattice, "is_unimodular", lambda u: False)
+        monkeypatch.setattr(lattice, "is_unimodular", lambda u: np.zeros(len(u), dtype=bool))
         with pytest.raises(NumericalBreakdown):
             lll_reduce(from_basis(np.array([[1.0, 0.0], [100.0, 1.0]])))
 
@@ -277,7 +277,7 @@ class TestShortCounts:
             assert got.tolist() == [enumerate_short(from_basis(b), r2).count for b in bases]
             assert 0 < got.sum()
 
-    def test_checks_apply_to_the_stack(self, rng):
+    def test_checks_apply_to_the_stack(self, rng, monkeypatch):
         bases = np.array([random_invertible(rng, 3) for _ in range(4)])
         with pytest.raises(OutOfRange):
             short_counts(bases, np.inf)
@@ -288,6 +288,27 @@ class TestShortCounts:
         bad[2, 0, 0] = np.nan
         with pytest.raises(ValueError, match="finite"):
             short_counts(bad, 1.0)
+        # the checks after LLL and the Cholesky step serve one lattice and a stack alike
+        for name in ("lll_core", "lll_stack"):
+            def poisoned(w, v, delta, kernel=getattr(_kernels, name)):
+                kernel(w, v, delta)
+                w[..., 0, 0] = np.nan
+            monkeypatch.setattr(_kernels, name, poisoned)
+        with pytest.raises(ValueError, match="finite"):
+            lll_reduce(from_basis(bases[0]))
+        with pytest.raises(ValueError, match="finite"):
+            short_counts(bases, 1.0)
+        monkeypatch.undo()
+
+        def not_pd(a):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", not_pd)
+        for run in (lambda: enumerate_short(from_basis(bases[0]), 1.0),
+                    lambda: short_counts(bases, 1.0)):
+            with pytest.raises(NumericalBreakdown, match="^Cholesky of the reduced Gram failed: "
+                                                         "Matrix is not positive definite$"):
+                run()
 
 
 class TestReductionCache:

@@ -161,8 +161,7 @@ def unit_triangular_product(rng, n, r):
 
 
 class TestIsUnimodular:
-    """The certificate is tested on every dimension: ``bareiss_calls``
-    turns off the direct Bareiss path for small matrices."""
+    """``bareiss_calls`` counts the matrices the certificate leaves to Bareiss."""
 
     @pytest.fixture
     def bareiss_calls(self, monkeypatch):
@@ -174,26 +173,13 @@ class TestIsUnimodular:
             return original(a)
 
         monkeypatch.setattr(linalg, "det_int", counting)
-        monkeypatch.setattr(linalg, "BAREISS_MAX_DIM", 0)
         return calls
 
-    def test_agrees_with_bareiss_on_random_matrices(self, rng, monkeypatch):
-        for bareiss_max_dim in (linalg.BAREISS_MAX_DIM, 0):
-            monkeypatch.setattr(linalg, "BAREISS_MAX_DIM", bareiss_max_dim)
-            for _ in range(300):
-                n = int(rng.integers(1, 9))
-                m = rng.integers(-2, 3, size=(n, n))
-                assert is_unimodular(m) == (abs(det_int(m)) == 1)
-
-    def test_small_matrices_go_straight_to_bareiss(self, monkeypatch):
-        calls = []
-        original = linalg.det_int
-        monkeypatch.setattr(linalg, "det_int", lambda a: calls.append(a) or original(a))
-        n = linalg.BAREISS_MAX_DIM
-        assert is_unimodular(np.eye(n, dtype=np.int64))
-        assert len(calls) == 1
-        assert is_unimodular(np.eye(n + 1, dtype=np.int64))
-        assert len(calls) == 1
+    def test_agrees_with_bareiss_on_random_matrices(self, rng):
+        for _ in range(600):
+            n = int(rng.integers(1, 9))
+            m = rng.integers(-2, 3, size=(n, n))
+            assert is_unimodular(m) == (abs(det_int(m)) == 1)
 
     def test_certificate_decides_moderate_unimodular_matrices(self, rng, bareiss_calls):
         for n, r in ((1, 2), (2, 2), (8, 2), (16, 2), (32, 1)):
@@ -276,23 +262,22 @@ class TestIsUnimodular:
 
 
 class TestStacks:
-    """numpy's stacked calls give each matrix the bits of the 2-D call, which
-    ``lattice.short_counts`` relies on; ``check_nonsingular`` takes stacks."""
+    """numpy's stacked calls give each matrix of a stack the bits it gets in
+    a stack of one, which ``lattice.short_counts`` relies on to count what
+    ``enumerate_short`` counts; ``check_nonsingular`` takes stacks."""
 
     def test_matmul_cholesky_svd_bits(self, rng):
+        def steps(w):
+            b = w.transpose(0, 2, 1)              # reduced bases, as lattice._reduce leaves them
+            gram = b.transpose(0, 2, 1) @ b
+            return gram, np.linalg.cholesky(gram), np.linalg.svd(b, compute_uv=False)
+
         for d in (2, 4, 8, 16):
             w = rng.normal(size=(50, d, d))
-            b = w.transpose(0, 2, 1)
-            gram = b.transpose(0, 2, 1) @ b
-            chol = np.linalg.cholesky(gram)
-            sv = np.linalg.svd(b, compute_uv=False)
+            stacked = steps(w)
             for i in range(50):
-                bi = np.array(w[i].T)             # a copy, as from_basis makes
-                gi = bi.T @ bi
-                assert np.array_equal(gram[i].view(np.int64), gi.view(np.int64))
-                assert np.array_equal(chol[i].view(np.int64), np.linalg.cholesky(gi).view(np.int64))
-                assert np.array_equal(sv[i].view(np.int64),
-                                      np.linalg.svd(bi, compute_uv=False).view(np.int64))
+                for got, one in zip(stacked, steps(w[i:i + 1].copy())):
+                    assert np.array_equal(got[i].view(np.int64), one[0].view(np.int64))
 
     def test_check_nonsingular_on_a_stack(self, rng):
         stack = rng.normal(size=(5, 3, 3))

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from symplat import (
     multiplicity_check,
     p_z,
     sample_vcube,
+    systole,
     witness_search,
 )
 from symplat.errors import NotSPD, OddDimension, OutOfRange
@@ -128,6 +130,20 @@ def counted_estimate(monkeypatch, *args, **kwargs):
     return est, counts
 
 
+def kernel_calls(monkeypatch):
+    """Counter of ``_kernels.lll_core`` and ``_kernels.lll_stack`` calls from now on."""
+    calls = Counter()
+    for name in ("lll_core", "lll_stack"):
+        original = getattr(_kernels, name)
+
+        def counting(w, v, delta, name=name, original=original):
+            calls[name] += 1
+            return original(w, v, delta)
+
+        monkeypatch.setattr(_kernels, name, counting)
+    return calls
+
+
 class TestStackPipeline:
     """estimate_I runs its samples as stacks; each sample must count what
     the one-lattice path counts, whatever the chunk size."""
@@ -152,6 +168,18 @@ class TestStackPipeline:
             assert est == runs[0][0]
             assert counts == runs[0][1]
         assert len(set(runs[0][1])) > 1
+        # 8 samples in chunks of 7: lll_stack reduces the first chunk, lll_core the last
+        monkeypatch.setattr(meanvalue, "ESTIMATE_CHUNK", 7)
+        calls = kernel_calls(monkeypatch)
+        split = counted_estimate(monkeypatch, 2, 2.0, 1.0, 8, seed=11)
+        assert calls == {"lll_core": 1, "lll_stack": 1}
+        monkeypatch.setattr(meanvalue, "ESTIMATE_CHUNK", 5000)
+        assert counted_estimate(monkeypatch, 2, 2.0, 1.0, 8, seed=11) == split
+        assert calls == {"lll_core": 1, "lll_stack": 2}
+        assert split[1] == runs[0][1][:8]
+        # a single lattice is a stack of one
+        systole(k_family_lattice(sample_vcube(2, 11, 0), 2.0))
+        assert calls == {"lll_core": 2, "lll_stack": 2}
 
     def test_enumeration_once_per_sample_through_the_module(self, monkeypatch):
         monkeypatch.setattr(meanvalue, "ESTIMATE_CHUNK", 16)

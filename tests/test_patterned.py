@@ -13,7 +13,6 @@ from symplat import (
     is_in_a2n,
     k_matrix,
     k_symmetric_from_params,
-    ksym_param_count,
     ksym_region,
     sym_eig,
     walsh_matrix,
@@ -153,18 +152,18 @@ class TestWalsh:
 
 class TestKSymmetric:
     def test_region_count(self):
-        assert ksym_param_count(2) == 2
-        assert ksym_param_count(4) == 6
-        assert ksym_param_count(8) == 20
+        assert len(ksym_region(2)) == 2
+        assert len(ksym_region(4)) == 6
+        assert len(ksym_region(8)) == 20
         for g in range(2, 21, 2):
-            assert len(ksym_region(g)) == ksym_param_count(g)
+            assert len(ksym_region(g)) == g * (g + 2) // 4
 
     def test_region_two(self):
         assert ksym_region(2) == [(1, 1), (1, 2)]
 
     def test_odd_dimension(self):
         with pytest.raises(OddDimension):
-            ksym_param_count(3)
+            ksym_region(3)
 
     def test_two_by_two_shape(self):
         x = k_symmetric_from_params(KSymParams(2, {(1, 1): 0.7, (1, 2): 0.2}))
@@ -177,7 +176,7 @@ class TestKSymmetric:
     def test_defining_identities_exact(self, rng):
         for g in (4, 6, 8):
             values = {key: float(v) for key, v in
-                      zip(ksym_region(g), rng.uniform(-1, 1, size=ksym_param_count(g)))}
+                      zip(ksym_region(g), rng.uniform(-1, 1, size=len(ksym_region(g))))}
             x = k_symmetric_from_params(KSymParams(g, values))
             k = k_matrix(g).astype(float)
             assert np.array_equal(k @ x @ k, x)
@@ -186,7 +185,7 @@ class TestKSymmetric:
     def test_restriction_returns_params(self, rng):
         g = 6
         values = {key: float(v) for key, v in
-                  zip(ksym_region(g), rng.uniform(-1, 1, size=ksym_param_count(g)))}
+                  zip(ksym_region(g), rng.uniform(-1, 1, size=len(ksym_region(g))))}
         x = k_symmetric_from_params(KSymParams(g, values))
         for (i, j), v in values.items():
             assert x[i - 1, j - 1] == v
@@ -209,7 +208,7 @@ class TestParamSerialization:
 
         g = 4
         values = {key: float(v) for key, v in
-                  zip(ksym_region(g), rng.uniform(0, 1, size=ksym_param_count(g)))}
+                  zip(ksym_region(g), rng.uniform(0, 1, size=len(ksym_region(g))))}
         p = KSymParams(g, values)
         assert params_from_json(json.dumps(ksym_params_to_obj(p))) == p
 

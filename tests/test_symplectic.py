@@ -22,7 +22,7 @@ from symplat import (
     verify_a2n_symmetries,
 )
 from symplat.errors import NotSPD, NotSymmetric, OddDimension, OutOfRange
-from symplat.patterned import KSymParams, ksym_param_count, ksym_region
+from symplat.patterned import KSymParams, ksym_region
 
 from conftest import random_spd
 
@@ -156,7 +156,7 @@ class TestSampleVcube:
 
     def test_count_and_range(self):
         p = sample_vcube(8, 5)
-        assert len(p.values) == ksym_param_count(8)
+        assert len(p.values) == len(ksym_region(8))
         assert set(p.values) == set(ksym_region(8))
         assert all(0.0 <= v <= 1.0 for v in p.values.values())
 

@@ -41,7 +41,6 @@ from .lattice import (
 )
 from .linalg import (
     det_int,
-    inverse,
     is_orthogonal,
     is_unimodular,
     kron_pow,

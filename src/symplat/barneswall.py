@@ -20,8 +20,8 @@ import numpy as np
 
 from .lattice import Lattice, from_basis, scale_to_unit_det
 from .linalg import as_mat
-from .groups import j_matrix, j_generator
-from .patterned import agrees
+from .groups import j_matrix
+from .patterned import agrees, j_conjugation
 
 
 @dataclass(frozen=True)
@@ -84,12 +84,7 @@ def symmetry_pattern(m) -> SymmetryPatternReport:
     j = j_matrix(dim).astype(np.float64)
     sym = agrees(m.T, m)
     persym = agrees(j @ m.T @ j, m)
-    conj = {}
-    if dim >= 2 and dim & (dim - 1) == 0:
-        n = dim.bit_length() - 1
-        for k in range(1, n + 1):
-            jk = j_generator(n, k).astype(np.float64)
-            conj[k] = agrees(jk @ m @ jk, m)
+    conj = j_conjugation(m) if dim & (dim - 1) == 0 else {}
     return SymmetryPatternReport(
         dim=dim, is_symmetric=sym, is_persymmetric=persym, j_conjugation=conj
     )

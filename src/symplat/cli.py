@@ -33,7 +33,7 @@ from .errors import (
     ParseError,
     SchemaError,
 )
-from .groups import cyclic_shift, group_closure, j_generator, k_matrix
+from .groups import bit_flips, cyclic_shift, k_matrix
 from .lattice import DEFAULT_NODE_BUDGET, enumerate_short, from_basis, lattice_det, report_to_obj, systole
 from .linalg import mat_from_obj, mat_to_obj, sym_eig
 from .meanvalue import (
@@ -201,12 +201,8 @@ def _cmd_symmetries(args):
     else:
         if dim & (dim - 1) != 0 or dim < 2:
             raise NotPowerOfTwo("jgroup candidates need a power-of-two dimension")
-        n = dim.bit_length() - 1
-        grp = group_closure([j_generator(n, k) for k in range(1, n + 1)])
-        eye = np.eye(dim, dtype=np.int64)
-        cands = [e.astype(np.float64) for e in grp.elements
-                 if not np.array_equal(e, eye)]
-    count, witnesses = count_symmetries(basis, cands)
+        cands = bit_flips(dim.bit_length() - 1)
+    count, witnesses = count_symmetries(from_basis(basis), cands)
     return {"count": count, "witnesses": [witness_to_obj(w) for w in witnesses]}
 
 

@@ -85,13 +85,13 @@ def k_prime(g: int) -> np.ndarray:
     return out
 
 
-def group_closure(gens, max_order: int = DEFAULT_MAX_ORDER) -> MatrixGroup:
+def group_closure(gens) -> MatrixGroup:
     """Multiplicative closure of the generator list.
 
     Breadth-first products until stable; every generator here has finite
     order, so the closure is the generated group (it contains the
     identity and all inverses).  Aborts with OrderExceeded if the element
-    count would pass ``max_order``.
+    count would pass DEFAULT_MAX_ORDER.
     """
     mats = [as_intmat(m) for m in gens]
     if not mats:
@@ -108,8 +108,8 @@ def group_closure(gens, max_order: int = DEFAULT_MAX_ORDER) -> MatrixGroup:
         key = m.tobytes()
         if key in seen:
             return False
-        if len(elements) >= max_order:
-            raise OrderExceeded(f"group order exceeds max_order={max_order}")
+        if len(elements) >= DEFAULT_MAX_ORDER:
+            raise OrderExceeded(f"group order exceeds DEFAULT_MAX_ORDER={DEFAULT_MAX_ORDER}")
         seen[key] = len(elements)
         elements.append(m)
         return True
@@ -128,3 +128,14 @@ def group_closure(gens, max_order: int = DEFAULT_MAX_ORDER) -> MatrixGroup:
         frontier = new
     generator_indices = [seen[m.tobytes()] for m in mats]
     return MatrixGroup(dim=dim, elements=elements, generator_indices=generator_indices)
+
+
+def bit_flips(n: int) -> list[np.ndarray]:
+    """The 2^n - 1 non-identity elements of the bit-flip group, in closure order.
+
+    The group is generated by J^k = ``j_generator(n, k)`` for k = 1..n and
+    is isomorphic to (Z_2^n, +); its elements are 2^n x 2^n int64 matrices.
+    """
+    grp = group_closure([j_generator(n, k) for k in range(1, n + 1)])
+    eye = np.eye(2 ** n, dtype=np.int64)
+    return [e for e in grp.elements if not np.array_equal(e, eye)]

@@ -61,7 +61,7 @@ class Lattice:
 
     @cached_property
     def reduced(self) -> tuple[Lattice, np.ndarray]:
-        """``lll_reduce(self)`` at DEFAULT_LLL_DELTA, computed on first use.
+        """``lll_reduce(self)``, computed on first use.
 
         U is read-only, since every later reader shares it.
         """
@@ -130,16 +130,14 @@ def scale_to_unit_det(lat: Lattice) -> Lattice:
     return from_basis(lat.basis / d ** (1.0 / lat.dim))
 
 
-def lll_reduce(lat: Lattice, delta: float = DEFAULT_LLL_DELTA) -> tuple[Lattice, np.ndarray]:
-    """Lovasz-reduce; returns (reduced lattice, unimodular U with B' = B U)."""
-    if not 0.25 < delta < 1.0:
-        raise OutOfRange("LLL delta must lie in (1/4, 1)")
-    reduced, u, gram = _reduce(lat.basis[None], float(delta))
+def lll_reduce(lat: Lattice) -> tuple[Lattice, np.ndarray]:
+    """Lovasz-reduce at DEFAULT_LLL_DELTA; returns (reduced lattice, unimodular U with B' = B U)."""
+    reduced, u, gram = _reduce(lat.basis[None])
     return _lattice(reduced[0], gram[0]), u[0]
 
 
-def _reduce(bases: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """LLL on each basis of an (N, d, d) stack: (reduced bases, U, Grams) with B' = B U.
+def _reduce(bases: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """LLL at DEFAULT_LLL_DELTA on each basis of an (N, d, d) stack: (reduced bases, U, Grams) with B' = B U.
 
     One basis goes through ``_kernels.lll_core``, a larger stack through
     ``_kernels.lll_stack``; both give each basis the same bits.  Raises
@@ -150,9 +148,9 @@ def _reduce(bases: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray, np
     w = bases.transpose(0, 2, 1).copy()          # the kernels reduce rows in place
     v = np.tile(np.eye(d, dtype=np.int64), (n, 1, 1))
     if n == 1:
-        _kernels.lll_core(w[0], v[0], delta)
+        _kernels.lll_core(w[0], v[0], DEFAULT_LLL_DELTA)
     else:
-        _kernels.lll_stack(w, v, delta)
+        _kernels.lll_stack(w, v, DEFAULT_LLL_DELTA)
     u = v.transpose(0, 2, 1)
     bad = np.flatnonzero(~is_unimodular(u))
     if bad.size:
@@ -241,7 +239,7 @@ def short_counts(bases: np.ndarray, r2: float) -> np.ndarray:
     """
     _check_radius(r2)
     _check_bases(bases)
-    _, _, gram = _reduce(bases, DEFAULT_LLL_DELTA)
+    _, _, gram = _reduce(bases)
     return np.array([out[0].shape[0] for out in _enumerate_grams(gram, r2, DEFAULT_NODE_BUDGET)])
 
 

@@ -187,13 +187,6 @@ def check_nonsingular(a: np.ndarray) -> None:
                        f"dim * eps * largest = {floor.flat[i]:.3e}")
 
 
-def inverse(a) -> np.ndarray:
-    """Matrix inverse; raises Singular as ``check_nonsingular`` does."""
-    a = as_mat(a)
-    check_nonsingular(a)
-    return np.linalg.inv(a)
-
-
 def is_orthogonal(a) -> bool:
     """True iff max |a^T a - Id| <= ROUNDING_TOL."""
     a = as_mat(a)

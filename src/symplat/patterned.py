@@ -76,12 +76,19 @@ def a2n_from_row(row) -> np.ndarray:
     return c[idx]
 
 
-def is_in_a2n(a) -> bool:
-    """True iff all n bit-flip conjugation identities J^k a J^k = a hold, as ``agrees`` judges."""
-    a = as_mat(a)
+def j_conjugation(a: np.ndarray) -> dict[int, bool]:
+    """{k: whether J^k a J^k = a, as ``agrees`` judges} for k = 1..n, ``a`` a 2^n x 2^n Mat.
+
+    J^k is ``j_generator(n, k)``; NotPowerOfTwo for any other dimension.
+    """
     n = _log2_exact(a.shape[0])
-    jks = (j_generator(n, k).astype(np.float64) for k in range(1, n + 1))
-    return all(agrees(jk @ a @ jk, a) for jk in jks)
+    jks = {k: j_generator(n, k).astype(np.float64) for k in range(1, n + 1)}
+    return {k: agrees(jk @ a @ jk, a) for k, jk in jks.items()}
+
+
+def is_in_a2n(a) -> bool:
+    """True iff all n bit-flip conjugation identities J^k a J^k = a hold (``j_conjugation``)."""
+    return all(j_conjugation(as_mat(a)).values())
 
 
 def walsh_matrix(n: int) -> np.ndarray:

@@ -2,11 +2,13 @@
 
 A lattice with basis matrix A is symmetric under an orthogonal O exactly
 when O A = A R for an integral unimodular R, i.e. when A^-1 O A rounds to
-an integer matrix.  Extraction is two-staged on purpose: entries must sit
-within ``linalg.ROUNDING_TOL`` = 1e-6 of integers (near-singular bases can
-push them toward half integers), and the rounded R must then pass a strict
-residual check at RESIDUAL_REL_TOL * max |A|.  Failing either stage raises,
-never silently accepts.
+an integer matrix.  Witnesses take a ``Lattice``, whose basis
+``from_basis`` has validated and rank-checked once, however many
+candidates are tried on it.  Extraction is two-staged on purpose: entries
+must sit within ``linalg.ROUNDING_TOL`` = 1e-6 of integers (near-singular
+bases can push them toward half integers), and the rounded R must then
+pass a strict residual check at RESIDUAL_REL_TOL * max |A|.  Failing
+either stage raises, never silently accepts.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotASymmetry, NotIntegral, NotUnimodular
-from .linalg import as_mat, det_int, inverse, is_orthogonal, is_unimodular, round_to_int
+from .lattice import Lattice
+from .linalg import as_mat, det_int, is_orthogonal, is_unimodular, round_to_int
 
 #: Stage two: max |O A - A R| <= this times max |A|.  ``count_symmetries``
 #: drops candidates this close to +-Id (an orthogonal matrix has unit scale).
@@ -32,19 +35,20 @@ class SymmetryWitness:
     residual: float
 
 
-def induced_change_of_basis(a, o) -> SymmetryWitness:
-    """Witness O A = A R, rounding A^-1 O A to extract the integral R.
+def induced_change_of_basis(lat: Lattice, o) -> SymmetryWitness:
+    """Witness O A = A R for the basis A of ``lat``, rounding A^-1 O A to extract the integral R.
 
-    Raises NotASymmetry when the rounding fails or the residual exceeds
-    RESIDUAL_REL_TOL * max |A|, and NotUnimodular when |det R| != 1 (checked exactly).
+    Raises NotASymmetry when O is not orthogonal, the rounding fails or
+    the residual exceeds RESIDUAL_REL_TOL * max |A|, and NotUnimodular
+    when |det R| != 1 (checked exactly).
     """
-    a = as_mat(a)
+    a = lat.basis
     o = as_mat(o)
     if a.shape != o.shape:
         raise ValueError("basis and orthogonal candidate must share one dimension")
     if not is_orthogonal(o):
         raise NotASymmetry("candidate matrix is not orthogonal")
-    raw = inverse(a) @ o @ a
+    raw = np.linalg.inv(a) @ o @ a
     try:
         r = round_to_int(raw)
     except NotIntegral as exc:
@@ -60,24 +64,23 @@ def induced_change_of_basis(a, o) -> SymmetryWitness:
     return SymmetryWitness(o=o, r=r, residual=residual)
 
 
-def count_symmetries(a, candidates) -> tuple[int, list[SymmetryWitness]]:
-    """Number of candidate orthogonals that witness a symmetry of basis ``a``.
+def count_symmetries(lat: Lattice, candidates) -> tuple[int, list[SymmetryWitness]]:
+    """Number of candidate orthogonals that witness a symmetry of ``lat``.
 
-    Candidates that are not orthogonal or equal +-Id are filtered out
-    up front; candidates that fail witness extraction are simply not
-    counted.
+    Candidates of another dimension or equal to +-Id are skipped;
+    candidates whose witness fails, non-orthogonal ones included, are
+    simply not counted.
     """
-    a = as_mat(a)
     witnesses = []
     for cand in candidates:
         c = as_mat(cand)
-        if c.shape != a.shape or not is_orthogonal(c):
+        if c.shape != lat.basis.shape:
             continue
         eye = np.eye(c.shape[0])
         if min(np.max(np.abs(c - eye)), np.max(np.abs(c + eye))) <= RESIDUAL_REL_TOL:
             continue
         try:
-            witnesses.append(induced_change_of_basis(a, c))
+            witnesses.append(induced_change_of_basis(lat, c))
         except (NotASymmetry, NotUnimodular):
             continue
     return len(witnesses), witnesses

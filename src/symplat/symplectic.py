@@ -15,6 +15,10 @@ Two families of such points produce lattices with prescribed symmetries:
   XOR-patterned, making the lattice invariant under all block-diagonal
   bit-flip involutions diag(J^k, J^k).
 
+``verify_kprime`` and ``verify_a2n_symmetries`` build the lattice of P_Z
+once and hand it to ``symmetry.induced_change_of_basis``, one call per
+symmetry witnessed.
+
 Sampling is counter based: each key such as (seed, sample index) has its
 own Philox stream, so samples are independent of the order they are drawn in.
 """
@@ -26,7 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotSPD, NotSymmetric, OddDimension, OutOfRange
-from .groups import j_generator, k_prime
+from .groups import bit_flips, k_prime
+from .lattice import from_basis
 from .linalg import SPD_REL_FLOOR, as_mat, check_spd, check_symmetric, sym_eig
 from .patterned import (
     KSymParams,
@@ -206,23 +211,12 @@ def verify_a2n_symmetries(z: SiegelPoint) -> list[SymmetryWitness]:
 
     For every non-identity element E of the bit-flip group, diag(E, E)
     commutes with P_Z, so the induced change of basis is diag(E, E)
-    itself.  A failure here means the input is not in the family.
+    itself.  The lattice of P_Z is built once and witnessed once per
+    element.  A failure here means the input is not in the family.
     """
     n = _log2_exact(z.g)
-    basis = p_z(z)
-    from .groups import group_closure
-
-    grp = group_closure([j_generator(n, k) for k in range(1, n + 1)])
-    eye = np.eye(z.g, dtype=np.int64)
-    witnesses = []
-    for e in grp.elements:
-        if np.array_equal(e, eye):
-            continue
-        o = np.zeros((2 * z.g, 2 * z.g))
-        o[: z.g, : z.g] = e
-        o[z.g:, z.g:] = e
-        witnesses.append(induced_change_of_basis(basis, o))
-    return witnesses
+    lat = from_basis(p_z(z))
+    return [induced_change_of_basis(lat, np.kron(np.eye(2), e)) for e in bit_flips(n)]
 
 
 def verify_kprime(z: SiegelPoint) -> SymmetryWitness:
@@ -233,9 +227,8 @@ def verify_kprime(z: SiegelPoint) -> SymmetryWitness:
     """
     if z.g % 2 != 0:
         raise OddDimension("the K family needs an even dimension")
-    basis = p_z(z)
     o = k_prime(z.g).astype(np.float64)
-    return induced_change_of_basis(basis, o)
+    return induced_change_of_basis(from_basis(p_z(z)), o)
 
 
 def siegel_to_obj(z: SiegelPoint, params=None, seed: int | None = None) -> dict:

@@ -10,6 +10,7 @@ from symplat import (
     k_prime,
 )
 from symplat.errors import OddDimension, OrderExceeded, OutOfRange
+from symplat.groups import bit_flips
 from symplat.linalg import det_int, is_orthogonal
 
 
@@ -155,12 +156,30 @@ class TestGroupClosure:
         keys = {e.tobytes() for e in grp.elements}
         assert len(keys) == grp.order == 4
 
-    def test_order_exceeded(self):
+    def test_order_exceeded(self, monkeypatch):
+        from symplat import groups
+
+        monkeypatch.setattr(groups, "DEFAULT_MAX_ORDER", 5)
         with pytest.raises(OrderExceeded):
-            group_closure([cyclic_shift(9)], max_order=5)
+            group_closure([cyclic_shift(9)])
+        assert group_closure([cyclic_shift(5)]).order == 5
 
     def test_generator_indices(self):
         gens = [j_generator(2, 1), j_generator(2, 2)]
         grp = group_closure(gens)
         for idx, gen in zip(grp.generator_indices, gens):
             assert np.array_equal(grp.elements[idx], gen)
+
+
+class TestBitFlips:
+    def test_non_identity_elements_in_closure_order(self):
+        for n in (1, 2, 3, 4):
+            grp = group_closure([j_generator(n, k) for k in range(1, n + 1)])
+            eye = np.eye(2 ** n, dtype=np.int64)
+            flips = bit_flips(n)
+            assert len(flips) == 2 ** n - 1 == grp.order - 1
+            assert [e.tobytes() for e in flips] == [
+                e.tobytes() for e in grp.elements if not np.array_equal(e, eye)]
+            for e in flips:
+                assert np.array_equal(e @ e, eye)        # involutions: (Z_2^n, +)
+                assert e.dtype == np.int64

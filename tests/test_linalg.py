@@ -5,7 +5,6 @@ import pytest
 
 from symplat import (
     det_int,
-    inverse,
     is_orthogonal,
     is_unimodular,
     kron_pow,
@@ -289,29 +288,6 @@ class TestStacks:
         with pytest.raises(Singular) as many:
             linalg.check_nonsingular(stack)
         assert str(many.value) == str(one.value)
-
-
-class TestInverse:
-    def test_identity(self):
-        assert np.allclose(inverse(np.eye(3)), np.eye(3))
-
-    def test_diagonal(self):
-        assert inverse(np.diag([2.0, 4.0])) == pytest.approx(np.diag([0.5, 0.25]))
-
-    def test_antidiagonal_self_inverse(self):
-        j4 = j_matrix(4).astype(float)
-        assert inverse(j4) == pytest.approx(j4)
-
-    def test_singular(self):
-        with pytest.raises(Singular):
-            inverse(np.zeros((2, 2)))
-
-    def test_singularity_is_scale_free(self):
-        # det 2.3e-10
-        assert np.allclose(inverse(0.25 * np.eye(16)), 4.0 * np.eye(16))
-        # rank 2 with det 4.6e15
-        with pytest.raises(Singular):
-            inverse(1e10 * np.arange(1.0, 10.0).reshape(3, 3))
 
 
 class TestIsOrthogonal:

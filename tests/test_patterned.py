@@ -95,6 +95,22 @@ class TestA2n:
         generic = 0.5 * (generic + generic.T)
         assert not is_in_a2n(generic)
         assert is_in_a2n(np.eye(8))
+        with pytest.raises(NotPowerOfTwo):
+            is_in_a2n(np.eye(6))
+
+    def test_one_conjugation_check(self, rng):
+        # is_in_a2n and the Barnes-Wall pattern report read the same J^k checks
+        from symplat import symmetry_pattern
+        from symplat.patterned import j_conjugation
+
+        for m in (a2n_from_row(rng.normal(size=8)), rng.normal(size=(8, 8)), np.eye(1)):
+            conj = j_conjugation(m)
+            assert list(conj) == list(range(1, m.shape[0].bit_length()))
+            assert symmetry_pattern(m).j_conjugation == conj
+            assert is_in_a2n(m) == all(conj.values())
+        a, b = rng.normal(size=(2, 2, 2))
+        blocks = np.block([[a, b], [b, a]])         # J^1 swaps the blocks; J^2 reverses
+        assert j_conjugation(blocks) == symmetry_pattern(blocks).j_conjugation == {1: True, 2: False}
 
     def test_round_trip_first_row(self, rng):
         row = rng.normal(size=8)

@@ -5,11 +5,12 @@ so an artifact alone identifies the run that produced it.  Identical
 (command, flags, seed) produce byte-identical output under
 ``--stable-output``, which drops the wall-clock metadata block.
 
-Exit codes: 0 success, 2 validation error (bad input files, values out
-of range), 3 numerical failure (Singular, RadiusTooLarge, NotSPD, ...),
-both with a structured error record on stdout.  A flag the command does
-not take exits 2 with argparse's usage message: each command registers
-only the options it reads.
+Exit codes: 0 success, 2 for an ``errors.InputError`` (bad input files,
+values out of range) or a ValueError, 3 for an ``errors.NumericalError``
+(Singular, RadiusTooLarge, NotSPD, ...), both with a structured error
+record on stdout.  A flag the command does not take exits 2 with
+argparse's usage message: each command registers only the options it
+reads.
 """
 
 from __future__ import annotations
@@ -25,15 +26,15 @@ import numpy as np
 from . import __version__
 from .barneswall import bw_lattice, bw_prime, pattern_to_obj, symmetry_pattern
 from .errors import (
-    NUMERICAL_ERRORS,
-    VALIDATION_ERRORS,
+    InputError,
     NotInvariant,
     NotPowerOfTwo,
+    NumericalError,
     OutOfRange,
     ParseError,
     SchemaError,
 )
-from .groups import bit_flips, cyclic_shift, k_matrix
+from .groups import bit_flips, cyclic_shift, group_closure, k_matrix
 from .lattice import DEFAULT_NODE_BUDGET, enumerate_short, from_basis, lattice_det, report_to_obj, systole
 from .linalg import mat_from_obj, mat_to_obj, sym_eig
 from .meanvalue import (
@@ -192,12 +193,7 @@ def _cmd_symmetries(args):
     basis = load_basis(args.basis_file)
     dim = basis.shape[0]
     if args.candidates == "cyclic":
-        c = cyclic_shift(dim).astype(np.float64)
-        cands = []
-        power = np.eye(dim)
-        for _ in range(dim - 1):
-            power = power @ c
-            cands.append(power)
+        cands = group_closure([cyclic_shift(dim)]).elements
     else:
         if dim & (dim - 1) != 0 or dim < 2:
             raise NotPowerOfTwo("jgroup candidates need a power-of-two dimension")
@@ -336,13 +332,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         result = _DISPATCH[args.command](args)
-    except VALIDATION_ERRORS as exc:
+    except InputError as exc:
         print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}))
         return 2
     except ValueError as exc:
+        # also np.linalg.LinAlgError, a ValueError subclass, under this one name
         print(json.dumps({"error": {"type": "ValueError", "message": str(exc)}}))
         return 2
-    except NUMERICAL_ERRORS as exc:
+    except NumericalError as exc:
         print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}))
         return 3
 

@@ -201,7 +201,7 @@ def round_to_int(a) -> np.ndarray:
     worst = np.unravel_index(np.argmax(err), err.shape)
     if err[worst] > ROUNDING_TOL:
         raise NotIntegral(
-            f"entry ({worst[0]},{worst[1]}) = {a[worst]!r} is {err[worst]:.3e} from an integer"
+            f"entry ({worst[0]},{worst[1]}) = {float(a[worst])!r} is {err[worst]:.3e} from an integer"
         )
     return rounded.astype(np.int64)
 

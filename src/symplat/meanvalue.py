@@ -17,8 +17,8 @@ because single estimates carry Monte Carlo noise.
 
 Everything is reproducible: sample i of seed s draws from the
 counter-based stream keyed (s, i), so a fixed seed gives the same output
-bits.  The estimator builds its samples as stacks of closed-form bases
-and counts them with ``lattice.short_counts``, which takes the steps and
+bits.  The estimator builds its samples as stacks of bases and counts
+them with ``lattice.short_counts``, which takes the steps and
 checks of the one-lattice path, so each sample's count is bit for bit
 what one ``k_family_lattice`` and ``enumerate_short`` give it, and the
 chunk size does not show in the output.
@@ -27,15 +27,16 @@ chunk size does not show in the output.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OddDimension, OutOfRange
+from .errors import OddDimension, OutOfRange, Singular
 from .lattice import enumerate_short, from_basis, short_counts, systole
 from .patterned import (KSymParams, a2n_eigenvalues, k_symmetric_from_params, k_symmetric_stack,
                         ksym_params_to_obj, ksym_region)
-from .symplectic import _stream, a2n_family_point, k_family_bases, p_z, sample_vcube
+from .symplectic import _stream, a2n_family_point, k_family_bases, p_z, sample_vcube, vcube_wedges
 
 _PI = math.pi
 
@@ -127,9 +128,25 @@ def ball_volume_limit(g: int, r: float) -> float:
     return math.exp(g * math.log(_PI) + 2 * g * math.log(r) - math.lgamma(g + 1))
 
 
+@contextmanager
+def _height_reach(y: float):
+    """Re-raise Singular from the K-family basis at height y, naming y."""
+    try:
+        yield
+    except Singular as exc:
+        raise Singular(f"float64 cannot represent the K-family basis at height y = {y:g}: {exc}") from exc
+
+
 def k_family_lattice(p: KSymParams, y: float):
-    """Determinant-one lattice of the K-family Siegel point (X from p, height y)."""
-    return from_basis(k_family_bases(k_symmetric_from_params(p)[None], y)[0])
+    """Determinant-one lattice of the K-family Siegel point (X from p, height y).
+
+    Singular here means the height is past float64's reach: the basis
+    condition number grows as y^2, and from about y = 2.5e7 the smallest
+    singular value of the det-one basis can fall below the rank floor.
+    """
+    basis = k_family_bases(k_symmetric_from_params(p), y)
+    with _height_reach(y):
+        return from_basis(basis)
 
 
 def sample_k_family(g: int, seed: int, index: int):
@@ -164,12 +181,14 @@ def sample_a2n_family(g: int, seed: int, index: int):
 def estimate_I(g: int, y: float, r2: float, samples: int, seed: int) -> MeanValueEstimate:
     """Monte Carlo mean of the short-vector count over the K-family cube.
 
-    Samples run as stacks of at most ESTIMATE_CHUNK: the wedges from the
-    streams ``sample_vcube`` draws from, X by ``k_symmetric_stack``, the
-    bases by ``k_family_bases``, the counts by ``short_counts``.  Each
-    sample's count is the one ``enumerate_short(k_family_lattice(...))``
-    gives, for any chunk size; a check that any sample of a chunk fails
-    raises for the whole estimate.
+    Samples run as stacks of at most ESTIMATE_CHUNK: the wedges by
+    ``vcube_wedges``, as ``sample_vcube`` draws them, X by
+    ``k_symmetric_stack``, the bases by ``k_family_bases``, the counts by
+    ``short_counts``.  Each sample's count is the one
+    ``enumerate_short(k_family_lattice(...))`` gives, for any chunk size;
+    a check that any sample of a chunk fails raises for the whole
+    estimate, Singular with the height named as ``k_family_lattice``
+    names it.
     """
     if samples < 1:
         raise OutOfRange("need at least one sample")
@@ -178,12 +197,12 @@ def estimate_I(g: int, y: float, r2: float, samples: int, seed: int) -> MeanValu
     if not 0 < r2 < math.inf:
         raise OutOfRange("squared radius must be positive and finite")
 
-    size = len(ksym_region(g))
     counts = np.zeros(samples, dtype=np.float64)
     for lo in range(0, samples, ESTIMATE_CHUNK):
         hi = min(lo + ESTIMATE_CHUNK, samples)
-        wedge = [_stream(seed, i).uniform(0.0, 1.0, size=size) for i in range(lo, hi)]
-        counts[lo:hi] = short_counts(k_family_bases(k_symmetric_stack(g, wedge), y), r2)
+        bases = k_family_bases(k_symmetric_stack(g, vcube_wedges(g, seed, lo, hi)), y)
+        with _height_reach(y):
+            counts[lo:hi] = short_counts(bases, r2)
     mean = float(np.mean(counts))
     stderr = float(np.std(counts, ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     return MeanValueEstimate(g=g, y=float(y), r2=float(r2), samples=samples,

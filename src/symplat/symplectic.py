@@ -90,18 +90,27 @@ def siegel_point(x, y) -> SiegelPoint:
 def p_z(z: SiegelPoint) -> np.ndarray:
     """Determinant-one symplectic basis matrix of the Siegel point.
 
-    The point's one eigendecomposition of Y supplies both sqrt(Y) and
-    sqrt(Y^-1), so the two blocks multiply to the identity up to rounding.
+    ``_p_z_blocks`` of X and the point's one eigendecomposition of Y,
+    which supplies both sqrt(Y) and sqrt(Y^-1), so the two blocks
+    multiply to the identity up to rounding.
     """
-    q, d = z.eig
+    return _p_z_blocks(z.x, *z.eig)
+
+
+def _p_z_blocks(x: np.ndarray, q: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """[[S^-1, S^-1 X], [0, S]] with S = q diag(sqrt d) q^T, for one X or an (N, g, g) stack.
+
+    One X goes through 2-D matmuls only; a stack shares S and multiplies
+    S^-1 into every X at once.
+    """
     root = np.sqrt(d)
     sqrt_y = (q * root) @ q.T
     sqrt_y_inv = (q / root) @ q.T
-    g = z.g
-    out = np.zeros((2 * g, 2 * g))
-    out[:g, :g] = sqrt_y_inv
-    out[:g, g:] = sqrt_y_inv @ z.x
-    out[g:, g:] = sqrt_y
+    g = q.shape[0]
+    out = np.zeros((*x.shape[:-2], 2 * g, 2 * g))
+    out[..., :g, :g] = sqrt_y_inv
+    out[..., :g, g:] = sqrt_y_inv @ x
+    out[..., g:, g:] = sqrt_y
     return out
 
 
@@ -132,17 +141,25 @@ def _stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+def vcube_wedges(g: int, seed: int, lo: int, hi: int) -> np.ndarray:
+    """The (hi - lo, g(g+2)/4) uniform draws on [0, 1) of samples lo..hi-1.
+
+    Row i - lo holds the wedge of sample i in canonical wedge order, drawn
+    from the counter-based stream of (seed, i).
+    """
+    size = len(ksym_region(g))
+    return np.array([_stream(seed, i).uniform(0.0, 1.0, size=size) for i in range(lo, hi)])
+
+
 def sample_vcube(g: int, rng_seed: int, sample_index: int = 0) -> KSymParams:
     """Uniform sample of the K-symmetric parameter cube [0, 1]^(g(g+2)/4).
 
-    Parameters are drawn in canonical wedge order from the counter-based
-    stream of (rng_seed, sample_index), so samples with distinct indices
-    are independent and order free.
+    The parameters are the one ``vcube_wedges`` row of sample_index,
+    drawn from the stream of (rng_seed, sample_index), so samples with
+    distinct indices are independent and order free.
     """
-    region = ksym_region(g)
-    rng = _stream(rng_seed, sample_index)
-    draws = rng.uniform(0.0, 1.0, size=len(region))
-    return KSymParams(g=g, values={key: float(v) for key, v in zip(region, draws)})
+    draws = vcube_wedges(g, rng_seed, sample_index, sample_index + 1)[0]
+    return KSymParams(g=g, values={key: float(v) for key, v in zip(ksym_region(g), draws)})
 
 
 def k_family_point(p: KSymParams, y: float) -> SiegelPoint:
@@ -155,14 +172,12 @@ def k_family_point(p: KSymParams, y: float) -> SiegelPoint:
 
 
 def k_family_bases(x, y: float) -> np.ndarray:
-    """P_Z of the K-family points (X, (1/y^2) Id), in closed form, for a stack ``x`` of K-symmetric X.
+    """P_Z of the K-family point (X, (1/y^2) Id) for one K-symmetric X or an (N, g, g) stack.
 
-    Y = (1/y^2) Id has the eigenvalue d = 1/y^2 and Jacobi's eigenvectors
-    Id, so P_Z = [[a Id, a X], [0, r Id]] with r = sqrt(d) and a = 1/r.
-    These are the floats ``p_z`` computes from that decomposition, whose
-    matrix products add only zeros to them, so the bases are bit for bit
-    ``p_z(k_family_point(p, y))``.  Y is checked as ``SiegelPoint``
-    checks it: finite, and SPD as ``check_spd`` judges.
+    Y = (1/y^2) Id is checked as ``SiegelPoint`` checks it: finite, and
+    SPD as ``check_spd`` judges.  Its decomposition is the one Jacobi
+    gives, eigenvectors Id and eigenvalue 1/y^2, which ``_p_z_blocks``
+    turns into the bases that ``p_z(k_family_point(p, y))`` gives.
     """
     if not y > 0:
         raise OutOfRange("height parameter y must be positive")
@@ -170,16 +185,10 @@ def k_family_bases(x, y: float) -> np.ndarray:
         d = np.float64(1.0) / (y * y)
     if not np.isfinite(d):
         raise ValueError("matrix entries must be finite")
-    n, g = x.shape[:2]
-    check_spd(np.full(g, d))
-    r = np.sqrt(d)
-    a = 1.0 / r
-    diag = np.arange(g)
-    out = np.zeros((n, 2 * g, 2 * g))
-    out[:, diag, diag] = a
-    out[:, :g, g:] = a * x
-    out[:, g + diag, g + diag] = r
-    return out
+    g = x.shape[-1]
+    d = np.full(g, d)
+    check_spd(d)
+    return _p_z_blocks(x, np.eye(g), d)
 
 
 def a2n_family_point(x_row, sqrt_y_row) -> SiegelPoint:
@@ -229,20 +238,3 @@ def verify_kprime(z: SiegelPoint) -> SymmetryWitness:
         raise OddDimension("the K family needs an even dimension")
     o = k_prime(z.g).astype(np.float64)
     return induced_change_of_basis(from_basis(p_z(z)), o)
-
-
-def siegel_to_obj(z: SiegelPoint, params=None, seed: int | None = None) -> dict:
-    """JSON form of a Siegel point; family points may attach their
-    generating parameters and seed so the file reproduces itself."""
-    from .linalg import mat_to_obj
-
-    obj = {"g": z.g, "x": mat_to_obj(z.x), "y": mat_to_obj(z.y)}
-    if params is not None:
-        from .patterned import ksym_params_to_obj
-
-        obj["params"] = (
-            ksym_params_to_obj(params) if isinstance(params, KSymParams) else params
-        )
-    if seed is not None:
-        obj["seed"] = int(seed)
-    return obj

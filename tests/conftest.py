@@ -7,6 +7,21 @@ def rng():
     return np.random.default_rng(20240811)
 
 
+@pytest.fixture(scope="session")
+def bw32_systole():
+    """``systole(bw_lattice(4))``, the g=32 Barnes-Wall (squared systole, kissing number), computed once."""
+    from symplat import bw_lattice, systole
+
+    return systole(bw_lattice(4))
+
+
+def siegel_to_obj(z) -> dict:
+    """Siegel point file form {"g": g, "x": Mat, "y": Mat} of ``z``."""
+    from symplat.linalg import mat_to_obj
+
+    return {"g": z.g, "x": mat_to_obj(z.x), "y": mat_to_obj(z.y)}
+
+
 def brute_force_short(basis, r2, eps=1e-9):
     """Independent short-vector oracle: scan an axis-aligned coordinate box.
 

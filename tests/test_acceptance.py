@@ -57,8 +57,8 @@ def test_criterion_2_barnes_wall():
 
 @pytest.mark.slow
 @criterion("2-long", "Barnes-Wall systole^2 at g=32 (gated long case)")
-def test_criterion_2_long_g32():
-    s2, _ = sp.systole(sp.bw_lattice(4))
+def test_criterion_2_long_g32(bw32_systole):
+    s2, _ = bw32_systole
     assert abs(s2 - 4.0) <= 1e-6 * 4.0
 
 

@@ -116,8 +116,8 @@ class TestBwLattice:
             assert count == 4320
 
     @pytest.mark.slow
-    def test_minimal_norm_g32(self):
-        s2, count = systole(bw_lattice(4))
+    def test_minimal_norm_g32(self, bw32_systole):
+        s2, count = bw32_systole
         assert s2 == pytest.approx(4.0, rel=1e-6)
         assert count == 146880
 

@@ -13,6 +13,8 @@ from symplat.cli import _DISPATCH, _build_parser, load_basis, load_siegel, main
 from symplat.errors import ParseError, SchemaError
 from symplat.linalg import mat_to_obj
 
+from conftest import siegel_to_obj
+
 
 @pytest.fixture
 def id4_file(tmp_path):
@@ -53,7 +55,6 @@ class TestLoaders:
 
     def test_siegel_round_trip(self, tmp_path):
         from symplat import k_family_point, sample_vcube
-        from symplat.symplectic import siegel_to_obj
 
         z = k_family_point(sample_vcube(2, 3), 1.5)
         path = tmp_path / "z.json"
@@ -142,7 +143,6 @@ class TestCommands:
 
     def test_family_check(self, capsys, tmp_path):
         from symplat import k_family_point, sample_vcube
-        from symplat.symplectic import siegel_to_obj
 
         z = k_family_point(sample_vcube(2, 5), 1.2)
         path = tmp_path / "z.json"
@@ -157,7 +157,6 @@ class TestCommands:
     def test_family_check_a2n_large_y(self, capsys, tmp_path):
         # Y = S^2 reaches 1e8; BLAS rounding leaves its XOR pattern ~1e-9 off
         from symplat import a2n_family_point
-        from symplat.symplectic import siegel_to_obj
 
         rng = np.random.default_rng(0)
         x = rng.uniform(0, 1, 8)
@@ -287,6 +286,28 @@ class TestOutputContracts:
         ])
         assert code == 3
         assert payload["error"]["type"] == "RadiusTooLarge"
+
+    def test_every_error_exits_with_its_family_code(self, capsys, monkeypatch):
+        from symplat import errors
+
+        def subclasses(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from subclasses(sub)
+
+        every = set(subclasses(errors.SymplatError))
+        assert len(every) == 18
+        for cls in every:
+            codes = [code for family, code in ((errors.InputError, 2), (errors.NumericalError, 3))
+                     if issubclass(cls, family)]
+            assert len(codes) == 1, cls
+
+            def failing(args, cls=cls):
+                raise cls("boom")
+
+            monkeypatch.setitem(_DISPATCH, "bounds", failing)
+            code, payload = run_json(capsys, ["bounds", "--g", "2"])
+            assert (code, payload) == (codes[0], {"error": {"type": cls.__name__, "message": "boom"}})
 
     def test_validation_error_exit_code(self, capsys):
         code, payload = run_json(capsys, ["bounds", "--g", "3"])

@@ -323,6 +323,13 @@ class TestRoundToInt:
         with pytest.raises(NotIntegral):
             round_to_int([[0.5, 0.0], [0.0, 1.0]])
 
+    def test_message_quotes_the_entry_as_a_python_float(self):
+        # numpy 2 reprs a scalar as np.float64(...), numpy 1.x does not;
+        # error records must read the same under both
+        with pytest.raises(NotIntegral) as exc:
+            round_to_int([[1.0, 0.0], [0.0, 1.3]])
+        assert str(exc.value) == "entry (1,1) = 1.3 is 3.000e-01 from an integer"
+
 
 class TestValidation:
     def test_as_mat_rejects_complex(self):

@@ -19,8 +19,10 @@ from symplat import (
     systole,
     witness_search,
 )
-from symplat.errors import NotSPD, OddDimension, OutOfRange
+from symplat.errors import NotSPD, OddDimension, OutOfRange, Singular
 from symplat.meanvalue import k_family_lattice
+from symplat.patterned import k_symmetric_stack
+from symplat.symplectic import k_family_bases, vcube_wedges
 
 
 class TestBounds:
@@ -204,6 +206,40 @@ class TestKFamilyLattice:
                     assert np.array_equal(basis.view(np.int64), ref.view(np.int64))
                     n += 1
         assert n == 300
+
+    @pytest.mark.parametrize("g, y", [(2, 0.5), (2, 8.0), (2, 1e4), (4, 0.5), (4, 8.0),
+                                      (4, 1e4), (8, 0.5), (8, 8.0), (8, 1e4)])
+    def test_stack_bases_are_p_z_bit_for_bit(self, g, y):
+        wedges = vcube_wedges(g, 23, 0, 40)
+        x = k_symmetric_stack(g, wedges)
+        stack = k_family_bases(x, y)
+        assert stack.shape == (40, 2 * g, 2 * g)
+        for i in range(40):
+            ref = p_z(k_family_point(sample_vcube(g, 23, i), y))
+            assert np.array_equal(stack[i].view(np.int64), ref.view(np.int64))
+
+    def test_estimate_draws_through_vcube_wedges(self, monkeypatch):
+        calls = []
+
+        def recording(g, seed, lo, hi):
+            calls.append((g, seed, lo, hi))
+            return vcube_wedges(g, seed, lo, hi)
+
+        monkeypatch.setattr(meanvalue, "ESTIMATE_CHUNK", 4)
+        monkeypatch.setattr(meanvalue, "vcube_wedges", recording)
+        estimate_I(2, 8.0, 0.25, 10, seed=6)
+        assert calls == [(2, 6, 0, 4), (2, 6, 4, 8), (2, 6, 8, 10)]
+
+    def test_height_past_float64_reach_is_named(self):
+        p = sample_vcube(2, 1, 0)
+        for call in (lambda: k_family_lattice(p, 1e8),
+                     lambda: estimate_I(2, 1e8, 0.25, 10, seed=1)):
+            with pytest.raises(Singular, match=r"^float64 cannot represent the K-family basis "
+                                               r"at height y = 1e\+08: smallest singular value "):
+                call()
+        # a height still in range builds and counts as before
+        assert k_family_lattice(p, 1e7).dim == 4
+        assert estimate_I(2, 1e7, 0.25, 10, seed=1).samples == 10
 
     def test_height_past_the_float_range_is_not_spd(self):
         p = sample_vcube(2, 1, 0)

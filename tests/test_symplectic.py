@@ -340,14 +340,3 @@ class TestA2nFamily:
             assert np.array_equal(w.r[4:, 4:], e)
             assert np.array_equal(w.o, w.r.astype(float))
 
-
-class TestSiegelSerialization:
-    def test_family_point_records_provenance(self):
-        from symplat.symplectic import siegel_to_obj
-
-        params = sample_vcube(2, 17, 3)
-        z = k_family_point(params, 1.5)
-        obj = siegel_to_obj(z, params=params, seed=17)
-        assert obj["seed"] == 17
-        assert obj["params"]["g"] == 2
-        assert len(obj["params"]["values"]) == 2

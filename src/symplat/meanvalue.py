@@ -142,11 +142,12 @@ def k_family_lattice(p: KSymParams, y: float):
 
     Singular here means the height is past float64's reach: the basis
     condition number grows as y^2, and from about y = 2.5e7 the smallest
-    singular value of the det-one basis can fall below the rank floor.
+    singular value of the det-one basis can fall below the rank floor;
+    past about 1.3e154, or below about 7.5e-155, 1/y^2 itself rounds to
+    0 or to inf.
     """
-    basis = k_family_bases(k_symmetric_from_params(p), y)
     with _height_reach(y):
-        return from_basis(basis)
+        return from_basis(k_family_bases(k_symmetric_from_params(p), y))
 
 
 def sample_k_family(g: int, seed: int, index: int):
@@ -192,17 +193,17 @@ def estimate_I(g: int, y: float, r2: float, samples: int, seed: int) -> MeanValu
     """
     if samples < 1:
         raise OutOfRange("need at least one sample")
-    if not y > 0:
-        raise OutOfRange("height parameter y must be positive")
+    if not 0 < y < math.inf:
+        raise OutOfRange("height parameter y must be positive and finite")
     if not 0 < r2 < math.inf:
         raise OutOfRange("squared radius must be positive and finite")
 
     counts = np.zeros(samples, dtype=np.float64)
     for lo in range(0, samples, ESTIMATE_CHUNK):
         hi = min(lo + ESTIMATE_CHUNK, samples)
-        bases = k_family_bases(k_symmetric_stack(g, vcube_wedges(g, seed, lo, hi)), y)
+        x = k_symmetric_stack(g, vcube_wedges(g, seed, lo, hi))
         with _height_reach(y):
-            counts[lo:hi] = short_counts(bases, r2)
+            counts[lo:hi] = short_counts(k_family_bases(x, y), r2)
     mean = float(np.mean(counts))
     stderr = float(np.std(counts, ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     return MeanValueEstimate(g=g, y=float(y), r2=float(r2), samples=samples,

@@ -79,6 +79,10 @@ COMMANDS = [
 
     ("error-meanvalue-y-1e200", ["meanvalue", "--g", "2", "--y", "1e200", "--r2", "0.25",
                                  "--samples", "3"]),
+    ("error-meanvalue-y-inf", ["meanvalue", "--g", "2", "--y", "inf", "--r2", "0.25",
+                               "--samples", "10"]),
+    ("error-meanvalue-y-1e-200", ["meanvalue", "--g", "2", "--y", "1e-200", "--r2", "0.25",
+                                  "--samples", "10"]),
     ("error-meanvalue-y-1e8", ["meanvalue", "--g", "2", "--y", "1e8", "--r2", "0.25",
                                "--samples", "10", "--seed", "1"]),
     ("error-meanvalue-r2-inf", ["meanvalue", "--g", "2", "--y", "8", "--r2", "inf",

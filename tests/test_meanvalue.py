@@ -1,4 +1,5 @@
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -19,7 +20,7 @@ from symplat import (
     systole,
     witness_search,
 )
-from symplat.errors import NotSPD, OddDimension, OutOfRange, Singular
+from symplat.errors import OddDimension, OutOfRange, Singular
 from symplat.meanvalue import k_family_lattice
 from symplat.patterned import k_symmetric_stack
 from symplat.symplectic import k_family_bases, vcube_wedges
@@ -241,12 +242,27 @@ class TestKFamilyLattice:
         assert k_family_lattice(p, 1e7).dim == 4
         assert estimate_I(2, 1e7, 0.25, 10, seed=1).samples == 10
 
-    def test_height_past_the_float_range_is_not_spd(self):
+    @pytest.mark.parametrize("y, value", [(1e200, "0"), (1.35e154, "0"), (1e-200, "inf"),
+                                          (7.4e-155, "inf")])
+    def test_height_past_the_float_range_is_named(self, y, value):
+        # 1/y^2 rounds to 0 or inf: the same named Singular as y = 1e8
         p = sample_vcube(2, 1, 0)
-        with pytest.raises(NotSPD):
-            k_family_lattice(p, 1e200)
-        with pytest.raises(NotSPD):
-            estimate_I(2, 1e200, 0.25, 3, seed=0)
+        reason = f"1/y^2 evaluates to {value} in float64"
+        named = f"float64 cannot represent the K-family basis at height y = {y:g}: {reason}"
+        for call in (lambda: k_family_lattice(p, y), lambda: estimate_I(2, y, 0.25, 3, seed=0)):
+            with pytest.raises(Singular, match=f"^{re.escape(named)}$"):
+                call()
+        with pytest.raises(Singular, match=f"^{re.escape(reason)}$"):
+            k_family_point(p, y)
+
+    @pytest.mark.parametrize("y", [math.inf, -math.inf, math.nan, 0.0])
+    def test_height_outside_the_positive_floats_is_out_of_range(self, y):
+        p = sample_vcube(2, 1, 0)
+        for call in (lambda: k_family_lattice(p, y), lambda: k_family_point(p, y),
+                     lambda: k_family_bases(np.zeros((2, 2)), y),
+                     lambda: estimate_I(2, y, 0.25, 3, seed=0)):
+            with pytest.raises(OutOfRange, match="^height parameter y must be positive and finite$"):
+                call()
 
 
 class TestSweep:

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symplat import symplectic
 from symplat import (
@@ -23,6 +25,7 @@ from symplat import (
 )
 from symplat.errors import NotSPD, NotSymmetric, OddDimension, OutOfRange
 from symplat.patterned import KSymParams, ksym_region
+from symplat.symplectic import vcube_wedges
 
 from conftest import random_spd
 
@@ -159,6 +162,64 @@ class TestSampleVcube:
         assert len(p.values) == len(ksym_region(8))
         assert set(p.values) == set(ksym_region(8))
         assert all(0.0 <= v <= 1.0 for v in p.values.values())
+
+
+def streamed(g, seed, lo, hi):
+    """Wedges of samples lo..hi-1 drawn one ``_stream`` at a time, the reference for ``vcube_wedges``."""
+    size = len(ksym_region(g))
+    return np.array([symplectic._stream(seed, i).uniform(0.0, 1.0, size=size)
+                     for i in range(lo, hi)])
+
+
+def assert_bit_equal(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+WORD = 2 ** 32
+CUT = symplectic.STACK_DRAW_MIN
+
+
+class TestDrawParity:
+    """``vcube_wedges`` gives the bits of one numpy generator per sample.
+
+    numpy's NEP 19 keeps the Philox bit stream fixed across versions but
+    lets ``Generator.uniform`` change, so this is what catches a numpy
+    whose doubles no longer match the array path's."""
+
+    # sizes 2, 6, 12, 20 take 1, 2, 3 and 5 Philox blocks
+    @pytest.mark.parametrize("g", [2, 4, 6, 8])
+    @pytest.mark.parametrize("seed", [0, 1, WORD - 1])
+    @pytest.mark.parametrize("lo, hi", [(0, CUT - 1), (0, CUT), (0, 3 * CUT + 5),
+                                        (WORD - 2 * CUT, WORD), (WORD - CUT, WORD + 3)])
+    def test_stack_matches_streams(self, g, seed, lo, hi):
+        assert_bit_equal(vcube_wedges(g, seed, lo, hi), streamed(g, seed, lo, hi))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, WORD - 1), lo=st.integers(0, WORD + 50),
+           n=st.integers(1, 3 * CUT), g=st.sampled_from([2, 4, 6, 8, 10]))
+    def test_any_key_matches_streams(self, seed, lo, n, g):
+        assert_bit_equal(vcube_wedges(g, seed, lo, lo + n), streamed(g, seed, lo, lo + n))
+
+    def test_wide_seed_matches_streams(self):
+        assert_bit_equal(vcube_wedges(4, WORD, 0, 2 * CUT), streamed(4, WORD, 0, 2 * CUT))
+
+    def test_sample_vcube_is_a_stack_row(self):
+        n = 2 * CUT
+        for g in (2, 6):
+            stack = vcube_wedges(g, 9, 0, n)
+            rows = np.array([[sample_vcube(g, 9, i).values[k] for k in ksym_region(g)] for i in range(n)])
+            assert_bit_equal(rows, stack)
+
+    def test_only_long_narrow_stacks_skip_the_streams(self, monkeypatch):
+        def refused(*key):
+            raise AssertionError(f"_stream{key} called")
+
+        monkeypatch.setattr(symplectic, "_stream", refused)
+        assert vcube_wedges(2, 1, 5, 5 + CUT).shape == (CUT, 2)
+        for lo, hi, seed in ((0, CUT - 1, 1), (WORD - CUT, WORD + 1, 1), (0, CUT, WORD)):
+            with pytest.raises(AssertionError, match="_stream"):
+                vcube_wedges(2, seed, lo, hi)
 
 
 class TestKFamily:

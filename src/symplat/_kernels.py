@@ -26,12 +26,19 @@ Enumeration has two kernels over the same Fincke-Pohst tree.
 ``enumerate_depth_first`` walks it one node at a time;
 ``enumerate_frontier`` expands one tree level at a time over a numpy
 frontier, in chunks of at most FRONTIER_CHUNK_ROWS nodes taken depth
-first.  Both do the same float operations per node in the same order, so
-they return the same vectors in the same row order with bit-equal norms
-and the same node count.  ``enumerate_core``, the entry point, picks by
-tree size: it runs the depth-first kernel up to SMALL_TREE_NODES_PER_LEVEL
-nodes per level of the tree and, when the tree turns out to be larger,
-starts over with the frontier kernel.
+first.  The tree is symmetric under z -> -z, and the frontier walks only
+the half whose first nonzero coordinate, read from z[d-1] down, is
+positive.  It mirrors that half into the full output, reports the full
+tree's 2 * half - d nodes and charges the walk against
+(node_budget + d) // 2; its docstring says why each step is exact.  Both
+kernels do the same float operations per node in the same order, so they
+return the same vectors in the same row order with bit-equal norms and
+the same node count.  The rows come out as ``concat(-H[::-1], H)``, H
+one vector of each +-v pair, which ``lattice`` relies on.
+``enumerate_core``, the entry point, picks by tree size: it runs the
+depth-first kernel up to SMALL_TREE_NODES_PER_LEVEL nodes per level of
+the tree and, when the tree turns out to be larger, starts over with the
+frontier kernel.
 
 Each kernel returns plain results and raises the package's own error
 where a failure happens: the LLL kernels and ``jacobi_core`` raise
@@ -54,10 +61,13 @@ LLL_MAX_ITER = 1_000_000
 
 #: Trees up to this many nodes per level (times the dimension) stay with
 #: the depth-first kernel.  On one core of a 2-core x86 host, on
-#: LLL-reduced trees, the depth-first kernel costs about 1.0, 1.3 and 1.7
-#: us per node at d = 4, 8 and 16, the frontier kernel a fixed 170, 340
-#: and 750 us per tree, so the frontier breaks even at about 140-170, 250
-#: and 450 nodes: 28-43 nodes per level.
+#: LLL-reduced random trees, the depth-first kernel costs about 0.9-1.3,
+#: 1.1-1.2 and 1.35-1.45 us per node at d = 4, 8 and 16, the frontier
+#: kernel a fixed 120-170, 230-330 and 490-620 us per tree plus under
+#: 0.1 us per node, so the frontier breaks even at about 130-140, 220-280
+#: and 370-460 nodes: 23-35 nodes per level.  The fixed cost is d levels
+#: of numpy calls, which the half-space walk does not shorten: it stays
+#: within 6% of the full walk's.
 SMALL_TREE_NODES_PER_LEVEL = 30
 
 #: Most nodes of one level the frontier kernel turns into coordinate rows
@@ -342,14 +352,32 @@ def enumerate_frontier(r, r2cap, node_budget):
     ``enumerate_depth_first``'s row for row and bit for bit.  The child
     count of each chunk is charged to the budget before its children are
     built.
+
+    Only the half-space H is walked: the vectors whose first nonzero
+    coordinate, read from z[d-1] down, is positive (Schnorr & Euchner
+    1994).  The tree is symmetric under z -> -z: a node's interval bounds
+    negate exactly, and t = R[k,k] z[k] + shift negates exactly, so t * t
+    and every norm are bit-equal.  Depth-first order is lexicographic in
+    (z[d-1], ..., z[0]), which negation reverses and which puts all of -H
+    before H, so the full output is ``concat(-H[::-1], H)``.  The full
+    tree is the all-zero path, d nodes, plus mirror pairs of the ``half``
+    nodes walked beyond it, so it has 2 * half - d nodes.  The walk is
+    charged against (node_budget + d) // 2, the largest half whose full
+    tree fits ``node_budget``, so RadiusTooLarge fires for exactly the
+    budgets it would on the full tree.
     """
     d = r.shape[0]
+    half_budget = (node_budget + d) // 2
     found = _Found(d)
-    nodes = _expand(r, r2cap, node_budget, d, np.zeros((0, 1), dtype=np.int64), np.zeros(1), found)
-    if nodes > node_budget:
+    half = _expand(r, r2cap, half_budget, d, np.zeros((0, 1), dtype=np.int64), np.zeros(1), found, True)
+    if half > half_budget:
         raise _over_budget(node_budget)
     m = found.m
-    return found.coords[:m].copy(), found.norms[:m].copy(), nodes
+    h, hn = found.coords[:m], found.norms[:m]
+    coords = np.empty((2 * m, d), dtype=np.int64)
+    np.negative(h[::-1], out=coords[:m])
+    coords[m:] = h
+    return coords, np.concatenate((hn[::-1], hn)), 2 * half - d
 
 
 class _Found:
@@ -378,13 +406,21 @@ class _Found:
         self.m = end
 
 
-def _expand(r, r2cap, budget, i, zt, rho, found):
+def _expand(r, r2cap, budget, i, zt, rho, found, zero):
     """Enumerate the subtrees of a chunk of parents at level i.
 
     Column p of ``zt`` holds z[i:] of parent p and rho[p] its squared
     length so far; level r.shape[0] is the root.  Adds the leaves inside
     the radius to ``found`` and returns the number of nodes below the
     parents, or budget + 1 once that passes ``budget``.
+
+    Only the half-space is walked: an all-zero parent gets no negative
+    children.  ``zero`` says column 0 of ``zt`` is all zero, as the root
+    is; no other column can be, since parents come in ascending
+    lexicographic order and every other prefix in the half-space has a
+    positive leading entry.  Zero always lies in an all-zero parent's
+    interval, so its first child is all zero too, and that child heads
+    the first chunk below.
     """
     d = r.shape[0]
     k = i - 1
@@ -396,6 +432,8 @@ def _expand(r, r2cap, budget, i, zt, rho, found):
     rkk = r[k, k]
     lo = np.ceil((-s - rad) / rkk - 1e-12).astype(np.int64)
     hi = np.floor((-s + rad) / rkk + 1e-12).astype(np.int64)
+    if zero:
+        lo[0] = 0
     cnt = np.maximum(hi - lo + 1, 0)
     c = int(cnt.sum())
     if c > budget:
@@ -419,7 +457,7 @@ def _expand(r, r2cap, budget, i, zt, rho, found):
         child = np.empty((d - k, b - a), dtype=np.int64)
         child[0] = z[a:b]
         child[1:] = zt[:, parent[a:b]]
-        nodes += _expand(r, r2cap, budget - nodes, k, child, total[a:b], found)
+        nodes += _expand(r, r2cap, budget - nodes, k, child, total[a:b], found, zero and a == 0)
         if nodes > budget:
             return budget + 1
     return nodes

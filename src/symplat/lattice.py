@@ -5,7 +5,10 @@ with the Gram matrix cached at construction.  Short vectors are found by
 Fincke-Pohst enumeration over the Cholesky factor of the LLL-reduced Gram
 (depth first for small trees, level by level for large ones; see
 ``_kernels``) and mapped back through the unimodular transform, so the
-reported coordinate vectors refer to the original basis.  Enumeration is
+reported coordinate vectors refer to the original basis.  The kernels
+return the vectors as ``concat(-H[::-1], H)``, H one of each +-v pair,
+so only H goes through the transform and into the histogram; the other
+half is its negated mirror.  Enumeration is
 exhaustive: exceeding the node budget raises RadiusTooLarge rather than
 truncating.
 
@@ -29,7 +32,6 @@ vectors sitting exactly on the radius are included, never dropped.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -168,18 +170,16 @@ def _histogram(norms: np.ndarray) -> dict:
     norm rounded to 12 significant digits.  Rounding each norm on its own
     would split a shell whose float noise straddles a rounding boundary.
     """
-    if not norms.size:
-        return {}
     hist: dict[float, int] = {}
-    counts = Counter(norms.tolist())
+    values, counts = np.unique(norms, return_counts=True)
     start = None
-    for v in sorted(counts):
+    for v, c in zip(values.tolist(), counts.tolist()):
         if start is not None and v - start <= BOUNDARY_EPS * max(abs(v), 1.0):
-            hist[key] += counts[v]
+            hist[key] += c
         else:
             start = v
             key = float(f"{v:.12g}")
-            hist[key] = counts[v]
+            hist[key] = c
     return hist
 
 
@@ -200,9 +200,19 @@ def _enumerate_grams(gram: np.ndarray, r2: float, node_budget: int):
 
 def _enumerate_reduced(reduced: Lattice, u: np.ndarray, r2: float,
                        node_budget: int) -> ShortVectorReport:
+    """Enumerate the reduced lattice's tree and map the vectors back through U.
+
+    The kernels return the rows as ``concat(-H[::-1], H)`` with mirrored,
+    bit-equal norms, H one vector of each +-v pair.  So only the second
+    half goes through U and into the histogram: the first half of the
+    coordinates is its negated mirror, and every shell count doubles.
+    """
     coords_z, norms, nodes = next(_enumerate_grams(reduced.gram[None], r2, node_budget))
-    coords = coords_z @ u.T
-    hist = _histogram(norms)
+    m = norms.shape[0] // 2
+    coords = np.empty_like(coords_z)
+    coords[m:] = coords_z[m:] @ u.T
+    np.negative(coords[m:][::-1], out=coords[:m])
+    hist = {key: 2 * c for key, c in _histogram(norms[m:]).items()}
     systole2, kissing = next(iter(hist.items()), (None, 0))
     return ShortVectorReport(
         r2=float(r2),

@@ -30,18 +30,19 @@ def assert_same_enumeration(a, b):
 
 
 @st.composite
-def trees(draw):
+def trees(draw, min_scale=0.3):
     """(upper Cholesky factor, squared radius) of a random SPD Gram matrix.
 
-    Squared radii run from 0.3 to 4 times the first basis vector's, so
-    trees fall on both sides of SMALL_TREE_NODES_PER_LEVEL.
+    Squared radii run from ``min_scale`` (by default 0.3) to 4 times the
+    first basis vector's, so trees fall on both sides of
+    SMALL_TREE_NODES_PER_LEVEL.
     """
     dim = draw(st.integers(2, 8))
     seed = draw(st.integers(0, 2 ** 32 - 1))
     rng = np.random.default_rng(seed)
     m = rng.normal(size=(dim, dim))
     gram = m.T @ m + draw(st.floats(0.2, 2.0)) * np.eye(dim)
-    r2 = float(gram[0, 0]) * draw(st.floats(0.3, 4.0))
+    r2 = float(gram[0, 0]) * draw(st.floats(min_scale, 4.0))
     return chol_upper(gram), r2
 
 
@@ -101,6 +102,73 @@ def test_budget_is_exact_above_small_tree_threshold():
         assert kernel(r, 4.0, nodes)[2] == nodes
         with pytest.raises(RadiusTooLarge, match=f"node budget of {nodes - 1};"):
             kernel(r, 4.0, nodes - 1)
+
+
+ENUMERATION_KERNELS = (_kernels.enumerate_depth_first, _kernels.enumerate_frontier,
+                       _kernels.enumerate_core)
+
+
+def assert_mirrored(out):
+    """Rows are concat(-H[::-1], H): reversed, they are negated, with bit-equal norms."""
+    coords, norms, _ = out
+    assert np.array_equal(coords[::-1], -coords)
+    assert np.array_equal(norms[::-1].view(np.uint64), norms.view(np.uint64))
+
+
+def test_output_is_negation_mirrored_on_random_trees():
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(trees())
+    def check(tree):
+        r, r2 = tree
+        for kernel in ENUMERATION_KERNELS:
+            assert_mirrored(kernel(r, r2, BIG_BUDGET))
+
+    check()
+
+
+def test_output_is_negation_mirrored_on_ties():
+    # test_frontier_on_ties' cases: nodes on the radius and on interval ends
+    cases = [(np.eye(5), r2) for r2 in (1.0, 2.0, 3.0 * (1 + 1e-9))]
+    cases.append((3.0 * np.eye(2), (3.0 - 1e-14) ** 2))
+    for r, r2 in cases:
+        for kernel in ENUMERATION_KERNELS:
+            assert_mirrored(kernel(r, r2, BIG_BUDGET))
+
+
+def test_output_is_negation_mirrored_over_many_chunks(monkeypatch):
+    rng = np.random.default_rng(7)
+    m = rng.normal(size=(6, 6))
+    gram = m.T @ m + np.eye(6)
+    r = chol_upper(gram)
+    r2 = 3.0 * float(gram[0, 0])
+    monkeypatch.setattr(_kernels, "FRONTIER_CHUNK_ROWS", 3)
+    for kernel in ENUMERATION_KERNELS:
+        assert_mirrored(kernel(r, r2, BIG_BUDGET))
+
+
+def test_budget_is_exact_on_random_trees():
+    # The frontier walks half the tree against (budget + d) // 2.  The
+    # full count is 2 * half - d, so nodes + d is even and nodes - 1 + d
+    # odd: the two budgets cover both parities.
+    large = []
+
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(trees(min_scale=1.5))
+    def check(tree):
+        r, r2 = tree
+        d = r.shape[0]
+        nodes = _kernels.enumerate_depth_first(r, r2, BIG_BUDGET)[2]
+        if nodes <= _kernels.SMALL_TREE_NODES_PER_LEVEL * d:
+            return
+        large.append(nodes)
+        assert (nodes + d) % 2 == 0
+        for kernel in (_kernels.enumerate_frontier, _kernels.enumerate_core):
+            assert kernel(r, r2, nodes)[2] == nodes
+            with pytest.raises(RadiusTooLarge, match=f"node budget of {nodes - 1};"):
+                kernel(r, r2, nodes - 1)
+
+    check()
+    assert len(large) >= 5
 
 
 # -- LLL ------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -17,11 +18,40 @@ from symplat import (
 )
 from symplat import _kernels
 from symplat.errors import NumericalBreakdown, OutOfRange, RadiusTooLarge, Singular
-from symplat.lattice import _histogram, report_to_obj, short_counts
+from symplat.lattice import BOUNDARY_EPS, _histogram, report_to_obj, short_counts
 from symplat.linalg import det_int, is_unimodular
 from symplat.meanvalue import k_family_lattice
 
 from conftest import brute_force_short, coord_multiset, random_invertible
+
+
+def histogram_reference(norms):
+    """``_histogram``'s shells, grouped over ``Counter`` keys in sorted order."""
+    hist = {}
+    counts = Counter(norms.tolist())
+    start = None
+    for v in sorted(counts):
+        if start is not None and v - start <= BOUNDARY_EPS * max(abs(v), 1.0):
+            hist[key] += counts[v]
+        else:
+            start = v
+            key = float(f"{v:.12g}")
+            hist[key] = counts[v]
+    return hist
+
+
+@st.composite
+def noisy_shells(draw):
+    """Norms from up to a dozen lengths on both sides of 1, each copied
+    with relative noise from 1e-16 to past BOUNDARY_EPS, so some shells
+    hold many distinct values and some noisy copies leave their shell."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    base = rng.uniform(0.1, 40.0, size=draw(st.integers(1, 12)))
+    if draw(st.booleans()):
+        base[0] = 2.828427124745      # on a 12-digit rounding boundary
+    noise = 10.0 ** -draw(st.integers(8, 16))
+    copies = base * (1.0 + noise * rng.integers(-3, 4, size=(6, base.size)))
+    return copies.ravel()[rng.integers(0, copies.size, size=draw(st.integers(0, 300)))]
 
 
 class TestConstruction:
@@ -247,6 +277,13 @@ class TestEnumerate:
         assert list(hist.items()) == list(expected.items())
         assert all(type(c) is int for c in hist.values())
         assert _histogram(np.zeros(0)) == {}
+
+    @settings(max_examples=150, deadline=None)
+    @given(noisy_shells())
+    def test_histogram_matches_counter_reference(self, norms):
+        hist = _histogram(norms)
+        assert list(hist.items()) == list(histogram_reference(norms).items())
+        assert all(type(c) is int for c in hist.values())
 
     def test_bad_radius(self):
         for r2 in (0.0, -1.0, float("nan"), float("inf")):

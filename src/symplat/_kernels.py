@@ -182,10 +182,11 @@ def lll_stack(w, v, delta):
     Each sample keeps its own k; every pass of the loop takes one LLL
     iteration of every unfinished sample, so a sample's iteration count is
     the pass count while it runs.  Size reduction and swaps are masked to
-    the samples they apply to, and Gram-Schmidt is recomputed, all rows,
-    for the samples that swapped, as the full recompute after every swap
-    does.  Every float operation is elementwise: products, then sums
-    accumulated left to right along the coordinate axis from 0.0 + x0*y0.
+    the samples they apply to.  For the samples that swapped, mu and the
+    squared norms (all that size reduction and the Lovasz test read) are
+    recomputed, all rows, as the full recompute after every swap does.
+    Every float operation is elementwise: products, then sums accumulated
+    left to right along the coordinate axis from 0.0 + x0*y0.
     So each sample's ``w`` and ``v`` are bit for bit ``lll_core``'s, and
     the errors are its type and message: NumericalBreakdown when a norm
     underflows or a sample passes LLL_MAX_ITER iterations, raised for the
@@ -198,7 +199,6 @@ def lll_stack(w, v, delta):
     where a stack of 1,000 of them takes about 20 ms.
     """
     n, d = w.shape[:2]
-    bstar = np.zeros_like(w)
     mu = np.zeros_like(w)
     nrm = np.zeros((n, d))
     k = np.ones(n, dtype=np.intp)
@@ -210,7 +210,7 @@ def lll_stack(w, v, delta):
         if it > LLL_MAX_ITER:
             raise NumericalBreakdown(f"LLL exceeded its iteration cap of {LLL_MAX_ITER}")
         if swapped.size:
-            _gram_schmidt(w[swapped], bstar, mu, nrm, swapped)
+            _gram_schmidt(w[swapped], mu, nrm, swapped)
         kr = k[run]
         for j in range(d - 2, -1, -1):
             q = np.floor(mu[run, kr, j] + 0.5)
@@ -237,8 +237,8 @@ def _dots(x, y):
     return np.add.accumulate(p, axis=-1)[..., -1]
 
 
-def _gram_schmidt(w, bstar, mu, nrm, rows):
-    """Gram-Schmidt of the stack ``w`` into bstar, mu and nrm at ``rows``,
+def _gram_schmidt(w, mu, nrm, rows):
+    """Gram-Schmidt of the stack ``w`` into mu and nrm at ``rows``,
     by ``lll_core``'s arithmetic; NumericalBreakdown when a norm underflows."""
     d = w.shape[1]
     b = np.empty_like(w)
@@ -257,7 +257,6 @@ def _gram_schmidt(w, bstar, mu, nrm, rows):
             raise NumericalBreakdown("Gram-Schmidt norms underflowed during LLL")
         b[:, i] = bi
         s[:, i] = si
-    bstar[rows] = b
     mu[rows] = m
     nrm[rows] = s
 

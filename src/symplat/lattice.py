@@ -230,9 +230,15 @@ def _check_radius(r2: float) -> None:
         raise OutOfRange("squared radius must be positive and finite")
 
 
+def _check_budget(node_budget: int) -> None:
+    if node_budget < 1:
+        raise OutOfRange(f"node budget must be at least 1, got {node_budget}")
+
+
 def enumerate_short(lat: Lattice, r2: float,
                     node_budget: int = DEFAULT_NODE_BUDGET) -> ShortVectorReport:
     """All nonzero coordinate vectors l with l^T G l <= r2 (1 + 1e-9)."""
+    _check_budget(node_budget)
     _check_radius(r2)
     reduced, u = lat.reduced
     return _enumerate_reduced(reduced, u, r2, node_budget)
@@ -260,6 +266,7 @@ def systole(lat: Lattice, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[float
     always bounds the systole from above, so the minimal bucket of the
     report is the systole.  Both signs of each vector are counted.
     """
+    _check_budget(node_budget)
     reduced, u = lat.reduced
     r2 = float(np.min(np.diag(reduced.gram)))
     report = _enumerate_reduced(reduced, u, r2, node_budget)

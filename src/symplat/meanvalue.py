@@ -241,18 +241,18 @@ def multiplicity_check(g: int, family: str, samples: int,
                        radius_factor: float = 2.0, seed: int = 0) -> MultiplicityReport:
     """Divisibility of per-length vector counts on sampled family lattices.
 
-    Enumerates each sampled lattice to radius_factor times its squared
-    systole and checks every histogram bucket against the family divisor
-    (4 for the K family, 2g for the XOR family).  For the K family a
-    violation would be a bug; for the XOR family the pass rate is the
-    point of the report.
+    Enumerates each sampled lattice to radius_factor (at least 1) times
+    its squared systole and checks every histogram bucket against the
+    family divisor (4 for the K family, 2g for the XOR family).  For the
+    K family a violation would be a bug; for the XOR family the pass rate
+    is the point of the report.
     """
     divisor = _family_divisor(family, g)
     sampler = _FAMILY_SAMPLERS[family]
     if samples < 1:
         raise OutOfRange("need at least one sample")
-    if not radius_factor > 0:
-        raise OutOfRange("radius factor must be positive")
+    if not 1 <= radius_factor < math.inf:
+        raise OutOfRange("radius factor must be finite and at least 1")
     total = 0
     divisible = 0
     violations = []
@@ -284,99 +284,69 @@ _SIGMA0 = 0.05        # initial perturbation scale
 _STALL_HALVE = 200    # non-improving steps before halving sigma
 
 
-def _k_point_random(g: int, rng) -> tuple[np.ndarray, float]:
-    return rng.uniform(0.0, 1.0, size=len(ksym_region(g))), float(rng.uniform(0.5, 2.0))
-
-
-def _k_point_perturb(point, sigma: float, rng):
-    vec, y = point
-    vec2 = np.clip(vec + rng.normal(0.0, sigma, size=vec.size), 0.0, 1.0)
-    y2 = y * math.exp(rng.normal(0.0, sigma))
-    return vec2, y2
-
-
 def _k_params(g: int, vec) -> KSymParams:
     return KSymParams(g=g, values=dict(zip(ksym_region(g), (float(v) for v in vec))))
 
 
-def _k_point_eval(g: int, point) -> float:
-    vec, y = point
-    return systole(k_family_lattice(_k_params(g, vec), y))[0]
-
-
-def _a2n_point_random(g: int, rng):
-    return rng.uniform(0.0, 1.0, size=g), rng.uniform(0.0, 1.0, size=g)
-
-
-def _a2n_point_perturb(point, sigma: float, rng):
-    x_row, s_row = point
-    return (
-        np.clip(x_row + rng.normal(0.0, sigma, size=x_row.size), 0.0, 1.0),
-        np.clip(s_row + rng.normal(0.0, sigma, size=s_row.size), 0.0, 1.0),
-    )
-
-
-def _a2n_point_eval(g: int, point) -> float:
-    return systole(_a2n_lattice(*point))[0]
+def _search_family(g: int, family: str):
+    """Part sizes, whether y is searched, and the lattice and params object of a point."""
+    if family == "k":
+        return ([len(ksym_region(g))], True,
+                lambda parts, y: k_family_lattice(_k_params(g, parts[0]), y),
+                lambda parts: ksym_params_to_obj(_k_params(g, parts[0])))
+    if family == "a2n":
+        return ([g, g], False, lambda parts, y: _a2n_lattice(*parts),
+                lambda parts: {"x_row": [float(v) for v in parts[0]],
+                               "sqrt_y_row": [float(v) for v in parts[1]]})
+    raise OutOfRange(f"unknown family {family!r}; expected 'k' or 'a2n'")
 
 
 def witness_search(g: int, family: str, target_r2: float | None, budget: int,
                    seed: int) -> SearchResult:
     """Best squared systole found by random restarts plus (1+1) hill climbing.
 
-    The budget counts systole evaluations; every _BLOCK evaluations start
-    a fresh random point, in between keep a Gaussian-perturbed candidate
-    only when it improves, halving the step scale after _STALL_HALVE
-    non-improving steps.  Best-so-far never decreases in the budget, and
-    a fixed seed replays the identical trajectory.  When ``target_r2`` is
-    set the search stops early once it is reached.
+    A point is (parts, y): unit-cube vectors (the K family's parameter
+    region; the XOR family's X row, then its sqrt(Y) row) and the K
+    family's height y, None for the XOR family.  One loop spends the
+    budget of systole evaluations: every _BLOCK evaluations it draws a
+    fresh point; in between it takes a clipped Gaussian step from the
+    current point, y by a log-normal factor, keeps it only when it
+    improves, and halves the step scale after _STALL_HALVE non-improving
+    steps.  Best-so-far never decreases in the budget, a fixed seed
+    replays the identical trajectory, and a set ``target_r2`` stops the
+    search once it is reached.
     """
     if budget < 1:
         raise OutOfRange("budget must be at least 1")
-    if family == "k":
-        rand, perturb, evaluate = _k_point_random, _k_point_perturb, _k_point_eval
-    elif family == "a2n":
-        rand, perturb, evaluate = _a2n_point_random, _a2n_point_perturb, _a2n_point_eval
-    else:
-        raise OutOfRange(f"unknown family {family!r}; expected 'k' or 'a2n'")
+    sizes, has_y, lattice_of, params_of = _search_family(g, family)
 
     rng = _stream(seed, _TAG_SEARCH)
-    best_point = None
     best_s2 = -math.inf
     evals = 0
     while evals < budget:
-        current = rand(g, rng)
-        current_s2 = evaluate(g, current)
+        restart = evals % _BLOCK == 0
+        if restart:
+            sigma = _SIGMA0
+            point = ([rng.uniform(0.0, 1.0, size=n) for n in sizes],
+                     float(rng.uniform(0.5, 2.0)) if has_y else None)
+        else:
+            parts, y = current
+            point = ([np.clip(p + rng.normal(0.0, sigma, size=p.size), 0.0, 1.0) for p in parts],
+                     y * math.exp(rng.normal(0.0, sigma)) if has_y else None)
+        s2 = systole(lattice_of(*point))[0]
         evals += 1
-        sigma = _SIGMA0
-        stall = 0
-        if current_s2 > best_s2:
-            best_point, best_s2 = current, current_s2
-        while evals < budget and evals % _BLOCK != 0:
-            if target_r2 is not None and best_s2 >= target_r2:
-                break
-            cand = perturb(current, sigma, rng)
-            cand_s2 = evaluate(g, cand)
-            evals += 1
-            if cand_s2 > current_s2:
-                current, current_s2 = cand, cand_s2
+        if restart or s2 > current_s2:
+            current, current_s2 = point, s2
+            stall = 0
+        else:
+            stall += 1
+            if stall >= _STALL_HALVE:
+                sigma *= 0.5
                 stall = 0
-                if current_s2 > best_s2:
-                    best_point, best_s2 = current, current_s2
-            else:
-                stall += 1
-                if stall >= _STALL_HALVE:
-                    sigma *= 0.5
-                    stall = 0
+        if s2 > best_s2:
+            best, best_s2 = point, s2
         if target_r2 is not None and best_s2 >= target_r2:
             break
 
-    if family == "k":
-        vec, y = best_point
-        return SearchResult(family=family, g=g, params=ksym_params_to_obj(_k_params(g, vec)),
-                            y=float(y), systole2=float(best_s2), evaluations=evals, seed=seed)
-    x_row, s_row = best_point
-    params = {"x_row": [float(v) for v in x_row],
-              "sqrt_y_row": [float(v) for v in s_row]}
-    return SearchResult(family=family, g=g, params=params, y=None,
+    return SearchResult(family=family, g=g, params=params_of(best[0]), y=best[1],
                         systole2=float(best_s2), evaluations=evals, seed=seed)

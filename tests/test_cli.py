@@ -287,6 +287,16 @@ class TestOutputContracts:
         assert code == 3
         assert payload["error"]["type"] == "RadiusTooLarge"
 
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_non_positive_node_budget_exit_code(self, capsys, id4_file, budget):
+        for argv in (["systole", "--basis-file", id4_file],
+                     ["enumerate", "--basis-file", id4_file, "--r2", "1.0"],
+                     ["bw", "--n", "1"]):
+            code, payload = run_json(capsys, argv + ["--node-budget", budget])
+            assert code == 2
+            assert payload["error"] == {"type": "OutOfRange",
+                                        "message": f"node budget must be at least 1, got {budget}"}
+
     def test_every_error_exits_with_its_family_code(self, capsys, monkeypatch):
         from symplat import errors
 

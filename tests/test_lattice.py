@@ -254,6 +254,17 @@ class TestEnumerate:
         with pytest.raises(RadiusTooLarge):
             enumerate_short(from_basis(np.eye(4)), 100.0, node_budget=5000)
 
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_non_positive_budget_is_out_of_range(self, budget):
+        # refused as bad input before the lattice is reduced, not reported
+        # as a budget the enumeration ran past
+        lat = from_basis(np.eye(4))
+        with pytest.raises(OutOfRange, match="node budget must be at least 1"):
+            enumerate_short(lat, 1.0, node_budget=budget)
+        with pytest.raises(OutOfRange, match="node budget must be at least 1"):
+            systole(lat, node_budget=budget)
+        assert "reduced" not in vars(lat)
+
     def test_node_count(self):
         # 3 nodes at the top level, then 1 + 3 + 1 below them
         assert enumerate_short(from_basis(np.eye(2)), 1.0).nodes == 8

@@ -21,7 +21,7 @@ from symplat import (
     witness_search,
 )
 from symplat.errors import OddDimension, OutOfRange, Singular
-from symplat.meanvalue import k_family_lattice
+from symplat.meanvalue import SearchResult, k_family_lattice
 from symplat.patterned import k_symmetric_stack
 from symplat.symplectic import k_family_bases, vcube_wedges
 
@@ -309,6 +309,19 @@ class TestMultiplicity:
         with pytest.raises(OutOfRange):
             multiplicity_check(2, "nope", 1)
 
+    @pytest.mark.parametrize("factor", [0.5, math.nan, math.inf])
+    def test_radius_factor_out_of_range(self, factor):
+        # below 1 no bucket exists, and the empty report would read
+        # all_divisible with a pass rate of 1.0
+        with pytest.raises(OutOfRange, match="radius factor must be finite and at least 1"):
+            multiplicity_check(2, "k", 3, radius_factor=factor)
+
+    def test_radius_factor_one_reaches_the_systole(self):
+        # one bucket per sample: its shortest vectors
+        for family, g in (("k", 2), ("a2n", 4)):
+            rep = multiplicity_check(g, family, 6, radius_factor=1.0, seed=1)
+            assert rep.buckets_total == rep.samples
+
 
 class TestSearch:
     def test_budget_one(self):
@@ -348,3 +361,45 @@ class TestSearch:
         # 80% of the g=2 lower bound, reached quickly from random starts
         res = witness_search(2, "k", None, 200, seed=1)
         assert res.systole2 >= 0.72
+
+    def test_unknown_family(self):
+        with pytest.raises(OutOfRange, match="unknown family 'nope'"):
+            witness_search(2, "nope", None, 5, seed=1)
+        # the budget is checked first
+        with pytest.raises(OutOfRange, match="budget must be at least 1"):
+            witness_search(2, "nope", None, 0, seed=1)
+
+    # Full results of searches that restart and of targets first reached
+    # after a restart: any change to the draws or their order moves them.
+    PINNED = [
+        ((4, "a2n", None, 501, 3), SearchResult(
+            family="a2n", g=4, y=None, systole2=1.63864239404, evaluations=501, seed=3,
+            params={"x_row": [0.24411006260302287, 0.0, 0.7966979608297982, 0.707753640820901],
+                    "sqrt_y_row": [0.9355308266768088, 0.07624155223433153,
+                                   0.28984462984473414, 0.24374122285678715]})),
+        ((2, "k", None, 1001, 8), SearchResult(
+            family="k", g=2, y=2.0382749676922565, systole2=1.38634207661, evaluations=1001,
+            seed=8, params={"g": 2, "values": [{"i": 1, "j": 1, "value": 0.4999896592444661},
+                                               {"i": 1, "j": 2, "value": 0.16051657216566503}]})),
+        ((2, "k", 1.3864, 2000, 8), SearchResult(
+            family="k", g=2, y=1.200615963171366, systole2=1.38794088417, evaluations=1203,
+            seed=8, params={"g": 2, "values": [{"i": 1, "j": 1, "value": 0.5105408016688833},
+                                               {"i": 1, "j": 2, "value": 0.507365868837901}]})),
+        ((4, "a2n", 1.2, 600, 3), SearchResult(
+            family="a2n", g=4, y=None, systole2=1.3443755752, evaluations=62, seed=3,
+            params={"x_row": [0.30141976167071044, 0.0, 0.8981393747898434, 0.8923774490909041],
+                    "sqrt_y_row": [0.9301897151941747, 0.23196927429608635,
+                                   0.3052841138909075, 0.24735615140178577]})),
+    ]
+
+    @pytest.mark.parametrize("args, expected", PINNED)
+    def test_pinned_trajectories(self, args, expected):
+        g, family, target_r2, budget, seed = args
+        assert witness_search(g, family, target_r2, budget, seed=seed) == expected
+
+    def test_target_met_by_every_point(self):
+        # the first evaluation always runs, and the target is tested after it
+        for target in (-math.inf, 0.0):
+            res = witness_search(2, "k", target, 30, seed=8)
+            assert res.evaluations == 1
+            assert res.systole2 == 0.73886225684

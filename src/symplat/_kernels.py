@@ -22,8 +22,9 @@ result is bit for bit a full recompute's.  ``lll_stack`` does the same
 float operations elementwise over the stack, with the same left-to-right
 sums, and recomputes Gram-Schmidt in full after a swap.
 
-Enumeration has two kernels over the same Fincke-Pohst tree.
-``enumerate_depth_first`` walks it one node at a time;
+Enumeration has two kernels over the same Fincke-Pohst tree and a third
+that walks a stack of trees.  ``enumerate_depth_first`` walks one tree
+one node at a time;
 ``enumerate_frontier`` expands one tree level at a time over a numpy
 frontier, in chunks of at most FRONTIER_CHUNK_ROWS nodes taken depth
 first.  The tree is symmetric under z -> -z, and the frontier walks only
@@ -35,10 +36,16 @@ kernels do the same float operations per node in the same order, so they
 return the same vectors in the same row order with bit-equal norms and
 the same node count.  The rows come out as ``concat(-H[::-1], H)``, H
 one vector of each +-v pair, which ``lattice`` relies on.
-``enumerate_core``, the entry point, picks by tree size: it runs the
-depth-first kernel up to SMALL_TREE_NODES_PER_LEVEL nodes per level of
-the tree and, when the tree turns out to be larger, starts over with the
-frontier kernel.
+``enumerate_stack`` takes the frontier's half-space level step over an
+(N, d, d) stack of factors: one frontier holds the nodes of all N trees,
+each node with its tree index, and reads its own tree's rows of R.  It
+returns each vector's tree index and norm rather than its coordinates,
+which is all the Monte Carlo estimator's counts need, and its norms are
+bit for bit each tree's own.  ``enumerate_core``, the entry point, sends
+a stack to ``enumerate_stack`` and picks for one tree by its size: it
+runs the depth-first kernel up to SMALL_TREE_NODES_PER_LEVEL nodes per
+level of the tree and, when the tree turns out to be larger, starts over
+with the frontier kernel.
 
 Each kernel returns plain results and raises the package's own error
 where a failure happens: the LLL kernels and ``jacobi_core`` raise
@@ -271,7 +278,17 @@ def enumerate_core(r, r2cap, node_budget):
     ``node_budget`` nodes.  Trees of more than SMALL_TREE_NODES_PER_LEVEL
     nodes per level are enumerated again by the frontier kernel, and the
     aborted first attempt is not counted.
+
+    An (N, d, d) stack of factors goes to ``enumerate_stack``, which walks
+    all N trees in one frontier and returns (tree, norms, nodes): the
+    stack index of every vector instead of its coordinates, and the node
+    count summed over the stack.  Either way ``out[0].shape[0]`` is the
+    number of vectors found and ``out[2]`` the nodes walked, which is
+    what a traced run reads from each call; a stack is one call.
+    RadiusTooLarge fires when any one tree passes ``node_budget``.
     """
+    if r.ndim == 3:
+        return enumerate_stack(r, r2cap, node_budget)
     small = SMALL_TREE_NODES_PER_LEVEL * r.shape[0]
     try:
         return enumerate_depth_first(r, r2cap, min(node_budget, small))
@@ -423,22 +440,15 @@ def _expand(r, r2cap, budget, i, zt, rho, found, zero):
     """
     d = r.shape[0]
     k = i - 1
-    n = zt.shape[1]
-    s = np.zeros(n)
-    for term in r[k, i:, None] * zt:     # j ascending, as depth first
-        s += term
-    rad = np.sqrt(np.maximum(r2cap - rho, 0.0))
     rkk = r[k, k]
-    lo = np.ceil((-s - rad) / rkk - 1e-12).astype(np.int64)
-    hi = np.floor((-s + rad) / rkk + 1e-12).astype(np.int64)
+    s, lo, hi = _bounds(r[k, i:, None], rkk, r2cap, zt, rho)
     if zero:
         lo[0] = 0
     cnt = np.maximum(hi - lo + 1, 0)
     c = int(cnt.sum())
     if c > budget:
         return budget + 1
-    parent = np.arange(n).repeat(cnt)
-    z = np.arange(c) + (lo - (cnt.cumsum() - cnt))[parent]
+    parent, z = _spawn(lo, cnt)
     total = rkk * z + s[parent]       # t, then rho + t * t in place
     total *= total
     total += rho[parent]
@@ -460,6 +470,97 @@ def _expand(r, r2cap, budget, i, zt, rho, found, zero):
         if nodes > budget:
             return budget + 1
     return nodes
+
+
+def _bounds(rk, rkk, r2cap, zt, rho):
+    """(s, lo, hi) one level down from a chunk of parents: the shift s and
+    each parent's child interval [lo, hi], by the depth-first arithmetic.
+
+    ``rk`` holds R[k, i:] of the parents as a column (one tree) or as one
+    column per parent (a stack), and ``rkk`` R[k, k] as a number or per
+    parent; either way each parent meets the same IEEE operations.
+    """
+    s = np.zeros(zt.shape[1])
+    for term in rk * zt:     # j ascending, as depth first
+        s += term
+    rad = np.sqrt(np.maximum(r2cap - rho, 0.0))
+    lo = np.ceil((-s - rad) / rkk - 1e-12).astype(np.int64)
+    hi = np.floor((-s + rad) / rkk + 1e-12).astype(np.int64)
+    return s, lo, hi
+
+
+def _spawn(lo, cnt):
+    """(parent, z) of every child: each parent's ``cnt`` children, contiguous
+    and ascending from ``lo``."""
+    parent = np.arange(cnt.shape[0]).repeat(cnt)
+    z = np.arange(parent.shape[0]) + (lo - (cnt.cumsum() - cnt))[parent]
+    return parent, z
+
+
+def enumerate_stack(r, r2cap, node_budget):
+    """``enumerate_frontier`` on every tree of an (N, d, d) stack of factors at once.
+
+    Returns (tree, norms, nodes): ``tree`` holds the stack index of every
+    vector found, both signs included, ``norms`` their squared lengths and
+    ``nodes`` the full trees' node count summed over the stack.  So
+    ``np.bincount(tree, minlength=N)`` is each tree's vector count, and
+    the norms of tree i are the ones ``enumerate_frontier(r[i], ...)``
+    finds, bit for bit.  The entries come out as ``concat(T[::-1], T)``,
+    T one entry of each +-v pair, tree by tree in depth-first order.
+
+    One frontier holds the nodes of every tree, each with its tree index,
+    and each level step reads the node's own tree's R[k, i:] and R[k, k],
+    so every node meets the frontier kernel's operations.  Every tree's
+    root is all zero, so every tree walks the half-space.  Each tree's
+    half is charged against (node_budget + d) // 2 before the children
+    that reach it are built, so RadiusTooLarge fires exactly when a tree
+    of the stack would raise it on its own.
+    """
+    n, d = r.shape[:2]
+    half = np.zeros(n, dtype=np.int64)
+    found = []
+    _expand_stack(r, r2cap, node_budget, d, np.zeros((0, n), dtype=np.int64), np.arange(n),
+                  np.zeros(n), np.ones(n, dtype=bool), half, found)
+    tree = np.concatenate([t for t, _ in found])
+    norms = np.concatenate([v for _, v in found])
+    return (np.concatenate((tree[::-1], tree)), np.concatenate((norms[::-1], norms)),
+            2 * int(half.sum()) - n * d)
+
+
+def _expand_stack(r, r2cap, node_budget, i, zt, tree, rho, zero, half, found):
+    """``_expand`` for a chunk of parents from a stack of trees.
+
+    ``tree`` holds each parent's stack index and ``zero`` marks the
+    all-zero parents, at most one per tree.  Adds each tree's child count
+    to ``half`` and raises RadiusTooLarge once one passes
+    (node_budget + d) // 2; appends (tree, norm) of the leaves inside the
+    radius to ``found``.
+    """
+    d = r.shape[1]
+    k = i - 1
+    rkk = r[tree, k, k]
+    s, lo, hi = _bounds(r[tree, k, i:].T, rkk, r2cap, zt, rho)
+    lo[zero] = 0
+    cnt = np.maximum(hi - lo + 1, 0)
+    half += np.bincount(tree, cnt, half.shape[0]).astype(np.int64)
+    if half.max() > (node_budget + d) // 2:
+        raise _over_budget(node_budget)
+    parent, z = _spawn(lo, cnt)
+    total = rkk[parent] * z + s[parent]
+    total *= total
+    total += rho[parent]
+    zero = zero[parent] & (z == 0)
+    if k == 0:
+        keep = (total <= r2cap) & ~zero
+        found.append((tree[parent[keep]], total[keep]))
+        return
+    for a in range(0, z.shape[0], FRONTIER_CHUNK_ROWS):
+        b = min(a + FRONTIER_CHUNK_ROWS, z.shape[0])
+        p = parent[a:b]
+        child = np.empty((d - k, b - a), dtype=np.int64)
+        child[0] = z[a:b]
+        child[1:] = zt[:, p]
+        _expand_stack(r, r2cap, node_budget, k, child, tree[p], total[a:b], zero[a:b], half, found)
 
 
 def jacobi_core(a, rel_tol, max_sweeps):

@@ -19,11 +19,14 @@ the vectors below a multiple of it runs LLL once.  ``lll_reduce`` itself
 always reduces afresh.
 
 One lattice and a stack of them take the same steps.  ``_reduce`` runs
-LLL on an (N, d, d) stack and checks the result, ``_enumerate_grams``
-factorises each Gram and enumerates its tree.  ``lll_reduce`` passes a
-stack of one, which ``_kernels.lll_core`` reduces; ``short_counts``
-passes the Monte Carlo estimator's stacks, which ``_kernels.lll_stack``
-reduces, giving each basis the same bits.
+LLL on an (N, d, d) stack and checks the result, ``_upper_factors``
+factorises each Gram.  ``lll_reduce`` passes a stack of one, which
+``_kernels.lll_core`` reduces; ``short_counts`` passes the Monte Carlo
+estimator's stacks, which ``_kernels.lll_stack`` reduces, giving each
+basis the same bits.  A single lattice's factor is enumerated on its
+own, for its vectors; ``short_counts`` enumerates a whole stack's trees
+in one ``_kernels.enumerate_core`` call, which walks them together and
+returns each vector's tree index, so the counts are one ``bincount``.
 
 Boundary handling: the squared radius is inflated by a relative 1e-9 so
 vectors sitting exactly on the radius are included, never dropped.
@@ -183,19 +186,16 @@ def _histogram(norms: np.ndarray) -> dict:
     return hist
 
 
-def _enumerate_grams(gram: np.ndarray, r2: float, node_budget: int):
-    """``_kernels.enumerate_core`` below r2 (1 + BOUNDARY_EPS) on each Gram of an (N, d, d) stack.
+def _upper_factors(grams: np.ndarray) -> np.ndarray:
+    """The upper Cholesky factor R (R^T R = G) of each Gram of an (N, d, d) stack.
 
-    Factorises every Gram first, raising NumericalBreakdown when one
-    fails, then yields one tree's results at a time.
+    Raises NumericalBreakdown when a factorisation fails.
     """
     try:
-        chol_lower = np.linalg.cholesky(gram)
+        chol_lower = np.linalg.cholesky(grams)
     except np.linalg.LinAlgError as exc:
         raise NumericalBreakdown(f"Cholesky of the reduced Gram failed: {exc}") from exc
-    cap = float(r2) * (1.0 + BOUNDARY_EPS)
-    return (_kernels.enumerate_core(r, cap, node_budget)
-            for r in np.ascontiguousarray(chol_lower.transpose(0, 2, 1)))
+    return np.ascontiguousarray(chol_lower.transpose(0, 2, 1))
 
 
 def _enumerate_reduced(reduced: Lattice, u: np.ndarray, r2: float,
@@ -207,7 +207,9 @@ def _enumerate_reduced(reduced: Lattice, u: np.ndarray, r2: float,
     half goes through U and into the histogram: the first half of the
     coordinates is its negated mirror, and every shell count doubles.
     """
-    coords_z, norms, nodes = next(_enumerate_grams(reduced.gram[None], r2, node_budget))
+    r = _upper_factors(reduced.gram[None])[0]
+    cap = float(r2) * (1.0 + BOUNDARY_EPS)
+    coords_z, norms, nodes = _kernels.enumerate_core(r, cap, node_budget)
     m = norms.shape[0] // 2
     coords = np.empty_like(coords_z)
     coords[m:] = coords_z[m:] @ u.T
@@ -250,13 +252,21 @@ def short_counts(bases: np.ndarray, r2: float) -> np.ndarray:
     The stack takes the one-lattice path's steps and checks; a check
     raises for the stack when any basis fails it.  numpy's stacked matmul,
     SVD and Cholesky call, on each matrix, the BLAS and LAPACK routine a
-    stack of one does on the same memory layout, so each count is the one
-    ``enumerate_short`` gives.
+    stack of one does on the same memory layout, and the stacked
+    enumeration does each tree's float operations, so each count is the
+    one ``enumerate_short`` gives.
+
+    The whole stack is one ``_kernels.enumerate_core`` call, which returns
+    the stack index of every vector found; the counts are its
+    ``bincount``.  A traced run therefore sees one enumeration call per
+    stack, with the stack's vector and node totals.
     """
     _check_radius(r2)
     _check_bases(bases)
     _, _, gram = _reduce(bases)
-    return np.array([out[0].shape[0] for out in _enumerate_grams(gram, r2, DEFAULT_NODE_BUDGET)])
+    cap = float(r2) * (1.0 + BOUNDARY_EPS)
+    tree = _kernels.enumerate_core(_upper_factors(gram), cap, DEFAULT_NODE_BUDGET)[0]
+    return np.bincount(tree, minlength=bases.shape[0])
 
 
 def systole(lat: Lattice, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[float, int]:

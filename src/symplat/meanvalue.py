@@ -314,10 +314,13 @@ def witness_search(g: int, family: str, target_r2: float | None, budget: int,
     improves, and halves the step scale after _STALL_HALVE non-improving
     steps.  Best-so-far never decreases in the budget, a fixed seed
     replays the identical trajectory, and a set ``target_r2`` stops the
-    search once it is reached.
+    search once it is reached.  A target must be positive and finite: a
+    NaN is never reached and one at or below 0 is met by any point.
     """
     if budget < 1:
         raise OutOfRange("budget must be at least 1")
+    if target_r2 is not None and not 0 < target_r2 < math.inf:
+        raise OutOfRange("target squared systole must be positive and finite")
     sizes, has_y, lattice_of, params_of = _search_family(g, family)
 
     rng = _stream(seed, _TAG_SEARCH)

@@ -87,6 +87,8 @@ COMMANDS = [
                                "--samples", "10", "--seed", "1"]),
     ("error-meanvalue-r2-inf", ["meanvalue", "--g", "2", "--y", "8", "--r2", "inf",
                                 "--samples", "3"]),
+    ("error-search-target-nan", ["search", "--family", "k", "--g", "2", "--budget", "20",
+                                 "--target-r2", "nan"]),
     ("error-bounds-odd-g", ["bounds", "--g", "3"]),
     ("error-eig-nonsymmetric", ["eig", "--basis-file", "inputs/nonsymmetric.json"]),
     ("error-family-check-k-nonfamily", ["family-check", "--family", "k",

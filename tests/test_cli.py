@@ -216,6 +216,16 @@ class TestCommands:
         assert code == 0
         assert payload["result"]["systole2"] > 0
 
+    @pytest.mark.parametrize("target", ["nan", "inf", "-1", "0"])
+    def test_search_refuses_a_target_that_is_not_positive_and_finite(self, capsys, target):
+        code, payload = run_json(capsys, [
+            "search", "--family", "k", "--g", "2", "--budget", "20",
+            "--target-r2", target, "--stable-output",
+        ])
+        assert code == 2
+        assert payload["error"] == {"type": "OutOfRange",
+                                    "message": "target squared systole must be positive and finite"}
+
 
 class TestOutputContracts:
     def test_stable_output_byte_identical(self, capsys):

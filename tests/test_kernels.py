@@ -1,4 +1,5 @@
 """Errors raised by the kernels, parity of the two enumeration kernels,
+parity of a stacked enumeration with one call per tree,
 parity of the lazy Gram-Schmidt LLL and of the stacked LLL with a full
 recompute after every swap, and parity of the scalar Jacobi sweep with a
 numpy one."""
@@ -30,14 +31,14 @@ def assert_same_enumeration(a, b):
 
 
 @st.composite
-def trees(draw, min_scale=0.3):
+def trees(draw, min_scale=0.3, dims=st.integers(2, 8)):
     """(upper Cholesky factor, squared radius) of a random SPD Gram matrix.
 
     Squared radii run from ``min_scale`` (by default 0.3) to 4 times the
     first basis vector's, so trees fall on both sides of
-    SMALL_TREE_NODES_PER_LEVEL.
+    SMALL_TREE_NODES_PER_LEVEL.  The dimension is drawn from ``dims``.
     """
-    dim = draw(st.integers(2, 8))
+    dim = draw(dims)
     seed = draw(st.integers(0, 2 ** 32 - 1))
     rng = np.random.default_rng(seed)
     m = rng.normal(size=(dim, dim))
@@ -169,6 +170,109 @@ def test_budget_is_exact_on_random_trees():
 
     check()
     assert len(large) >= 5
+
+
+# -- stacks of trees -----------------------------------------------------------
+
+@st.composite
+def stacks(draw):
+    """(N x d x d stack of upper Cholesky factors, squared radius): 1 to 12
+    ``trees()`` of one dimension from 1 to 6, enumerated to the first one's radius."""
+    dim = draw(st.integers(1, 6))
+    members = draw(st.lists(trees(dims=st.just(dim)), min_size=1, max_size=12))
+    return np.array([r for r, _ in members]), members[0][1]
+
+
+def assert_stack_is_its_trees(r, r2):
+    """One stacked ``enumerate_core`` call finds, tree by tree, what one call
+    per tree finds: the counts, the norms bit for bit, and the summed nodes."""
+    tree, norms, nodes = _kernels.enumerate_core(r, r2, BIG_BUDGET)
+    outs = [_kernels.enumerate_core(ri, r2, BIG_BUDGET) for ri in r]
+    assert tree.dtype == np.int64
+    assert np.bincount(tree, minlength=r.shape[0]).tolist() == [out[0].shape[0] for out in outs]
+    assert type(nodes) is int
+    assert nodes == sum(out[2] for out in outs)
+    # concat(T[::-1], T), T in depth-first order, so each tree's half of
+    # T holds its one-tree call's second half, H
+    assert np.array_equal(tree[::-1], tree)
+    assert np.array_equal(norms[::-1].view(np.uint64), norms.view(np.uint64))
+    m = tree.shape[0] // 2
+    for i, (_, h, _) in enumerate(outs):
+        assert np.array_equal(norms[m:][tree[m:] == i].view(np.uint64),
+                              h[h.shape[0] // 2:].view(np.uint64))
+
+
+def assert_stack_budget_is_exact(r, r2):
+    """The stack passes at its largest tree's node count and raises one below."""
+    largest = max(_kernels.enumerate_core(ri, r2, BIG_BUDGET)[2] for ri in r)
+    assert _kernels.enumerate_core(r, r2, largest)[2] == _kernels.enumerate_core(r, r2, BIG_BUDGET)[2]
+    with pytest.raises(RadiusTooLarge, match=f"^enumeration exceeded the node budget of {largest - 1}; "
+                                             "shrink the radius or raise the budget$"):
+        _kernels.enumerate_core(r, r2, largest - 1)
+
+
+def test_stack_matches_one_call_per_tree():
+    sizes = []
+
+    @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(stacks())
+    def check(stack):
+        r, r2 = stack
+        assert_stack_is_its_trees(r, r2)
+        assert_stack_budget_is_exact(r, r2)
+        sizes.append(r.shape[0])
+
+    check()
+    assert min(sizes) == 1 < max(sizes)
+
+
+def stack_cases():
+    """Named (stack, squared radius) cases the random stacks may miss."""
+    rng = np.random.default_rng(3)
+    m = rng.normal(size=(6, 6))
+    random6 = chol_upper(m.T @ m + np.eye(6))
+    # Z^5 ties: many nodes sit exactly on the radius and on interval ends
+    ties = [(f"ties-z5-r2-{r2:g}", np.array([np.eye(5), np.eye(5), 1.5 * np.eye(5)]), r2)
+            for r2 in (1.0, 2.0, 3.0 * (1 + 1e-9))]
+    return ties + [
+        ("ties-3z2", np.array([3.0 * np.eye(2), np.eye(2)]), (3.0 - 1e-14) ** 2),
+        ("d1", np.array([[[1.0]], [[0.5]], [[2.0]], [[3.0]]]), 4.0),
+        ("one-z5", np.eye(5)[None], 2.0),
+        ("one-random", random6[None], 2.0 * float(random6[0, 0] ** 2)),
+        # Z^6's level-1 frontier at r2 = 16 holds over 3,000 half-space nodes
+        ("over-a-chunk", np.array([np.eye(6), 2.0 * np.eye(6), random6]), 16.0),
+    ]
+
+
+@pytest.mark.parametrize("r, r2", [case[1:] for case in stack_cases()],
+                         ids=[case[0] for case in stack_cases()])
+def test_stack_cases_match_one_call_per_tree(r, r2):
+    assert_stack_is_its_trees(r, r2)
+    assert_stack_budget_is_exact(r, r2)
+
+
+def test_largest_stack_case_crosses_a_chunk(monkeypatch):
+    # the level-1 children of one chunk of parents: more than one chunk
+    # of them means the walk below splits them
+    _, r, r2 = stack_cases()[-1]
+    widths = []
+    bounds = _kernels._bounds
+
+    def recording(rk, rkk, r2cap, zt, rho):
+        s, lo, hi = bounds(rk, rkk, r2cap, zt, rho)
+        if zt.shape[0] == r.shape[1] - 2:
+            widths.append(int(np.maximum(hi - lo + 1, 0).sum()))
+        return s, lo, hi
+
+    monkeypatch.setattr(_kernels, "_bounds", recording)
+    _kernels.enumerate_core(r, r2, BIG_BUDGET)
+    assert max(widths) > _kernels.FRONTIER_CHUNK_ROWS
+
+
+def test_stack_over_many_chunks(monkeypatch):
+    _, r, r2 = stack_cases()[-1]
+    monkeypatch.setattr(_kernels, "FRONTIER_CHUNK_ROWS", 3)
+    assert_stack_is_its_trees(r[:, :4, :4], 4.0)
 
 
 # -- LLL ------------------------------------------------------------------------

@@ -118,13 +118,14 @@ class TestEstimate:
 
 
 def counted_estimate(monkeypatch, *args, **kwargs):
-    """(estimate_I(*args), the vector count of every _kernels.enumerate_core call)."""
+    """(estimate_I(*args), every sample's vector count, read from the stacked
+    _kernels.enumerate_core calls)."""
     counts = []
     original = _kernels.enumerate_core
 
     def counting(r, r2cap, node_budget):
         out = original(r, r2cap, node_budget)
-        counts.append(out[0].shape[0])
+        counts.extend(np.bincount(out[0], minlength=r.shape[0]).tolist())
         return out
 
     monkeypatch.setattr(_kernels, "enumerate_core", counting)
@@ -184,9 +185,18 @@ class TestStackPipeline:
         systole(k_family_lattice(sample_vcube(2, 11, 0), 2.0))
         assert calls == {"lll_core": 2, "lll_stack": 2}
 
-    def test_enumeration_once_per_sample_through_the_module(self, monkeypatch):
+    def test_enumeration_once_per_chunk_through_the_module(self, monkeypatch):
         monkeypatch.setattr(meanvalue, "ESTIMATE_CHUNK", 16)
+        stacks = []
+        original = _kernels.enumerate_core
+
+        def recording(r, r2cap, node_budget):
+            stacks.append(r.shape)
+            return original(r, r2cap, node_budget)
+
+        monkeypatch.setattr(_kernels, "enumerate_core", recording)
         est, counts = counted_estimate(monkeypatch, 2, 8.0, 0.25, 50, seed=3)
+        assert stacks == [(16, 4, 4)] * 3 + [(2, 4, 4)]
         assert len(counts) == 50
         assert sum(counts) == round(est.mean * 50)
 
@@ -397,9 +407,13 @@ class TestSearch:
         g, family, target_r2, budget, seed = args
         assert witness_search(g, family, target_r2, budget, seed=seed) == expected
 
-    def test_target_met_by_every_point(self):
-        # the first evaluation always runs, and the target is tested after it
-        for target in (-math.inf, 0.0):
-            res = witness_search(2, "k", target, 30, seed=8)
-            assert res.evaluations == 1
-            assert res.systole2 == 0.73886225684
+    @pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf, -1.0, 0.0])
+    def test_target_must_be_positive_and_finite(self, monkeypatch, target):
+        # a NaN target would run the whole budget, one at or below 0 stop
+        # after the first evaluation; both are refused before any evaluation
+        monkeypatch.setattr(meanvalue, "systole", None)
+        with pytest.raises(OutOfRange, match="^target squared systole must be positive and finite$"):
+            witness_search(2, "k", target, 30, seed=8)
+        # the budget is checked first
+        with pytest.raises(OutOfRange, match="budget must be at least 1"):
+            witness_search(2, "k", target, 0, seed=8)

@@ -22,30 +22,25 @@ result is bit for bit a full recompute's.  ``lll_stack`` does the same
 float operations elementwise over the stack, with the same left-to-right
 sums, and recomputes Gram-Schmidt in full after a swap.
 
-Enumeration has two kernels over the same Fincke-Pohst tree and a third
-that walks a stack of trees.  ``enumerate_depth_first`` walks one tree
-one node at a time;
-``enumerate_frontier`` expands one tree level at a time over a numpy
-frontier, in chunks of at most FRONTIER_CHUNK_ROWS nodes taken depth
-first.  The tree is symmetric under z -> -z, and the frontier walks only
-the half whose first nonzero coordinate, read from z[d-1] down, is
+Enumeration has two kernels over the same Fincke-Pohst tree.
+``enumerate_depth_first`` walks one tree one node at a time.
+``enumerate_frontier`` walks an (N, d, d) stack of trees level by level
+over one numpy frontier, each node with its tree index, in chunks of at
+most FRONTIER_CHUNK_ROWS nodes taken depth first; one tree is the stack
+of one.  Each tree is symmetric under z -> -z, and the frontier walks
+only the half whose first nonzero coordinate, read from z[d-1] down, is
 positive.  It mirrors that half into the full output, reports the full
-tree's 2 * half - d nodes and charges the walk against
+trees' 2 * half - d nodes each and charges each tree's walk against
 (node_budget + d) // 2; its docstring says why each step is exact.  Both
-kernels do the same float operations per node in the same order, so they
-return the same vectors in the same row order with bit-equal norms and
-the same node count.  The rows come out as ``concat(-H[::-1], H)``, H
-one vector of each +-v pair, which ``lattice`` relies on.
-``enumerate_stack`` takes the frontier's half-space level step over an
-(N, d, d) stack of factors: one frontier holds the nodes of all N trees,
-each node with its tree index, and reads its own tree's rows of R.  It
-returns each vector's tree index and norm rather than its coordinates,
-which is all the Monte Carlo estimator's counts need, and its norms are
-bit for bit each tree's own.  ``enumerate_core``, the entry point, sends
-a stack to ``enumerate_stack`` and picks for one tree by its size: it
-runs the depth-first kernel up to SMALL_TREE_NODES_PER_LEVEL nodes per
-level of the tree and, when the tree turns out to be larger, starts over
-with the frontier kernel.
+kernels do the same float operations per node in the same order, so
+they return the same vectors in the same row order with bit-equal norms
+and the same node count.  The rows come out as ``concat(-H[::-1], H)``,
+H one vector of each +-v pair, which ``lattice`` relies on.
+``enumerate_core``, the entry point, sends a stack to the frontier and
+picks for one tree by its size: it runs the depth-first kernel up to
+SMALL_TREE_NODES_PER_LEVEL nodes per level of the tree and, when the
+tree turns out to be larger, starts over with the frontier on the tree's
+stack of one.
 
 Each kernel returns plain results and raises the package's own error
 where a failure happens: the LLL kernels and ``jacobi_core`` raise
@@ -68,21 +63,24 @@ LLL_MAX_ITER = 1_000_000
 
 #: Trees up to this many nodes per level (times the dimension) stay with
 #: the depth-first kernel.  On one core of a 2-core x86 host, on
-#: LLL-reduced random trees, the depth-first kernel costs about 0.9-1.3,
-#: 1.1-1.2 and 1.35-1.45 us per node at d = 4, 8 and 16, the frontier
-#: kernel a fixed 120-170, 230-330 and 490-620 us per tree plus under
-#: 0.1 us per node, so the frontier breaks even at about 130-140, 220-280
-#: and 370-460 nodes: 23-35 nodes per level.  The fixed cost is d levels
-#: of numpy calls, which the half-space walk does not shorten: it stays
-#: within 6% of the full walk's.
+#: LLL-reduced random trees, the depth-first kernel costs about 0.8-1.1,
+#: 1.2-1.6 and 1.5-2.1 us per node at d = 4, 8 and 16, the frontier on a
+#: stack of one a fixed 150-210, 300-420 and 530-920 us per tree plus
+#: under 0.1 us per node, so the frontier breaks even at about 190-200,
+#: 280-290 and 440-470 nodes: 48-51, 35-36 and 27-29 nodes per level.
+#: The fixed cost is d levels of numpy calls, flat per level, while the
+#: depth-first cost per node grows with d, so no one figure fits every d.
 SMALL_TREE_NODES_PER_LEVEL = 30
 
 #: Most nodes of one level the frontier kernel turns into coordinate rows
 #: at once.  Each level on its path holds at most one such chunk, so its
 #: memory stays near depth x chunk x dim integers however wide the tree is:
-#: about 6 MB on bw16-shells' tree, where 4096 takes 11 MB and runs no
-#: faster.
-FRONTIER_CHUNK_ROWS = 1 << 11
+#: the walk's own arrays peak at about 7 MB on bw16-shells' tree and 22 MB
+#: on the g=32 Barnes-Wall tree, against 4 and 13 MB at 2048.  Each level
+#: step has a fixed numpy cost, so 4096 rather than 2048 halves the g=32
+#: tree's steps (10,749 to 5,452) and walks it about a fifth faster;
+#: bw16-shells' tree, in 122 steps, runs no faster.
+FRONTIER_CHUNK_ROWS = 1 << 12
 
 
 def lll_core(w, v, delta):
@@ -276,26 +274,28 @@ def enumerate_core(r, r2cap, node_budget):
     vectors, norms their squared lengths, nodes the size of the
     enumeration tree.  Raises RadiusTooLarge when the tree has more than
     ``node_budget`` nodes.  Trees of more than SMALL_TREE_NODES_PER_LEVEL
-    nodes per level are enumerated again by the frontier kernel, and the
-    aborted first attempt is not counted.
+    nodes per level are enumerated again by the frontier kernel, as a
+    stack of one, and the aborted first attempt is not counted.
 
-    An (N, d, d) stack of factors goes to ``enumerate_stack``, which walks
-    all N trees in one frontier and returns (tree, norms, nodes): the
-    stack index of every vector instead of its coordinates, and the node
-    count summed over the stack.  Either way ``out[0].shape[0]`` is the
-    number of vectors found and ``out[2]`` the nodes walked, which is
-    what a traced run reads from each call; a stack is one call.
-    RadiusTooLarge fires when any one tree passes ``node_budget``.
+    An (N, d, d) stack of factors goes to ``enumerate_frontier``, which
+    walks all N trees in one frontier.  Its coordinate rows are dropped:
+    the call returns (tree, norms, nodes), the stack index of every
+    vector, their norms and the node count summed over the stack.
+    Either way ``out[0].shape[0]`` is the number of vectors found and
+    ``out[2]`` the nodes walked, which is what a traced run reads from
+    each call; a stack is one call.  RadiusTooLarge fires when any one
+    tree passes ``node_budget``.
     """
     if r.ndim == 3:
-        return enumerate_stack(r, r2cap, node_budget)
+        tree, _, norms, nodes = enumerate_frontier(r, r2cap, node_budget)
+        return tree, norms, nodes
     small = SMALL_TREE_NODES_PER_LEVEL * r.shape[0]
     try:
         return enumerate_depth_first(r, r2cap, min(node_budget, small))
     except RadiusTooLarge:
         if node_budget <= small:
             raise
-    return enumerate_frontier(r, r2cap, node_budget)
+    return enumerate_frontier(r[None], r2cap, node_budget)[1:]
 
 
 def _over_budget(node_budget):
@@ -360,14 +360,21 @@ def enumerate_depth_first(r, r2cap, node_budget):
 
 
 def enumerate_frontier(r, r2cap, node_budget):
-    """``enumerate_core`` one tree level at a time over a numpy frontier.
+    """``enumerate_core`` level by level over an (N, d, d) stack of factors.
 
-    Applies the depth-first kernel's arithmetic to whole arrays of nodes,
+    Returns (tree, coords, norms, nodes): the stack index of every vector
+    found, both signs included, its coordinate row and squared length, and
+    the full trees' node count summed over the stack.  One tree is the
+    stack of one, ``r[None]``, and then coords, norms and nodes equal
+    ``enumerate_depth_first``'s row for row and bit for bit.  Tree i's
+    rows, ``coords[tree == i]``, are its stack-of-one call's.
+
+    One frontier holds the nodes of every tree, each with its tree index.
+    A level step applies the depth-first kernel's arithmetic to whole
+    arrays of nodes, each reading its own tree's R[k, i:] and R[k, k],
     keeps each node's children contiguous and ascending, and expands the
-    chunks of a level depth first, so the output equals
-    ``enumerate_depth_first``'s row for row and bit for bit.  The child
-    count of each chunk is charged to the budget before its children are
-    built.
+    chunks of at most FRONTIER_CHUNK_ROWS children depth first.  So the
+    entries come out tree by tree, each tree's in depth-first order.
 
     Only the half-space H is walked: the vectors whose first nonzero
     coordinate, read from z[d-1] down, is positive (Schnorr & Euchner
@@ -375,110 +382,111 @@ def enumerate_frontier(r, r2cap, node_budget):
     negate exactly, and t = R[k,k] z[k] + shift negates exactly, so t * t
     and every norm are bit-equal.  Depth-first order is lexicographic in
     (z[d-1], ..., z[0]), which negation reverses and which puts all of -H
-    before H, so the full output is ``concat(-H[::-1], H)``.  The full
+    before H, so the full output is ``concat(-H[::-1], H)``.  A full
     tree is the all-zero path, d nodes, plus mirror pairs of the ``half``
-    nodes walked beyond it, so it has 2 * half - d nodes.  The walk is
-    charged against (node_budget + d) // 2, the largest half whose full
-    tree fits ``node_budget``, so RadiusTooLarge fires for exactly the
-    budgets it would on the full tree.
+    nodes walked beyond it, so it has 2 * half - d nodes.  Each tree's
+    half is charged against (node_budget + d) // 2, the largest half
+    whose full tree fits ``node_budget``, before the children that reach
+    it are built, so RadiusTooLarge fires for exactly the budgets it
+    would on the full tree of any one tree of the stack.
     """
-    d = r.shape[0]
-    half_budget = (node_budget + d) // 2
+    n, d = r.shape[:2]
+    half = np.zeros(n, dtype=np.int64)
     found = _Found(d)
-    half = _expand(r, r2cap, half_budget, d, np.zeros((0, 1), dtype=np.int64), np.zeros(1), found, True)
-    if half > half_budget:
-        raise _over_budget(node_budget)
+    _expand(r, r2cap, node_budget, d, np.zeros((0, n), dtype=np.int64), np.arange(n),
+            np.zeros(n), np.ones(n, dtype=bool), half, found)
     m = found.m
-    h, hn = found.coords[:m], found.norms[:m]
+    t, h, hn = found.tree[:m], found.coords[:m], found.norms[:m]
     coords = np.empty((2 * m, d), dtype=np.int64)
     np.negative(h[::-1], out=coords[:m])
     coords[m:] = h
-    return coords, np.concatenate((hn[::-1], hn)), 2 * half - d
+    return (np.concatenate((t[::-1], t)), coords, np.concatenate((hn[::-1], hn)),
+            2 * int(half.sum()) - n * d)
 
 
 class _Found:
-    """The frontier kernel's output so far, in buffers that double when full.
-    Collecting small pieces and joining them at the end fragmented the
-    heap: bw16-shells then peaked at 90 MB RSS instead of about 77 MB."""
+    """The frontier's half-space output so far, in buffers that double when
+    full.  Collecting small pieces and joining them at the end fragmented
+    the heap: bw16-shells then peaked at 90 MB RSS instead of about 77 MB."""
 
     def __init__(self, d):
+        self.tree = np.empty(1024, dtype=np.int64)
         self.coords = np.empty((1024, d), dtype=np.int64)
         self.norms = np.empty(1024, dtype=np.float64)
         self.m = 0
 
-    def add(self, coords, norms):
+    def add(self, tree, z, zt, norms):
+        """Append leaves: tree index, z[0], z[1:] as columns of ``zt``, norm."""
         m = self.m
         end = m + norms.shape[0]
         if end > self.norms.shape[0]:
             cap = max(2 * self.norms.shape[0], end)
-            grown = np.empty((cap, self.coords.shape[1]), dtype=np.int64)
-            grown[:m] = self.coords[:m]
-            self.coords = grown
-            grown = np.empty(cap, dtype=np.float64)
-            grown[:m] = self.norms[:m]
-            self.norms = grown
-        self.coords[m:end] = coords
+            for name in ("tree", "coords", "norms"):
+                old = getattr(self, name)
+                grown = np.empty((cap,) + old.shape[1:], dtype=old.dtype)
+                grown[:m] = old[:m]
+                setattr(self, name, grown)
+        self.tree[m:end] = tree
+        self.coords[m:end, 0] = z
+        self.coords[m:end, 1:] = zt.T
         self.norms[m:end] = norms
         self.m = end
 
 
-def _expand(r, r2cap, budget, i, zt, rho, found, zero):
+def _expand(r, r2cap, node_budget, i, zt, tree, rho, zero, half, found):
     """Enumerate the subtrees of a chunk of parents at level i.
 
-    Column p of ``zt`` holds z[i:] of parent p and rho[p] its squared
-    length so far; level r.shape[0] is the root.  Adds the leaves inside
-    the radius to ``found`` and returns the number of nodes below the
-    parents, or budget + 1 once that passes ``budget``.
+    Column p of ``zt`` holds z[i:] of parent p, ``tree[p]`` its stack
+    index and rho[p] its squared length so far; level d is the root.
+    Adds each tree's child count to ``half`` and raises RadiusTooLarge
+    once one passes (node_budget + d) // 2; adds the leaves inside the
+    radius to ``found``.
 
-    Only the half-space is walked: an all-zero parent gets no negative
-    children.  ``zero`` says column 0 of ``zt`` is all zero, as the root
-    is; no other column can be, since parents come in ascending
-    lexicographic order and every other prefix in the half-space has a
-    positive leading entry.  Zero always lies in an all-zero parent's
-    interval, so its first child is all zero too, and that child heads
-    the first chunk below.
+    ``zero`` marks the all-zero parents, at most one per tree.  An
+    all-zero parent gets no negative children, so only the half-space is
+    walked.  Zero always lies in its interval, so its first child is all
+    zero too; the all-zero leaf is not a vector.  A stack of one reads
+    R[k, i:] by slicing rather than by gathering a row per parent: the
+    same numbers, where the gathers make bw16-shells' walk about a fifth
+    slower.
     """
-    d = r.shape[0]
+    n, d = r.shape[:2]
     k = i - 1
-    rkk = r[k, k]
-    s, lo, hi = _bounds(r[k, i:, None], rkk, r2cap, zt, rho)
-    if zero:
-        lo[0] = 0
+    rkk = r[:, k, k][tree]
+    rk = r[0, k, i:, None] if n == 1 else r[tree, k, i:].T
+    s, lo, hi = _bounds(rk, rkk, r2cap, zt, rho)
+    lo[zero] = 0
     cnt = np.maximum(hi - lo + 1, 0)
-    c = int(cnt.sum())
-    if c > budget:
-        return budget + 1
-    parent, z = _spawn(lo, cnt)
-    total = rkk * z + s[parent]       # t, then rho + t * t in place
+    np.add.at(half, tree, cnt)
+    if half.max() > (node_budget + d) // 2:
+        raise _over_budget(node_budget)
+    parent = np.arange(cnt.shape[0]).repeat(cnt)     # contiguous, ascending from lo
+    z = np.arange(parent.shape[0]) + (lo - (cnt.cumsum() - cnt))[parent]
+    total = rkk[parent] * z + s[parent]     # t, then rho + t * t in place
     total *= total
     total += rho[parent]
+    zero = zero[parent] & (z == 0)
     if k == 0:
-        keep = np.flatnonzero(total <= r2cap)
-        rows = np.empty((keep.shape[0], d), dtype=np.int64)
-        rows[:, 0] = z[keep]
-        rows[:, 1:] = zt[:, parent[keep]].T
-        nonzero = rows.any(axis=1)
-        found.add(rows[nonzero], total[keep][nonzero])
-        return c
-    nodes = c
-    for a in range(0, c, FRONTIER_CHUNK_ROWS):
-        b = min(a + FRONTIER_CHUNK_ROWS, c)
+        keep = np.flatnonzero((total <= r2cap) & ~zero)
+        p = parent[keep]
+        found.add(tree[p], z[keep], zt[:, p], total[keep])
+        return
+    for a in range(0, z.shape[0], FRONTIER_CHUNK_ROWS):
+        b = min(a + FRONTIER_CHUNK_ROWS, z.shape[0])
+        p = parent[a:b]
         child = np.empty((d - k, b - a), dtype=np.int64)
         child[0] = z[a:b]
-        child[1:] = zt[:, parent[a:b]]
-        nodes += _expand(r, r2cap, budget - nodes, k, child, total[a:b], found, zero and a == 0)
-        if nodes > budget:
-            return budget + 1
-    return nodes
+        child[1:] = zt[:, p]
+        _expand(r, r2cap, node_budget, k, child, tree[p], total[a:b], zero[a:b], half, found)
 
 
 def _bounds(rk, rkk, r2cap, zt, rho):
     """(s, lo, hi) one level down from a chunk of parents: the shift s and
     each parent's child interval [lo, hi], by the depth-first arithmetic.
 
-    ``rk`` holds R[k, i:] of the parents as a column (one tree) or as one
-    column per parent (a stack), and ``rkk`` R[k, k] as a number or per
-    parent; either way each parent meets the same IEEE operations.
+    ``rk`` holds R[k, i:] of the parents as a column (a stack of one) or
+    as one column per parent, and ``rkk`` R[k, k] per parent; either way
+    each parent meets the same IEEE operations.
     """
     s = np.zeros(zt.shape[1])
     for term in rk * zt:     # j ascending, as depth first
@@ -487,80 +495,6 @@ def _bounds(rk, rkk, r2cap, zt, rho):
     lo = np.ceil((-s - rad) / rkk - 1e-12).astype(np.int64)
     hi = np.floor((-s + rad) / rkk + 1e-12).astype(np.int64)
     return s, lo, hi
-
-
-def _spawn(lo, cnt):
-    """(parent, z) of every child: each parent's ``cnt`` children, contiguous
-    and ascending from ``lo``."""
-    parent = np.arange(cnt.shape[0]).repeat(cnt)
-    z = np.arange(parent.shape[0]) + (lo - (cnt.cumsum() - cnt))[parent]
-    return parent, z
-
-
-def enumerate_stack(r, r2cap, node_budget):
-    """``enumerate_frontier`` on every tree of an (N, d, d) stack of factors at once.
-
-    Returns (tree, norms, nodes): ``tree`` holds the stack index of every
-    vector found, both signs included, ``norms`` their squared lengths and
-    ``nodes`` the full trees' node count summed over the stack.  So
-    ``np.bincount(tree, minlength=N)`` is each tree's vector count, and
-    the norms of tree i are the ones ``enumerate_frontier(r[i], ...)``
-    finds, bit for bit.  The entries come out as ``concat(T[::-1], T)``,
-    T one entry of each +-v pair, tree by tree in depth-first order.
-
-    One frontier holds the nodes of every tree, each with its tree index,
-    and each level step reads the node's own tree's R[k, i:] and R[k, k],
-    so every node meets the frontier kernel's operations.  Every tree's
-    root is all zero, so every tree walks the half-space.  Each tree's
-    half is charged against (node_budget + d) // 2 before the children
-    that reach it are built, so RadiusTooLarge fires exactly when a tree
-    of the stack would raise it on its own.
-    """
-    n, d = r.shape[:2]
-    half = np.zeros(n, dtype=np.int64)
-    found = []
-    _expand_stack(r, r2cap, node_budget, d, np.zeros((0, n), dtype=np.int64), np.arange(n),
-                  np.zeros(n), np.ones(n, dtype=bool), half, found)
-    tree = np.concatenate([t for t, _ in found])
-    norms = np.concatenate([v for _, v in found])
-    return (np.concatenate((tree[::-1], tree)), np.concatenate((norms[::-1], norms)),
-            2 * int(half.sum()) - n * d)
-
-
-def _expand_stack(r, r2cap, node_budget, i, zt, tree, rho, zero, half, found):
-    """``_expand`` for a chunk of parents from a stack of trees.
-
-    ``tree`` holds each parent's stack index and ``zero`` marks the
-    all-zero parents, at most one per tree.  Adds each tree's child count
-    to ``half`` and raises RadiusTooLarge once one passes
-    (node_budget + d) // 2; appends (tree, norm) of the leaves inside the
-    radius to ``found``.
-    """
-    d = r.shape[1]
-    k = i - 1
-    rkk = r[tree, k, k]
-    s, lo, hi = _bounds(r[tree, k, i:].T, rkk, r2cap, zt, rho)
-    lo[zero] = 0
-    cnt = np.maximum(hi - lo + 1, 0)
-    half += np.bincount(tree, cnt, half.shape[0]).astype(np.int64)
-    if half.max() > (node_budget + d) // 2:
-        raise _over_budget(node_budget)
-    parent, z = _spawn(lo, cnt)
-    total = rkk[parent] * z + s[parent]
-    total *= total
-    total += rho[parent]
-    zero = zero[parent] & (z == 0)
-    if k == 0:
-        keep = (total <= r2cap) & ~zero
-        found.append((tree[parent[keep]], total[keep]))
-        return
-    for a in range(0, z.shape[0], FRONTIER_CHUNK_ROWS):
-        b = min(a + FRONTIER_CHUNK_ROWS, z.shape[0])
-        p = parent[a:b]
-        child = np.empty((d - k, b - a), dtype=np.int64)
-        child[0] = z[a:b]
-        child[1:] = zt[:, p]
-        _expand_stack(r, r2cap, node_budget, k, child, tree[p], total[a:b], zero[a:b], half, found)
 
 
 def jacobi_core(a, rel_tol, max_sweeps):

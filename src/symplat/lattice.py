@@ -23,10 +23,12 @@ LLL on an (N, d, d) stack and checks the result, ``_upper_factors``
 factorises each Gram.  ``lll_reduce`` passes a stack of one, which
 ``_kernels.lll_core`` reduces; ``short_counts`` passes the Monte Carlo
 estimator's stacks, which ``_kernels.lll_stack`` reduces, giving each
-basis the same bits.  A single lattice's factor is enumerated on its
-own, for its vectors; ``short_counts`` enumerates a whole stack's trees
-in one ``_kernels.enumerate_core`` call, which walks them together and
-returns each vector's tree index, so the counts are one ``bincount``.
+basis the same bits.  Enumeration has one frontier walker, over a
+stack of trees.  A single lattice's tree, enumerated for its vectors,
+goes depth first when it is small and otherwise through the walker as a
+stack of one; ``short_counts`` passes a whole stack's trees in one
+``_kernels.enumerate_core`` call, which walks them together and returns
+each vector's tree index, so the counts are one ``bincount``.
 
 Boundary handling: the squared radius is inflated by a relative 1e-9 so
 vectors sitting exactly on the radius are included, never dropped.

@@ -221,6 +221,8 @@ def limit_sweep(g: int, r2: float, y_list, samples: int, seed: int) -> list[Mean
     monotonicity.
     """
     ys = [float(y) for y in y_list]
+    if not ys:
+        raise OutOfRange("need at least one height y")
     if any(b <= a for a, b in zip(ys, ys[1:])):
         raise OutOfRange("y values must be strictly increasing")
     return [estimate_I(g, y, r2, samples, seed) for y in ys]

@@ -89,6 +89,8 @@ COMMANDS = [
                                 "--samples", "3"]),
     ("error-search-target-nan", ["search", "--family", "k", "--g", "2", "--budget", "20",
                                  "--target-r2", "nan"]),
+    ("error-sweep-ys-empty", ["sweep", "--g", "2", "--r2", "0.25", "--ys", ",",
+                              "--samples", "10"]),
     ("error-bounds-odd-g", ["bounds", "--g", "3"]),
     ("error-eig-nonsymmetric", ["eig", "--basis-file", "inputs/nonsymmetric.json"]),
     ("error-family-check-k-nonfamily", ["family-check", "--family", "k",

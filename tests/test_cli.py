@@ -226,6 +226,14 @@ class TestCommands:
         assert payload["error"] == {"type": "OutOfRange",
                                     "message": "target squared systole must be positive and finite"}
 
+    @pytest.mark.parametrize("ys", [",", ""])
+    def test_sweep_refuses_an_empty_height_list(self, capsys, ys):
+        code, payload = run_json(capsys, [
+            "sweep", "--g", "2", "--r2", "0.25", "--ys", ys, "--samples", "10", "--stable-output",
+        ])
+        assert code == 2
+        assert payload["error"] == {"type": "OutOfRange", "message": "need at least one height y"}
+
 
 class TestOutputContracts:
     def test_stable_output_byte_identical(self, capsys):

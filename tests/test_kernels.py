@@ -1,5 +1,5 @@
-"""Errors raised by the kernels, parity of the two enumeration kernels,
-parity of a stacked enumeration with one call per tree,
+"""Errors raised by the kernels, parity of the depth-first and frontier
+enumeration kernels on one tree and of a stacked walk with one call per tree,
 parity of the lazy Gram-Schmidt LLL and of the stacked LLL with a full
 recompute after every swap, and parity of the scalar Jacobi sweep with a
 numpy one."""
@@ -47,6 +47,46 @@ def trees(draw, min_scale=0.3, dims=st.integers(2, 8)):
     return chol_upper(gram), r2
 
 
+def frontier(r, r2cap, node_budget):
+    """The frontier walker on one tree, as its stack of one, less the tree index."""
+    return _kernels.enumerate_frontier(r[None], r2cap, node_budget)[1:]
+
+
+ENUMERATION_KERNELS = (_kernels.enumerate_depth_first, frontier, _kernels.enumerate_core)
+
+#: (id, R, squared radius) trees whose nodes sit on ties.  Z^5: many nodes
+#: sit exactly on the radius and on interval ends.  3 Z^2 below radius
+#: 3 - 1e-14: the interval ends fall 3e-15 short of +-1, and only the
+#: 1e-12 slack takes those nodes into the tree.
+TIES = [(f"z5-r2-{r2:g}", np.eye(5), r2) for r2 in (1.0, 2.0, 3.0 * (1 + 1e-9))]
+TIES.append(("3z2", 3.0 * np.eye(2), (3.0 - 1e-14) ** 2))
+
+
+def many_chunks_tree():
+    """A seeded 6-dim tree of over 300 nodes: over a hundred chunks of 3 rows."""
+    rng = np.random.default_rng(7)
+    m = rng.normal(size=(6, 6))
+    gram = m.T @ m + np.eye(6)
+    return chol_upper(gram), 3.0 * float(gram[0, 0])
+
+
+def assert_mirrored(out):
+    """Rows are concat(-H[::-1], H): reversed, they are negated, with bit-equal norms."""
+    coords, norms, _ = out
+    assert np.array_equal(coords[::-1], -coords)
+    assert np.array_equal(norms[::-1].view(np.uint64), norms.view(np.uint64))
+
+
+def assert_kernels_agree_and_mirror(r, r2):
+    """Every kernel returns the depth-first rows, norms and nodes, mirrored."""
+    ref = _kernels.enumerate_depth_first(r, r2, BIG_BUDGET)
+    for kernel in ENUMERATION_KERNELS:
+        out = kernel(r, r2, BIG_BUDGET)
+        assert_same_enumeration(out, ref)
+        assert_mirrored(out)
+    return ref
+
+
 def test_enumeration_over_budget_raises():
     r = chol_upper(np.eye(4))
     with pytest.raises(RadiusTooLarge, match="^enumeration exceeded the node budget of 10; "
@@ -61,10 +101,7 @@ def test_frontier_matches_depth_first():
     @given(trees())
     def check(tree):
         r, r2 = tree
-        ref = _kernels.enumerate_frontier(r, r2, BIG_BUDGET)
-        assert_same_enumeration(_kernels.enumerate_depth_first(r, r2, BIG_BUDGET), ref)
-        assert_same_enumeration(_kernels.enumerate_core(r, r2, BIG_BUDGET), ref)
-        sizes.append(ref[2] / r.shape[0])
+        sizes.append(assert_kernels_agree_and_mirror(r, r2)[2] / r.shape[0])
 
     check()
     small = _kernels.SMALL_TREE_NODES_PER_LEVEL
@@ -72,79 +109,24 @@ def test_frontier_matches_depth_first():
 
 
 def test_frontier_matches_depth_first_over_many_chunks(monkeypatch):
-    rng = np.random.default_rng(7)
-    m = rng.normal(size=(6, 6))
-    gram = m.T @ m + np.eye(6)
-    r = chol_upper(gram)
-    r2 = 3.0 * float(gram[0, 0])
-    ref = _kernels.enumerate_depth_first(r, r2, BIG_BUDGET)
-    assert ref[2] > 300      # over a hundred chunks of 3 rows
+    r, r2 = many_chunks_tree()
     monkeypatch.setattr(_kernels, "FRONTIER_CHUNK_ROWS", 3)
-    assert_same_enumeration(_kernels.enumerate_frontier(r, r2, BIG_BUDGET), ref)
+    assert assert_kernels_agree_and_mirror(r, r2)[2] > 300
 
 
 def test_frontier_on_ties():
-    # Z^5: many nodes sit exactly on the radius and on interval ends.
-    # 3 Z^2 below radius 3 - 1e-14: the interval ends fall 3e-15 short of
-    # +-1, and only the 1e-12 slack takes those nodes into the tree.
-    cases = [(np.eye(5), r2) for r2 in (1.0, 2.0, 3.0 * (1 + 1e-9))]
-    cases.append((3.0 * np.eye(2), (3.0 - 1e-14) ** 2))
-    for r, r2 in cases:
-        ref = _kernels.enumerate_depth_first(r, r2, BIG_BUDGET)
-        assert_same_enumeration(_kernels.enumerate_frontier(r, r2, BIG_BUDGET), ref)
+    for _, r, r2 in TIES:
+        assert_kernels_agree_and_mirror(r, r2)
 
 
 def test_budget_is_exact_above_small_tree_threshold():
     r = np.eye(4)
     nodes = _kernels.enumerate_core(r, 4.0, BIG_BUDGET)[2]
     assert nodes == 140 > 4 * _kernels.SMALL_TREE_NODES_PER_LEVEL
-    for kernel in (_kernels.enumerate_core, _kernels.enumerate_frontier,
-                   _kernels.enumerate_depth_first):
+    for kernel in ENUMERATION_KERNELS:
         assert kernel(r, 4.0, nodes)[2] == nodes
         with pytest.raises(RadiusTooLarge, match=f"node budget of {nodes - 1};"):
             kernel(r, 4.0, nodes - 1)
-
-
-ENUMERATION_KERNELS = (_kernels.enumerate_depth_first, _kernels.enumerate_frontier,
-                       _kernels.enumerate_core)
-
-
-def assert_mirrored(out):
-    """Rows are concat(-H[::-1], H): reversed, they are negated, with bit-equal norms."""
-    coords, norms, _ = out
-    assert np.array_equal(coords[::-1], -coords)
-    assert np.array_equal(norms[::-1].view(np.uint64), norms.view(np.uint64))
-
-
-def test_output_is_negation_mirrored_on_random_trees():
-    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(trees())
-    def check(tree):
-        r, r2 = tree
-        for kernel in ENUMERATION_KERNELS:
-            assert_mirrored(kernel(r, r2, BIG_BUDGET))
-
-    check()
-
-
-def test_output_is_negation_mirrored_on_ties():
-    # test_frontier_on_ties' cases: nodes on the radius and on interval ends
-    cases = [(np.eye(5), r2) for r2 in (1.0, 2.0, 3.0 * (1 + 1e-9))]
-    cases.append((3.0 * np.eye(2), (3.0 - 1e-14) ** 2))
-    for r, r2 in cases:
-        for kernel in ENUMERATION_KERNELS:
-            assert_mirrored(kernel(r, r2, BIG_BUDGET))
-
-
-def test_output_is_negation_mirrored_over_many_chunks(monkeypatch):
-    rng = np.random.default_rng(7)
-    m = rng.normal(size=(6, 6))
-    gram = m.T @ m + np.eye(6)
-    r = chol_upper(gram)
-    r2 = 3.0 * float(gram[0, 0])
-    monkeypatch.setattr(_kernels, "FRONTIER_CHUNK_ROWS", 3)
-    for kernel in ENUMERATION_KERNELS:
-        assert_mirrored(kernel(r, r2, BIG_BUDGET))
 
 
 def test_budget_is_exact_on_random_trees():
@@ -163,7 +145,7 @@ def test_budget_is_exact_on_random_trees():
             return
         large.append(nodes)
         assert (nodes + d) % 2 == 0
-        for kernel in (_kernels.enumerate_frontier, _kernels.enumerate_core):
+        for kernel in (frontier, _kernels.enumerate_core):
             assert kernel(r, r2, nodes)[2] == nodes
             with pytest.raises(RadiusTooLarge, match=f"node budget of {nodes - 1};"):
                 kernel(r, r2, nodes - 1)
@@ -184,22 +166,25 @@ def stacks(draw):
 
 
 def assert_stack_is_its_trees(r, r2):
-    """One stacked ``enumerate_core`` call finds, tree by tree, what one call
-    per tree finds: the counts, the norms bit for bit, and the summed nodes."""
-    tree, norms, nodes = _kernels.enumerate_core(r, r2, BIG_BUDGET)
+    """One stacked walk finds, tree by tree, what one call per tree finds:
+    the counts, the coordinate rows and norms in order and bit for bit, and
+    the summed nodes.  A stacked ``enumerate_core`` call returns the walk's
+    tree indices, norms and nodes."""
+    tree, coords, norms, nodes = _kernels.enumerate_frontier(r, r2, BIG_BUDGET)
+    assert_same_enumeration(_kernels.enumerate_core(r, r2, BIG_BUDGET), (tree, norms, nodes))
     outs = [_kernels.enumerate_core(ri, r2, BIG_BUDGET) for ri in r]
-    assert tree.dtype == np.int64
     assert np.bincount(tree, minlength=r.shape[0]).tolist() == [out[0].shape[0] for out in outs]
-    assert type(nodes) is int
     assert nodes == sum(out[2] for out in outs)
     # concat(T[::-1], T), T in depth-first order, so each tree's half of
     # T holds its one-tree call's second half, H
     assert np.array_equal(tree[::-1], tree)
-    assert np.array_equal(norms[::-1].view(np.uint64), norms.view(np.uint64))
+    assert_mirrored((coords, norms, nodes))
     m = tree.shape[0] // 2
-    for i, (_, h, _) in enumerate(outs):
+    for i, (c, h, _) in enumerate(outs):
         assert np.array_equal(norms[m:][tree[m:] == i].view(np.uint64),
                               h[h.shape[0] // 2:].view(np.uint64))
+        assert np.array_equal(coords[tree == i], c)
+        assert np.array_equal(norms[tree == i].view(np.uint64), h.view(np.uint64))
 
 
 def assert_stack_budget_is_exact(r, r2):
@@ -231,16 +216,14 @@ def stack_cases():
     rng = np.random.default_rng(3)
     m = rng.normal(size=(6, 6))
     random6 = chol_upper(m.T @ m + np.eye(6))
-    # Z^5 ties: many nodes sit exactly on the radius and on interval ends
-    ties = [(f"ties-z5-r2-{r2:g}", np.array([np.eye(5), np.eye(5), 1.5 * np.eye(5)]), r2)
-            for r2 in (1.0, 2.0, 3.0 * (1 + 1e-9))]
+    # each tie tree beside the unit and a scaled tree of its dimension
+    ties = [(f"ties-{name}", np.array([r, np.eye(r.shape[0]), 1.5 * r]), r2) for name, r, r2 in TIES]
     return ties + [
-        ("ties-3z2", np.array([3.0 * np.eye(2), np.eye(2)]), (3.0 - 1e-14) ** 2),
         ("d1", np.array([[[1.0]], [[0.5]], [[2.0]], [[3.0]]]), 4.0),
         ("one-z5", np.eye(5)[None], 2.0),
         ("one-random", random6[None], 2.0 * float(random6[0, 0] ** 2)),
-        # Z^6's level-1 frontier at r2 = 16 holds over 3,000 half-space nodes
-        ("over-a-chunk", np.array([np.eye(6), 2.0 * np.eye(6), random6]), 16.0),
+        # Z^6's level-1 frontier at r2 = 20 holds over 5,000 half-space nodes
+        ("over-a-chunk", np.array([np.eye(6), 2.0 * np.eye(6), random6]), 20.0),
     ]
 
 

@@ -284,7 +284,9 @@ class TestSweep:
         assert abs(ests[-1].mean - limit) <= 4.0 * max(ests[-1].stderr, 1e-3)
 
     def test_empty(self):
-        assert limit_sweep(2, 0.25, [], 10, seed=0) == []
+        for ys in ([], ()):
+            with pytest.raises(OutOfRange, match="^need at least one height y$"):
+                limit_sweep(2, 0.25, ys, 10, seed=0)
 
     def test_single(self):
         ests = limit_sweep(2, 0.25, [8.0], 20, seed=0)

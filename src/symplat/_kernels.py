@@ -17,10 +17,13 @@ their bits do not depend on the host.  ``jacobi_core`` and
 as a numpy kernel would, so the bits are the same; ``jacobi_core``'s
 docstring says why.  ``lll_core`` sums its dot products left to right,
 where ``np.dot`` leaves the order to the BLAS build, and computes
-Gram-Schmidt rows lazily; its docstring gives the rule and why the
-result is bit for bit a full recompute's.  ``lll_stack`` does the same
-float operations elementwise over the stack, with the same left-to-right
-sums, and recomputes Gram-Schmidt in full after a swap.
+Gram-Schmidt rows lazily: only from the swap point, and within a row
+only the projections onto rows recomputed since, resuming from the
+partial row it keeps.  Its docstring gives the rule, why the result is
+bit for bit a full recompute's, and the memory the partial rows take.
+``lll_stack`` does the same float operations elementwise over the
+stack, with the same left-to-right sums, and recomputes Gram-Schmidt in
+full after a swap.
 
 Enumeration has two kernels over the same Fincke-Pohst tree.
 ``enumerate_depth_first`` walks one tree one node at a time.
@@ -113,6 +116,20 @@ def lll_core(w, v, delta):
     rows below it; size reduction changes w[k] and mu[k] but never bstar
     or nrm; rows above k are untouched until k reaches them.
 
+    Within a row, the projections already made are kept (Schnorr &
+    Euchner 1994 recompute from the swap point; this also resumes inside
+    the row).  ``part[i][j]`` is w[i] less its first j projections, so
+    ``part[i][0]`` is w[i], and mu[i][j] is valid for
+    j < len(part[i]) - 1; row i resumes from ``part[i][-1]`` and appends
+    each new partial.  Term j reads only w[i], bstar[j] and nrm[j], and
+    those change only when w[i] does or row j is recomputed.  So a
+    size-reduction step with q != 0 at row k resets ``part[k]`` to
+    [w[k]]; a swap at k swaps rows k - 1 and k of w, v, mu and ``part``
+    together and, as rows fresh and up will be recomputed, cuts every
+    ``part[i]`` with i >= fresh to its first fresh + 1 entries.  Each
+    kept term is then the one the recompute would make, bit for bit.
+    The partials cost memory: at most d(d + 1)/2 rows of d floats.
+
     One difference remains: a norm that underflows in a row above k
     raises when k reaches that row, not at the swap before, and w and v
     then hold the further-reduced rows.  A basis that passes
@@ -124,6 +141,7 @@ def lll_core(w, v, delta):
     bstar = [None] * d
     mu = [[0.0] * d for _ in range(d)]
     nrm = [0.0] * d
+    part = [[row] for row in W]
     fresh = 0
     stale = d
     k = 1
@@ -137,8 +155,9 @@ def lll_core(w, v, delta):
                 i = fresh
                 wi = W[i]
                 mui = mu[i]
-                b = wi
-                for j in range(i):
+                pi = part[i]
+                b = pi[-1]
+                for j in range(len(pi) - 1, i):
                     bj = bstar[j]
                     s = 0.0
                     for x, y in zip(wi, bj):
@@ -146,6 +165,7 @@ def lll_core(w, v, delta):
                     m = s / nrm[j]
                     mui[j] = m
                     b = [x - m * y for x, y in zip(b, bj)]
+                    pi.append(b)
                 mui[i] = 1.0
                 s = 0.0
                 for x in b:
@@ -165,14 +185,17 @@ def lll_core(w, v, delta):
                     muj = mu[j]
                     for t in range(j + 1):
                         muk[t] = muk[t] - qf * muj[t]
+                    part[k] = [W[k]]
                     stale = min(stale, k)
             m = muk[k - 1]
             if nrm[k] >= (delta - m * m) * nrm[k - 1]:
                 k += 1
             else:
-                W[k - 1], W[k] = W[k], W[k - 1]
-                V[k - 1], V[k] = V[k], V[k - 1]
+                for rows in (W, V, mu, part):
+                    rows[k - 1], rows[k] = rows[k], rows[k - 1]
                 fresh = min(stale, k - 1)
+                for i in range(fresh, d):
+                    del part[i][fresh + 1:]
                 stale = d
                 k = max(k - 1, 1)
     finally:
@@ -516,12 +539,24 @@ def jacobi_core(a, rel_tol, max_sweeps):
     the rows, and the rows use the rotated columns.  The input's
     Frobenius norm is still summed by ``np.sum``, whose pairwise order a
     Python loop would not reproduce.
+
+    Each mirror pair is rotated once.  ``a`` must be bitwise symmetric
+    (ValueError otherwise; ``sym_eig`` passes 0.5 * (s + s^T), which is).
+    For k not p or r, the column pass turns (a[k,p], a[k,r]) and the row
+    pass turns (a[p,k], a[r,k]) by the same operations on the same
+    operands, so the kernel computes each pair once and stores it in
+    both mirror positions.  The 2 x 2 block at (p, r) is computed as the
+    two passes compute it, and a[p,r] and a[r,p] are then zeroed, so
+    ``a`` stays bitwise symmetric from rotation to rotation.
     """
+    if not np.array_equal(a.view(np.int64), a.T.view(np.int64)):
+        raise ValueError("Jacobi needs a bitwise symmetric matrix")
     n = a.shape[0]
     fro = np.sqrt(np.sum(a * a))
     thresh = rel_tol * fro
     A = a.tolist()
     Q = np.eye(n).tolist()
+    others = [[[k for k in range(n) if k != p and k != r_] for r_ in range(n)] for p in range(n)]
     for sweep in range(max_sweeps):
         off = 0.0
         for i in range(n):
@@ -544,16 +579,20 @@ def jacobi_core(a, rel_tol, max_sweeps):
                     t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
                 c = 1.0 / math.sqrt(t * t + 1.0)
                 s = t * c
-                for row in A:
+                for k in others[p][r_]:
+                    row = A[k]
                     x = row[p]
                     y = row[r_]
-                    row[p] = c * x - s * y
-                    row[r_] = s * x + c * y
-                for k in range(n):
-                    x = rowp[k]
-                    y = rowr[k]
-                    rowp[k] = c * x - s * y
-                    rowr[k] = s * x + c * y
+                    row[p] = rowp[k] = c * x - s * y
+                    row[r_] = rowr[k] = s * x + c * y
+                app = rowp[p]
+                arr = rowr[r_]
+                xp = c * app - s * apq
+                yp = s * app + c * apq
+                xr = c * apq - s * arr
+                yr = s * apq + c * arr
+                rowp[p] = c * xp - s * xr
+                rowr[r_] = s * yp + c * yr
                 rowp[r_] = 0.0
                 rowr[p] = 0.0
                 for row in Q:

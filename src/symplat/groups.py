@@ -10,6 +10,7 @@ deduplicated by exact entry comparison.  Public formulas are stated
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -135,7 +136,17 @@ def bit_flips(n: int) -> list[np.ndarray]:
 
     The group is generated by J^k = ``j_generator(n, k)`` for k = 1..n and
     is isomorphic to (Z_2^n, +); its elements are 2^n x 2^n int64 matrices.
+    The closure runs once per n: the list is new on every call, and its
+    elements are shared and read-only.
     """
+    return list(_bit_flips(n))
+
+
+@cache
+def _bit_flips(n: int) -> tuple[np.ndarray, ...]:
     grp = group_closure([j_generator(n, k) for k in range(1, n + 1)])
     eye = np.eye(2 ** n, dtype=np.int64)
-    return [e for e in grp.elements if not np.array_equal(e, eye)]
+    flips = tuple(e for e in grp.elements if not np.array_equal(e, eye))
+    for e in flips:
+        e.setflags(write=False)
+    return flips

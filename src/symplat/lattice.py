@@ -76,6 +76,13 @@ class Lattice:
         u.setflags(write=False)
         return reduced, u
 
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        """``np.linalg.inv(basis)``, computed on first use and read-only."""
+        inverse = np.linalg.inv(self.basis)
+        inverse.setflags(write=False)
+        return inverse
+
 
 @dataclass(frozen=True)
 class ShortVectorReport:

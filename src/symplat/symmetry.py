@@ -3,12 +3,13 @@
 A lattice with basis matrix A is symmetric under an orthogonal O exactly
 when O A = A R for an integral unimodular R, i.e. when A^-1 O A rounds to
 an integer matrix.  Witnesses take a ``Lattice``, whose basis
-``from_basis`` has validated and rank-checked once, however many
-candidates are tried on it.  Extraction is two-staged on purpose: entries
-must sit within ``linalg.ROUNDING_TOL`` = 1e-6 of integers (near-singular
-bases can push them toward half integers), and the rounded R must then
-pass a strict residual check at RESIDUAL_REL_TOL * max |A|.  Failing
-either stage raises, never silently accepts.
+``from_basis`` has validated and rank-checked once, and whose cached
+``Lattice.inverse`` inverts it once, however many candidates are tried
+on it.  Extraction is two-staged on purpose: entries must sit within
+``linalg.ROUNDING_TOL`` = 1e-6 of integers (near-singular bases can push
+them toward half integers), and the rounded R must then pass a strict
+residual check at RESIDUAL_REL_TOL * max |A|.  Failing either stage
+raises, never silently accepts.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ def induced_change_of_basis(lat: Lattice, o) -> SymmetryWitness:
         raise ValueError("basis and orthogonal candidate must share one dimension")
     if not is_orthogonal(o):
         raise NotASymmetry("candidate matrix is not orthogonal")
-    raw = np.linalg.inv(a) @ o @ a
+    raw = lat.inverse @ o @ a
     try:
         r = round_to_int(raw)
     except NotIntegral as exc:

@@ -31,6 +31,7 @@ give the bits numpy's generator gives.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -321,7 +322,16 @@ def verify_a2n_symmetries(z: SiegelPoint) -> list[SymmetryWitness]:
     """
     n = _log2_exact(z.g)
     lat = from_basis(p_z(z))
-    return [induced_change_of_basis(lat, np.kron(np.eye(2), e)) for e in bit_flips(n)]
+    return [induced_change_of_basis(lat, o) for o in _block_bit_flips(n)]
+
+
+@cache
+def _block_bit_flips(n: int) -> tuple[np.ndarray, ...]:
+    """diag(E, E) in float64 for each element E of ``bit_flips(n)``, read-only."""
+    blocks = tuple(np.kron(np.eye(2), e) for e in bit_flips(n))
+    for o in blocks:
+        o.setflags(write=False)
+    return blocks
 
 
 def verify_kprime(z: SiegelPoint) -> SymmetryWitness:

@@ -183,3 +183,16 @@ class TestBitFlips:
             for e in flips:
                 assert np.array_equal(e @ e, eye)        # involutions: (Z_2^n, +)
                 assert e.dtype == np.int64
+
+    def test_elements_are_read_only_and_each_list_is_new(self):
+        flips = bit_flips(3)
+        keys = [e.tobytes() for e in flips]
+        for e in flips:
+            assert not e.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            flips[0][0, 0] = 5
+        flips.reverse()
+        flips.append(np.eye(8, dtype=np.int64))
+        again = bit_flips(3)
+        assert again is not flips
+        assert [e.tobytes() for e in again] == keys

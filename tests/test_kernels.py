@@ -11,11 +11,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from symplat import _kernels, a2n_eigenvalues, a2n_family_point, a2n_from_row, bw_lattice, sample_vcube
+from symplat import _kernels, a2n_eigenvalues, a2n_family_point, a2n_from_row, bw_lattice, p_z, sample_vcube
 from symplat.errors import NumericalBreakdown, RadiusTooLarge
 from symplat.meanvalue import k_family_lattice
 
 BIG_BUDGET = 10 ** 7
+
+
+def xor_family_point(rng, g):
+    """A random XOR-family point of dimension g, its sqrt(Y) row shifted to be SPD."""
+    s_row = rng.uniform(0.0, 1.0, g)
+    s_row[0] += 0.1 - min(float(np.min(a2n_eigenvalues(s_row))), 0.0)
+    return a2n_family_point(rng.uniform(0.0, 1.0, g), s_row)
 
 
 def chol_upper(gram):
@@ -362,16 +369,20 @@ LLL_DIMS = st.one_of(st.integers(2, 15), st.integers(16, 20))
 
 @st.composite
 def lll_inputs(draw):
-    """(rows to reduce, delta): random, near-dependent or scrambled structured bases.
+    """(rows to reduce, delta): random, near-dependent, scrambled structured
+    or symplectic family bases.
 
     Scrambled Z^n and Barnes-Wall bases have integer Gram matrices, so
     size-reduction coefficients meet exact half-integer ties.  There a mu
     row updated by size reduction and the same row recomputed can round
     to different integers, which random bases almost never show.  Random
     and Z^n dimensions fall on both sides of 16, the length at which
-    numpy's dot switches BLAS kernels on common builds.
+    numpy's dot switches BLAS kernels on common builds.  P_Z of XOR-family
+    points and K-family bases at large heights swap often with size
+    reductions in between, so the kernel both truncates Gram-Schmidt
+    prefixes at swaps and resets them after size reduction.
     """
-    kind = draw(st.sampled_from(["random", "near_dependent", "zn", "bw2", "bw3"]))
+    kind = draw(st.sampled_from(["random", "near_dependent", "zn", "bw2", "bw3", "xor", "kfam"]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     delta = draw(st.sampled_from([0.75, 0.99]))
     if kind == "random":
@@ -384,6 +395,12 @@ def lll_inputs(draw):
         w[-1] = rng.integers(-3, 4, size=d - 1) @ w[:-1] + eps * rng.normal(size=d)
     elif kind == "zn":
         w = scramble(rng, draw(LLL_DIMS), draw(st.integers(1, 3))).T.astype(np.float64)
+    elif kind == "xor":
+        w = p_z(xor_family_point(rng, draw(st.sampled_from([4, 8])))).T
+    elif kind == "kfam":
+        g = draw(st.sampled_from([2, 4, 8]))
+        y = draw(st.sampled_from([8.0, 1e3, 1e4]))
+        w = k_family_lattice(sample_vcube(g, int(rng.integers(2 ** 31)), 0), y).basis.T
     else:
         basis = BW_BASES[int(kind[2])]
         w = (basis @ scramble(rng, basis.shape[0], draw(st.integers(1, 3)))).T
@@ -593,10 +610,8 @@ def jacobi_inputs(draw):
     if kind == "random":
         return symmetrize(rng.normal(size=(draw(st.integers(1, 32)),) * 2))
     if kind in ("xor_x", "xor_y"):
-        s_row = rng.uniform(0.0, 1.0, 8)
-        s_row[0] += 0.1 - min(float(np.min(a2n_eigenvalues(s_row))), 0.0)
-        z = a2n_family_point(rng.uniform(0.0, 1.0, 8), s_row)
-        return z.x if kind == "xor_x" else z.y
+        z = xor_family_point(rng, 8)
+        return z.x if kind == "xor_x" else symmetrize(z.y)
     if kind == "walsh":
         return a2n_from_row(rng.normal(size=2 ** draw(st.integers(1, 5))))
     n = draw(st.integers(1, 16))
@@ -634,3 +649,15 @@ def test_jacobi_iteration_cap_matches_reference(max_sweeps):
         ref = raised(jacobi_reference, s.copy(), np.eye(12), 1e-12, max_sweeps)
     new = raised(_kernels.jacobi_core, s, 1e-12, max_sweeps)
     assert new == ref == (NumericalBreakdown, "Jacobi sweeps did not converge within the sweep cap")
+
+
+def test_jacobi_refuses_a_matrix_that_is_not_bitwise_symmetric():
+    # the kernel rotates each mirror pair once, so the pair must hold one value
+    s = symmetrize(np.random.default_rng(4).normal(size=(5, 5)))
+    one_ulp = s.copy()
+    one_ulp[1, 3] = np.nextafter(one_ulp[1, 3], np.inf)
+    signed_zero = np.eye(3)
+    signed_zero[0, 2] = -0.0
+    for a in (one_ulp, signed_zero):
+        with pytest.raises(ValueError, match="^Jacobi needs a bitwise symmetric matrix$"):
+            _kernels.jacobi_core(a, 1e-12, 100)

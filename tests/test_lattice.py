@@ -411,6 +411,15 @@ class TestReductionCache:
         assert u_again.flags.writeable
         assert np.array_equal(again.basis, cached.basis)
 
+    def test_inverse_is_cached_and_read_only(self, rng):
+        lat = from_basis(random_invertible(rng, 5, max_cond=50.0))
+        inverse = lat.inverse
+        assert lat.inverse is inverse
+        assert not inverse.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            inverse[0, 0] = 0.0
+        assert np.array_equal(inverse.view(np.int64), np.linalg.inv(lat.basis).view(np.int64))
+
 
 class TestSystole:
     def test_integer_lattices(self):

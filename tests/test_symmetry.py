@@ -208,6 +208,22 @@ class TestLatticeWitnesses:
         assert count == 5
         assert rank_checks == [(6, 6)]
 
+    def test_one_basis_inverse_per_lattice(self, rng, monkeypatch):
+        inverted = []
+        original = np.linalg.inv
+
+        def counting(a):
+            inverted.append(np.array(a))
+            return original(a)
+
+        monkeypatch.setattr(np.linalg, "inv", counting)
+        for g in (2, 4, 8):
+            inverted.clear()
+            z = xor_point(rng, g)
+            assert len(verify_a2n_symmetries(z)) == g - 1
+            basis = p_z(z)
+            assert sum(np.array_equal(a, basis) for a in inverted) == 1
+
     def test_one_witness_call_per_group_element(self, rng, monkeypatch):
         from symplat import symplectic
 

@@ -8,9 +8,11 @@ Fincke-Pohst enumeration over the Cholesky factor of the LLL-reduced Gram
 reported coordinate vectors refer to the original basis.  The kernels
 return the vectors as ``concat(-H[::-1], H)``, H one of each +-v pair,
 so only H goes through the transform and into the histogram; the other
-half is its negated mirror.  Enumeration is
-exhaustive: exceeding the node budget raises RadiusTooLarge rather than
-truncating.
+half is its negated mirror.  H goes through U in float64 (BLAS) while
+d max|H| max|U| < 2^53, which makes the product exact in any order, on
+any host (``linalg.exact_in_float``); past that bound, in int64.
+Enumeration is exhaustive: exceeding the node budget raises
+RadiusTooLarge rather than truncating.
 
 Each lattice is reduced at most once at DEFAULT_LLL_DELTA: ``systole``,
 ``enumerate_short`` and everything built on them read the cached
@@ -44,7 +46,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import NumericalBreakdown, OutOfRange
-from .linalg import as_mat, check_nonsingular, det_int, is_unimodular
+from .linalg import as_mat, check_nonsingular, det_int, exact_in_float, is_unimodular
 
 #: Relative slack on the squared enumeration radius.
 BOUNDARY_EPS = 1e-9
@@ -207,6 +209,12 @@ def _upper_factors(grams: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(chol_lower.transpose(0, 2, 1))
 
 
+def _through_u(h: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The int64 rows ``h @ u.T``: in float64 when ``exact_in_float`` proves it exact."""
+    hf, ut = h.astype(np.float64), u.T.astype(np.float64)
+    return (hf @ ut).astype(np.int64) if exact_in_float(hf, ut) else h @ u.T
+
+
 def _enumerate_reduced(reduced: Lattice, u: np.ndarray, r2: float,
                        node_budget: int) -> ShortVectorReport:
     """Enumerate the reduced lattice's tree and map the vectors back through U.
@@ -221,7 +229,7 @@ def _enumerate_reduced(reduced: Lattice, u: np.ndarray, r2: float,
     coords_z, norms, nodes = _kernels.enumerate_core(r, cap, node_budget)
     m = norms.shape[0] // 2
     coords = np.empty_like(coords_z)
-    coords[m:] = coords_z[m:] @ u.T
+    coords[m:] = _through_u(coords_z[m:], u)
     np.negative(coords[m:][::-1], out=coords[:m])
     hist = {key: 2 * c for key, c in _histogram(norms[m:]).items()}
     systole2, kissing = next(iter(hist.items()), (None, 0))

@@ -10,18 +10,22 @@ Conventions
 
 The symmetric eigensolver is cyclic Jacobi (robust and plenty fast for
 dimensions up to 32).  Determinants of integer matrices use Bareiss
-fraction-free elimination over Python ints.
+fraction-free elimination over Python ints, skipping the rows a step
+leaves unchanged (see ``det_int``).
 
 Unimodularity is decided exactly, usually without a determinant:
 ``is_unimodular`` rounds the float inverse of A to an integer matrix X
-and multiplies back.  When n max|A| max|X| < 2^53, every product and
-partial sum of A @ X is an integer below 2^53, so float64 computes it
-exactly in any order.  A @ X == I then proves det A det X = 1 over the
-integers, hence |det A| = 1.  Otherwise (an inexact or failed inverse,
-or entries too large for the guard) Bareiss decides.
+and multiplies back.  When n max|A| max|X| < 2^53 (``exact_in_float``),
+every product and partial sum of A @ X is an integer below 2^53, so
+float64 computes it exactly in any order, on any BLAS.  A @ X == I then
+proves det A det X = 1 over the integers, hence |det A| = 1.  Otherwise
+(an inexact or failed inverse, or entries too large for the bound)
+Bareiss decides.
 """
 
 from __future__ import annotations
+
+import numbers
 
 import numpy as np
 
@@ -58,17 +62,20 @@ def as_mat(a) -> np.ndarray:
 
 
 def as_intmat(a) -> np.ndarray:
-    """Validate and return ``a`` as a square int64 matrix."""
+    """Validate and return ``a`` as a square int64 matrix.
+
+    Raises ValueError naming an entry that is not an integer in int64's
+    range (a fraction, inf, NaN, 2^63 or more), where numpy would wrap it.
+    """
     arr = np.array(a)
     if np.iscomplexobj(arr):
         raise ValueError("expected an integer matrix, got complex entries")
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-    if not np.issubdtype(arr.dtype, np.integer):
-        flo = np.asarray(arr, dtype=np.float64)
-        if not np.array_equal(flo, np.round(flo)):
-            raise ValueError("integer matrix has non-integer entries")
-        arr = np.round(flo)
+    if arr.dtype.kind != "i":
+        for (i, j), x in zip(np.ndindex(arr.shape), arr.ravel().tolist()):
+            if not (isinstance(x, numbers.Real) and -2 ** 63 <= x < 2 ** 63 and x == int(x)):
+                raise ValueError(f"entry ({i},{j}) = {x!r} is not an integer in int64's range")
     return arr.astype(np.int64)
 
 
@@ -117,10 +124,15 @@ def check_spd(d: np.ndarray) -> None:
 
 
 def det_int(a) -> int:
-    """Exact determinant of an integer matrix by Bareiss elimination."""
-    arr = as_intmat(a)
-    n = arr.shape[0]
-    m = [[int(x) for x in row] for row in arr]
+    """Exact determinant of an integer matrix by Bareiss elimination.
+
+    Step k sets m[i][j] = (m[i][j] p - m[i][k] m[k][j]) // prev (pivot p =
+    m[k][k], prev the last one).  A row with m[i][k] == 0 only becomes
+    m[i][j] p // prev, which is m[i][j] when p == prev, so it is rescaled or
+    skipped: every integer kept is the one the dense loop computes.
+    """
+    m = as_intmat(a).tolist()
+    n = len(m)
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -130,12 +142,27 @@ def det_int(a) -> int:
                 return 0
             m[k], m[pivot] = m[pivot], m[k]
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
+        p, top = m[k][k], m[k][k + 1:]
+        for row in m[k + 1:]:
+            c = row[k]
+            if c:
+                row[k + 1:] = [(x * p - c * y) // prev for x, y in zip(row[k + 1:], top)]
+                row[k] = 0
+            elif p != prev:
+                row[k + 1:] = [x * p // prev for x in row[k + 1:]]
+        prev = p
     return sign * m[n - 1][n - 1]
+
+
+def exact_in_float(a: np.ndarray, b: np.ndarray):
+    """True where a @ b is exact in float64: n max|a| max|b| < 2^53, n = a.shape[-1].
+
+    For float stacks of integers, per matrix.  n max|a| is exact below 2^53
+    and rounding is monotone, so the float bound passes only when the exact
+    one does; NaN and inf fail it.
+    """
+    big = [np.abs(x).max(axis=(-2, -1), initial=0.0) for x in (a, b)]
+    return a.shape[-1] * big[0] * big[1] < 2.0 ** 53
 
 
 def is_unimodular(a):
@@ -157,11 +184,8 @@ def is_unimodular(a):
         x = np.rint(np.linalg.inv(af))
     except np.linalg.LinAlgError:      # singular in floats only, perhaps
         x = np.zeros_like(af)          # proves nothing: A @ 0 != I
-    # n max|A| is exact below 2^53 and rounding is monotone, so the float
-    # product is below 2^53 only when the exact one is; NaN and inf fail
-    # the comparison and are kept out of the matrix product.
-    exact = n * np.abs(af).max(axis=(-2, -1)) * np.abs(x).max(axis=(-2, -1)) < 2.0 ** 53
-    x = np.where(exact[:, None, None], x, 0.0)
+    exact = exact_in_float(af, x)
+    x = np.where(exact[:, None, None], x, 0.0)     # keeps NaN and inf out of the product
     ok = exact & (af @ x == np.eye(n)).all(axis=(-2, -1))
     for i in np.flatnonzero(~ok):
         ok[i] = abs(det_int(arr[i])) == 1

@@ -1,4 +1,6 @@
+import json
 from collections import Counter
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -18,8 +20,8 @@ from symplat import (
 )
 from symplat import _kernels
 from symplat.errors import NumericalBreakdown, OutOfRange, RadiusTooLarge, Singular
-from symplat.lattice import BOUNDARY_EPS, _histogram, report_to_obj, short_counts
-from symplat.linalg import det_int, is_unimodular
+from symplat.lattice import BOUNDARY_EPS, _histogram, _through_u, _upper_factors, report_to_obj, short_counts
+from symplat.linalg import det_int, exact_in_float, is_unimodular, mat_from_obj
 from symplat.meanvalue import k_family_lattice
 
 from conftest import brute_force_short, coord_multiset, random_invertible
@@ -312,6 +314,59 @@ class TestEnumerate:
         assert "nodes" not in obj
         assert obj["count"] == 4
         assert obj["histogram"] == [[1.0, 4]]
+
+
+class TestThroughU:
+    """H @ U^T goes through float64 only where ``exact_in_float`` proves it exact."""
+
+    @staticmethod
+    def exact(h, u):
+        """H @ U^T over Python ints."""
+        return np.array(h.astype(object) @ u.T.astype(object), dtype=object)
+
+    def test_matches_the_exact_product_on_both_sides_of_the_bound(self, rng):
+        # (d, max|H|, max|U|): well below, just below, at, and past 2^53
+        for d, hmax, umax in ((16, 5, 547), (16, 2 ** 26, 2 ** 23 - 1), (16, 2 ** 26, 2 ** 23),
+                              (16, 2 ** 30, 2 ** 28), (4, 2 ** 40, 2 ** 9), (3, 1, 1)):
+            h = rng.integers(-hmax, hmax + 1, size=(500, d))
+            u = rng.integers(-umax, umax + 1, size=(d, d))
+            h[0, 0], u[0, 0] = hmax, umax           # pin the maxima
+            assert exact_in_float(h.astype(float), u.T.astype(float)) == (d * hmax * umax < 2 ** 53)
+            got = _through_u(h, u)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, h @ u.T)
+            assert (got.astype(object) == self.exact(h, u)).all()
+
+    def test_past_the_bound_a_float_product_would_round(self, rng):
+        h = rng.integers(2 ** 29, 2 ** 30, size=(200, 16)) * rng.choice([-1, 1], size=(200, 16))
+        u = rng.integers(2 ** 27, 2 ** 28, size=(16, 16))
+        rounded = (h.astype(float) @ u.T.astype(float)).astype(np.int64)
+        assert not np.array_equal(rounded, h @ u.T)
+        assert np.array_equal(_through_u(h, u), h @ u.T)
+
+    def test_bound_edges(self):
+        assert exact_in_float(np.full((1, 16), 2.0 ** 26), np.full((16, 1), 2.0 ** 23 - 1))
+        assert not exact_in_float(np.full((1, 16), 2.0 ** 26), np.full((16, 1), -2.0 ** 23))
+        # maxima whose int64 product wraps to a small number still fail
+        assert not exact_in_float(np.array([[2.0 ** 32]]), np.array([[2.0 ** 32]]))
+        for bad in (np.nan, np.inf):
+            assert not exact_in_float(np.array([[1.0, bad]]), np.eye(2))
+        assert exact_in_float(np.zeros((0, 16)), np.eye(16))
+        assert _through_u(np.zeros((0, 3), dtype=np.int64), np.eye(3, dtype=np.int64)).shape == (0, 3)
+
+    def test_bw16_vectors_equal_the_int64_product(self):
+        path = Path(__file__).parent / "golden" / "inputs" / "bw16_scrambled.json"
+        lat = from_basis(mat_from_obj(json.loads(path.read_text())))
+        r2 = 3.0 * np.sqrt(2.0)
+        rep = enumerate_short(lat, r2)
+        reduced, u = lat.reduced
+        coords_z, norms, _ = _kernels.enumerate_core(
+            _upper_factors(reduced.gram[None])[0], r2 * (1 + BOUNDARY_EPS), 10 ** 7)
+        m = rep.count // 2
+        assert rep.count == 65760
+        assert exact_in_float(coords_z[m:].astype(float), u.T.astype(float))    # the float path ran
+        assert np.array_equal(rep.vectors[m:], coords_z[m:] @ u.T)
+        assert np.array_equal(rep.vectors[:m], -rep.vectors[m:][::-1])
 
 
 class TestShortCounts:

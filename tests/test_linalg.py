@@ -12,7 +12,7 @@ from symplat import (
     sym_eig,
 )
 from symplat.errors import NotIntegral, NotSymmetric, NumericalBreakdown, Singular
-from symplat.groups import j_matrix
+from symplat.groups import bit_flips, j_matrix
 from symplat import linalg
 from symplat.linalg import as_intmat, as_mat, check_symmetric, intmat_to_obj, mat_from_obj, mat_to_obj
 
@@ -150,6 +150,116 @@ class TestDet:
         # Bareiss works over Python ints; no intermediate overflow
         m = np.diag([10 ** 6] * 6)
         assert det_int(m) == 10 ** 36
+
+    @pytest.mark.parametrize("entry", [2 ** 70, -2 ** 63 - 1, float("inf"), float("-inf"),
+                                       float("nan"), 1e19, -1e19, 2.0 ** 63, 0.5])
+    def test_refuses_entries_int64_cannot_hold(self, entry):
+        # numpy would wrap each out-of-range entry to -2^63, silently
+        with pytest.raises(ValueError, match=r"^entry \(1,0\) = .* is not an integer in int64's range$"):
+            det_int([[1, 0], [entry, 1]])
+        with pytest.raises(ValueError, match=r"entry \(1,0\)"):
+            as_intmat([[1, 0], [entry, 1]])
+
+    def test_refuses_unsigned_and_object_entries_int64_cannot_hold(self):
+        for m in (np.array([[2 ** 63, 0], [0, 1]], dtype=np.uint64),
+                  np.array([[2 ** 64, 0], [0, 1]], dtype=object),
+                  np.array([[-2 ** 63 - 1, 0], [0, 1]], dtype=object)):
+            with pytest.raises(ValueError, match=r"entry \(0,0\) = -?\d+ is not an integer"):
+                as_intmat(m)
+
+    def test_accepts_the_ends_of_int64_exactly(self):
+        assert as_intmat(np.array([[2 ** 63 - 1]], dtype=np.uint64))[0, 0] == 2 ** 63 - 1
+        assert as_intmat([[-2.0 ** 63]])[0, 0] == -2 ** 63
+        # object-dtype Python ints convert exactly, not through float64
+        assert as_intmat(np.array([[2 ** 62 + 1]], dtype=object))[0, 0] == 2 ** 62 + 1
+        assert as_intmat([[2.0, True], [-0.0, 3]]).tolist() == [[2, 1], [0, 3]]
+
+
+def dense_bareiss(a) -> int:
+    """Reference Bareiss loop: every row below the pivot is recomputed at every step."""
+    m = [[int(x) for x in row] for row in np.asarray(a)]
+    n = len(m)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if pivot is None:
+                return 0
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+class TestDetParity:
+    """``det_int`` skips and rescales rows; each result must be the dense loop's."""
+
+    def test_signed_permutations(self, rng):
+        for d in range(1, 33):
+            for _ in range(4):
+                perm = rng.permutation(d)
+                signs = rng.choice([-1, 1], size=d)
+                m = np.zeros((d, d), dtype=np.int64)
+                m[np.arange(d), perm] = signs
+                cycles, seen = 0, np.zeros(d, dtype=bool)
+                for start in range(d):
+                    cycles += not seen[start]
+                    i = start
+                    while not seen[i]:
+                        seen[i] = True
+                        i = perm[i]
+                expected = (-1) ** (d - cycles) * int(np.prod(signs))
+                assert det_int(m) == dense_bareiss(m) == expected
+
+    def test_bit_flip_witnesses(self):
+        for n in range(1, 5):
+            for e in bit_flips(n):
+                w = np.kron(np.eye(2, dtype=np.int64), e)
+                assert det_int(w) == dense_bareiss(w) == 1
+
+    def test_random_sparse(self, rng):
+        for _ in range(600):
+            d = int(rng.integers(1, 13))
+            mask = rng.random((d, d)) < rng.uniform(0.1, 0.5)
+            m = rng.integers(-3, 4, size=(d, d)) * mask
+            assert det_int(m) == dense_bareiss(m)
+
+    def test_zero_pivot_columns_and_swaps(self, rng):
+        for _ in range(200):
+            d = int(rng.integers(2, 9))
+            m = rng.integers(-3, 4, size=(d, d))
+            k = int(rng.integers(0, d - 1))
+            upper = m.copy()
+            upper[k + 1:, k] = 0        # pivot column already clear below the diagonal
+            swap = m.copy()
+            swap[0, 0] = swap[k, k] = 0  # pivots that need a row swap
+            for a in (upper, swap, np.triu(m), m[::-1]):
+                assert det_int(a) == dense_bareiss(a)
+
+    def test_singular_with_a_zero_column(self, rng):
+        for d in range(1, 9):
+            for _ in range(10):
+                m = rng.integers(-3, 4, size=(d, d))
+                m[:, int(rng.integers(0, d))] = 0
+                assert det_int(m) == dense_bareiss(m) == 0
+
+    def test_distinct_pivots_rescale_rows_they_skip(self, rng):
+        # rows with m[i][k] == 0 meet p != prev: skipping them gives 5 for diag(2, 3, 5)
+        assert det_int(np.diag([2, 3, 5])) == dense_bareiss(np.diag([2, 3, 5])) == 30
+        assert det_int(np.diag([-2, 7, 1, -3])) == 42
+        for _ in range(100):
+            blocks = [rng.integers(-4, 5, size=(b, b)) for b in rng.integers(1, 4, size=3)]
+            m = np.zeros((sum(len(b) for b in blocks),) * 2, dtype=np.int64)
+            at = 0
+            for b in blocks:
+                m[at:at + len(b), at:at + len(b)] = b
+                at += len(b)
+            assert det_int(m) == dense_bareiss(m) == int(np.prod([dense_bareiss(b) for b in blocks]))
 
 
 def unit_triangular_product(rng, n, r):

@@ -199,8 +199,11 @@ def check_nonsingular(a: np.ndarray) -> None:
     singular value is at most dim * eps times the largest.  It does not
     depend on scale, as |det| against an absolute floor does: 0.25 I_16
     (det 2.3e-10) passes, and 1e10 times a rank-2 3x3 matrix (det 4.6e15)
-    fails.  A stack reports its first singular matrix.
+    fails.  A stack reports its first singular matrix.  The SVD runs only
+    where ``_well_conditioned`` proves nothing, so it alone decides.
     """
+    if _well_conditioned(a):
+        return
     sv = np.linalg.svd(a, compute_uv=False)
     low = sv[..., -1]
     floor = a.shape[-1] * np.finfo(np.float64).eps * sv[..., 0]
@@ -209,6 +212,30 @@ def check_nonsingular(a: np.ndarray) -> None:
         i = np.argmax(bad)
         raise Singular(f"smallest singular value {low.flat[i]:.3e} is not above "
                        f"dim * eps * largest = {floor.flat[i]:.3e}")
+
+
+def _well_conditioned(a: np.ndarray) -> bool:
+    """True only if Cholesky of G - tau I (G = A^T A, tau = 4 n^2 eps tr G)
+    succeeds on the whole stack, which proves sigma_min >= n sqrt(eps) sigma_max.
+
+    Rounding G (gamma_n ||A||_F^2), the shift, and Cholesky's backward error
+    (gamma_{n+1} n ||G||; Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 10) stay below (n + 1)^2 eps ||A||_F^2 / 2, and the
+    SVD's error, p(n) eps sigma_max, is far below the margin left.  A tau
+    that is not finite and normal (NaN, inf, underflow) or a factor that
+    is not finite (OpenBLAS lets NaN through) proves nothing.
+    """
+    n = a.shape[-1]
+    f = np.finfo(np.float64)
+    with np.errstate(all="ignore"):
+        g = np.swapaxes(a, -1, -2) @ a
+        tau = 4 * n * n * f.eps * np.trace(g, axis1=-2, axis2=-1)
+        if not ((tau >= f.tiny) & (tau < np.inf)).all():
+            return False
+        try:
+            return bool(np.isfinite(np.linalg.cholesky(g - tau[..., None, None] * np.eye(n))).all())
+        except np.linalg.LinAlgError:
+            return False
 
 
 def is_orthogonal(a) -> bool:

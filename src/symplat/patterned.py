@@ -19,6 +19,7 @@ property.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -93,16 +94,24 @@ def is_in_a2n(a) -> bool:
 
 def walsh_matrix(n: int) -> np.ndarray:
     """n-fold Kronecker power of [[1, 1], [1, -1]]; V V = g Id with g = 2^n."""
+    return _walsh(n).copy()
+
+
+@cache
+def _walsh(n: int) -> np.ndarray:
+    """``walsh_matrix(n)``, built once per n and read-only."""
     if n < 1:
         raise ValueError("walsh_matrix needs n >= 1")
-    return kron_pow(np.array([[1.0, 1.0], [1.0, -1.0]]), n)
+    w = kron_pow(np.array([[1.0, 1.0], [1.0, -1.0]]), n)
+    w.setflags(write=False)
+    return w
 
 
 def a2n_eigenvalues(row) -> np.ndarray:
     """Eigenvalues of the XOR-patterned matrix: d[i] = row . (Walsh column i)."""
     c = _as_row(row)
     n = _log2_exact(c.size)
-    return walsh_matrix(n) @ c
+    return _walsh(n) @ c
 
 
 # -- K-symmetric matrices -----------------------------------------------------

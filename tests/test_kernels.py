@@ -1,8 +1,8 @@
 """Errors raised by the kernels, parity of the depth-first and frontier
 enumeration kernels on one tree and of a stacked walk with one call per tree,
 parity of the lazy Gram-Schmidt LLL and of the stacked LLL with a full
-recompute after every swap, and parity of the scalar Jacobi sweep with a
-numpy one."""
+recompute after every swap, of the stacked Gram-Schmidt with a per-sample
+one, and parity of the scalar Jacobi sweep with a numpy one."""
 
 import math
 
@@ -275,6 +275,28 @@ def dot(x, y):
     return s
 
 
+def gram_schmidt_reference(rows):
+    """(mu, squared norms) of a list of rows by ``lll_core``'s arithmetic:
+    row i's dot with each b_j, j ascending, then b_i = b_i - mu[i][j] b_j."""
+    d = len(rows)
+    bstar = []
+    mu = [[0.0] * d for _ in range(d)]
+    nrm = []
+    for i, wi in enumerate(rows):
+        b = list(wi)
+        for j in range(i):
+            m = dot(wi, bstar[j]) / nrm[j]
+            mu[i][j] = m
+            b = [x - m * y for x, y in zip(b, bstar[j])]
+        mu[i][i] = 1.0
+        s = dot(b, b)
+        if s <= _kernels.GS_UNDERFLOW:
+            raise NumericalBreakdown("Gram-Schmidt norms underflowed during LLL")
+        bstar.append(b)
+        nrm.append(s)
+    return mu, nrm
+
+
 def lll_full_recompute(w, v, delta):
     """The LLL kernel that recomputes every Gram-Schmidt row after every swap.
 
@@ -286,9 +308,6 @@ def lll_full_recompute(w, v, delta):
     d = w.shape[0]
     rows = w.tolist()
     ops = v.tolist()
-    bstar = [[0.0] * d for _ in range(d)]
-    mu = [[0.0] * d for _ in range(d)]
-    nrm = [0.0] * d
     need_gso = True
     k = 1
     it = 0
@@ -298,17 +317,7 @@ def lll_full_recompute(w, v, delta):
             if it > _kernels.LLL_MAX_ITER:
                 raise NumericalBreakdown(f"LLL exceeded its iteration cap of {_kernels.LLL_MAX_ITER}")
             if need_gso:
-                for i in range(d):
-                    bstar[i] = list(rows[i])
-                    for j in range(i):
-                        m = dot(rows[i], bstar[j]) / nrm[j]
-                        mu[i][j] = m
-                        bstar[i] = [a - m * b for a, b in zip(bstar[i], bstar[j])]
-                    mu[i][i] = 1.0
-                    s = dot(bstar[i], bstar[i])
-                    if s <= _kernels.GS_UNDERFLOW:
-                        raise NumericalBreakdown("Gram-Schmidt norms underflowed during LLL")
-                    nrm[i] = s
+                mu, nrm = gram_schmidt_reference(rows)
                 need_gso = False
             for j in range(k - 1, -1, -1):
                 q = math.floor(mu[k][j] + 0.5)
@@ -528,6 +537,68 @@ def test_lll_stack_iteration_cap_matches_reference(monkeypatch):
     else:
         pytest.fail("the reference did not finish within 1000 iterations")
     assert capped > 20
+
+
+@st.composite
+def gram_schmidt_stacks(draw):
+    """1-12 bases of one dimension from 2 to 16, many entries exact zeros
+    of either sign.  Where every product of a dot is -0.0, only the dot's
+    leading 0.0 + x0*y0 makes its sum +0.0, as ``lll_core``'s is."""
+    d = draw(st.integers(2, 16))
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    w = rng.normal(size=(n, d, d))
+    kind = rng.integers(0, 4, size=w.shape)
+    w[kind == 1] = 0.0
+    w[kind == 2] = -0.0
+    w[kind == 3] = rng.integers(-2, 3, size=int((kind == 3).sum()))
+    # a signed permutation with -0.0 off its support: every product of
+    # two distinct rows is -0.0
+    perm = rng.permutation(d)
+    w[0] = -0.0
+    w[0, np.arange(d), perm] = rng.choice([-1.0, 1.0], size=d)
+    return w
+
+
+def test_gram_schmidt_matches_per_sample_reference():
+    finished = []
+
+    @settings(max_examples=150, deadline=None)
+    @given(gram_schmidt_stacks())
+    def check(w):
+        n, d = w.shape[:2]
+        mu, nrm = np.full((n + 2, d, d), np.nan), np.full((n + 2, d), np.nan)
+        rows = np.arange(n) + 1                  # written at rows, nowhere else
+        got = raised(_kernels._gram_schmidt, w.copy(), mu, nrm, rows)
+        refs = [raised(gram_schmidt_reference, wi.tolist()) for wi in w]
+        assert got == next((r for r in refs if r is not None), None)
+        if got is not None:
+            assert np.isnan(mu).all() and np.isnan(nrm).all()
+            return
+        for i, wi in enumerate(w):
+            ref_mu, ref_nrm = gram_schmidt_reference(wi.tolist())
+            assert np.array_equal(mu[i + 1].view(np.int64), np.array(ref_mu).view(np.int64))
+            assert np.array_equal(nrm[i + 1].view(np.int64), np.array(ref_nrm).view(np.int64))
+        assert np.isnan(mu[[0, -1]]).all() and np.isnan(nrm[[0, -1]]).all()
+        finished.append(d)
+
+    check()
+    assert len(finished) > 50 and max(finished) == 16
+
+
+def test_lll_stack_matches_scalar_kernels_at_dim_16():
+    rng = np.random.default_rng(16)
+    w = rng.normal(size=(8, 16, 16))
+    w[1] = scramble(rng, 16, 2).T
+    w[2] = scramble(rng, 16, 3).T
+    for i, y in zip(range(3, 8), (0.7, 8.0, 0.7, 8.0, 1e3)):
+        w[i] = k_family_lattice(sample_vcube(8, int(rng.integers(2 ** 31)), 0), y).basis.T
+    ws, vs = w.copy(), identities(8, 16)
+    _kernels.lll_stack(ws, vs, 0.99)
+    for i in range(8):
+        core, vcore = w[i].copy(), np.eye(16, dtype=np.int64)
+        _kernels.lll_core(core, vcore, 0.99)
+        assert_same_lll((None, ws[i], vs[i]), (None, core, vcore))
 
 
 # -- Jacobi ---------------------------------------------------------------------

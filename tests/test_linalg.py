@@ -399,6 +399,130 @@ class TestStacks:
             linalg.check_nonsingular(stack)
         assert str(many.value) == str(one.value)
 
+    def test_stacked_cholesky_fails_as_a_whole(self, rng):
+        # linalg._well_conditioned proves a whole stack with one Cholesky call
+        for n in (2, 4, 16):
+            a = rng.normal(size=(6, n, n))
+            spd = np.swapaxes(a, -1, -2) @ a + np.eye(n)
+            np.linalg.cholesky(spd)
+            for i in (0, 3, 5):
+                for bad in (-np.eye(n), spd[i] - 2.0 * np.eye(n) * np.linalg.eigvalsh(spd[i])[0]):
+                    stack = spd.copy()
+                    stack[i] = bad
+                    with pytest.raises(np.linalg.LinAlgError):
+                        np.linalg.cholesky(stack)
+
+
+def svd_rule(a):
+    """The outcome ``check_nonsingular`` gives by the SVD alone: None, or (type, message)."""
+    try:
+        sv = np.linalg.svd(a, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        return np.linalg.LinAlgError, str(exc)
+    low, floor = sv[..., -1], a.shape[-1] * np.finfo(np.float64).eps * sv[..., 0]
+    bad = low <= floor
+    if not bad.any():
+        return None
+    i = np.argmax(bad)
+    return Singular, (f"smallest singular value {low.flat[i]:.3e} is not above "
+                      f"dim * eps * largest = {floor.flat[i]:.3e}")
+
+
+def outcome(a):
+    try:
+        linalg.check_nonsingular(a)
+    except (Singular, np.linalg.LinAlgError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def conditioned(rng, n, cond, count=1):
+    """``count`` random n x n matrices with singular values spread from 1 to 1/cond."""
+    q1 = np.linalg.qr(rng.normal(size=(count, n, n)))[0]
+    q2 = np.linalg.qr(rng.normal(size=(count, n, n)))[0]
+    return (q1 * np.logspace(0.0, -np.log10(cond), n)) @ q2
+
+
+class TestRankCertificate:
+    """``check_nonsingular`` runs the SVD only where the shifted-Cholesky
+    certificate fails; the decision and the message stay the SVD's."""
+
+    def test_svd_decides_where_the_unshifted_gram_factors(self, rng):
+        # each Gram is diagonal or, up to a symmetric permutation, block
+        # diagonal with one tiny 1 x 1 block, so it factors unshifted: a
+        # certificate without its shift would pass every one of them
+        cases = [np.diag([1.0, 1e-17]), np.stack([np.eye(3), np.diag([1.0, 1e-17, 1.0])])]
+        for n in (2, 4, 8, 16, 32):
+            for tiny in (1e-17, 1e-16):
+                a = np.zeros((n, n))
+                a[:-1, :-1] = rng.normal(size=(n - 1, n - 1)) + 2 * n * np.eye(n - 1)
+                a[-1, -1] = tiny * np.linalg.norm(a, 2)
+                cases += [a, a[rng.permutation(n)][:, rng.permutation(n)] * rng.choice([-1.0, 1.0], size=n)]
+        for a in cases:
+            np.linalg.cholesky(np.swapaxes(a, -1, -2) @ a)
+            expected = svd_rule(a)
+            assert expected is not None and expected[0] is Singular
+            assert outcome(a) == expected
+
+    def test_no_false_passes(self, rng):
+        passed = svd_singular = 0
+        for n in (2, 4, 8, 16, 32):
+            for cond in np.logspace(0, 17, 35):
+                stack = conditioned(rng, n, cond, count=8)
+                for a in (stack, *stack):
+                    sv = np.linalg.svd(a, compute_uv=False)
+                    svd_passes = (sv[..., -1] > n * np.finfo(np.float64).eps * sv[..., 0]).all()
+                    svd_singular += not svd_passes
+                    if linalg._well_conditioned(a):
+                        passed += 1
+                        assert svd_passes
+                        assert (sv[..., -1] >= n * np.sqrt(np.finfo(np.float64).eps) * sv[..., 0]).all()
+        assert passed > 500 and svd_singular > 100
+
+    def test_passes_on_well_conditioned_stacks(self, rng):
+        for n in (2, 4, 8, 16, 32):
+            assert linalg._well_conditioned(conditioned(rng, n, 100.0, count=50))
+            assert linalg._well_conditioned(rng.normal(size=(n, n)) + 4 * n * np.eye(n))
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e-155, 1e-150, 1e150, 1e155, 1e160])
+    def test_extremes_give_the_svd_outcome(self, rng, scale):
+        # the suite turns warnings into errors, so these also show none
+        for a in (scale * rng.normal(size=(4, 4)), scale * conditioned(rng, 4, 1e17)[0],
+                  scale * np.diag([1.0, 1e-17]), scale * rng.normal(size=(5, 3, 3))):
+            assert outcome(a) == svd_rule(a)
+
+    def test_underflow_proves_nothing(self, rng):
+        # rank-one matrices whose Gram entries are subnormal: rounding can
+        # leave that Gram positive definite, and tau underflows to 0
+        factored = 0
+        for _ in range(200):
+            a = 10.0 ** rng.uniform(-161, -158) * np.outer(rng.normal(size=2), rng.normal(size=2))
+            with np.errstate(all="ignore"):
+                try:
+                    np.linalg.cholesky(a.T @ a)
+                    factored += 1
+                except np.linalg.LinAlgError:
+                    pass
+            assert outcome(a) == svd_rule(a) and svd_rule(a)[0] is Singular
+        assert factored >= 5
+
+    def test_a_factor_that_is_not_finite_proves_nothing(self, monkeypatch):
+        # OpenBLAS's Cholesky returns NaN, rather than raising, once NaN
+        # reaches a pivot; overflow inside the factorisation can get there
+        monkeypatch.setattr(np.linalg, "cholesky", lambda h: np.full(h.shape, np.nan))
+        assert not linalg._well_conditioned(np.eye(3))
+
+    def test_nan_and_inf_give_the_svd_outcome(self, rng):
+        stack = rng.normal(size=(5, 3, 3))
+        stack[2, 1, 1] = np.nan
+        assert not linalg._well_conditioned(stack)
+        assert outcome(stack) == svd_rule(stack) == (np.linalg.LinAlgError, "SVD did not converge")
+        for bad in (np.nan, np.inf, -np.inf):
+            a = np.eye(3)
+            a[0, 2] = bad
+            assert not linalg._well_conditioned(a)
+            assert outcome(a) == svd_rule(a)
+
 
 class TestIsOrthogonal:
     def test_identity(self):

@@ -13,6 +13,7 @@ from symplat import (
     is_in_a2n,
     k_matrix,
     k_symmetric_from_params,
+    kron_pow,
     ksym_region,
     sym_eig,
     walsh_matrix,
@@ -164,6 +165,26 @@ class TestWalsh:
         _, dense = sym_eig(a2n_from_row(row))
         fast = np.sort(a2n_eigenvalues(row))[::-1]
         assert np.allclose(dense, fast, atol=1e-9)
+
+    def test_eigenvalues_are_a_fresh_walsh_product_bit_for_bit(self, rng):
+        for n in range(1, 7):
+            for _ in range(5):
+                row = rng.normal(size=2 ** n)
+                fresh = kron_pow(np.array([[1.0, 1.0], [1.0, -1.0]]), n) @ row
+                assert np.array_equal(a2n_eigenvalues(row).view(np.int64), fresh.view(np.int64))
+
+    def test_walsh_matrix_is_a_fresh_writable_copy(self, rng):
+        row = rng.normal(size=8)
+        before = a2n_eigenvalues(row)
+        v = walsh_matrix(3)
+        assert v.flags.writeable and v is not walsh_matrix(3)
+        v[:] = 0.0
+        assert np.array_equal(walsh_matrix(3), kron_pow(np.array([[1.0, 1.0], [1.0, -1.0]]), 3))
+        assert np.array_equal(a2n_eigenvalues(row).view(np.int64), before.view(np.int64))
+
+    def test_walsh_matrix_refuses_n_below_one(self):
+        with pytest.raises(ValueError, match="n >= 1"):
+            walsh_matrix(0)
 
 
 class TestKSymmetric:

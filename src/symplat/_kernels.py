@@ -4,9 +4,11 @@ These three loops dominate the runtime of everything interesting in this
 package (systole checks, the Monte Carlo mean-value estimator, the
 eigensolver oracle).  Jacobi has one kernel.  LLL has two with the same
 bits: ``lll_core`` reduces one basis, ``lll_stack`` a stack of bases at
-once.  ``lattice`` picks by stack size, so a single lattice (``systole``,
-``enumerate_short``) goes through ``lll_core`` and the Monte Carlo
-estimator's stacks of small bases through ``lll_stack``.
+once.  ``lattice`` sends a single lattice (``systole``,
+``enumerate_short``) to ``lll_core`` and the Monte Carlo estimator's
+stacks to ``lll_stack``, which finishes each sample of its thin tail in
+``lll_core``'s loop, and so runs a small enough stack (at d = 32, any
+the estimator makes) basis by basis.
 
 The three scalar loops, ``lll_core``, ``jacobi_core`` and
 ``enumerate_depth_first``, run on Python numbers held in lists, not on
@@ -22,9 +24,9 @@ only the projections onto rows recomputed since, resuming from the
 partial row it keeps.  Its docstring gives the rule, why the result is
 bit for bit a full recompute's, and the memory the partial rows take.
 ``lll_stack`` does the same float operations elementwise over the
-stack, with the same left-to-right sums, and recomputes Gram-Schmidt in
-full after a swap, on a sample-last copy so that each operation spans
-the contiguous samples.
+stack, with the same left-to-right sums, on rows addressed by one flat
+index, and recomputes Gram-Schmidt in full after a swap, on a
+sample-last copy so that each operation spans the contiguous samples.
 
 Enumeration has two kernels over the same Fincke-Pohst tree.
 ``enumerate_depth_first`` walks one tree one node at a time.
@@ -86,6 +88,18 @@ SMALL_TREE_NODES_PER_LEVEL = 30
 #: bw16-shells' tree, in 122 steps, runs no faster.
 FRONTIER_CHUNK_ROWS = 1 << 12
 
+#: ``lll_stack`` hands each sample that swaps to ``lll_core``'s loop once
+#: at most LLL_HANDOFF << (d // 4) samples still run: 16, 32, 128 and
+#: 2,048 at d = 4, 8, 16 and 32.  On one core of a 2-core x86 host, over
+#: K-family stacks at y = 8, a reduction is within a few percent of its
+#: best for figures of 8-48 at d = 4 and 8-128 at d = 8 (N = 1,000), and
+#: best at 96-128 at d = 16 (N = 256 and 1,024).  At d = 32 the stack
+#: never pays: its full Gram-Schmidt recompute costs about 4 times the
+#: scalar loop's lazy rows per iteration with 256 samples running, so
+#: every stack the estimator makes (ESTIMATE_CHUNK is 1,024) runs basis
+#: by basis.
+LLL_HANDOFF = 8
+
 
 def lll_core(w, v, delta):
     """Lovasz-reduce the row vectors of ``w`` in place.
@@ -136,6 +150,12 @@ def lll_core(w, v, delta):
     then hold the further-reduced rows.  A basis that passes
     ``from_basis``'s singularity check practically never gets there.
     """
+    _lll_rows(w, v, delta, 1, 0)
+
+
+def _lll_rows(w, v, delta, k, it):
+    """``lll_core``'s loop from row k, ``it`` iterations already spent,
+    with no Gram-Schmidt row computed yet."""
     d = w.shape[0]
     W = w.tolist()
     V = v.tolist()
@@ -145,8 +165,6 @@ def lll_core(w, v, delta):
     part = [[row] for row in W]
     fresh = 0
     stale = d
-    k = 1
-    it = 0
     try:
         while k < d:
             it += 1
@@ -205,58 +223,91 @@ def lll_core(w, v, delta):
 
 
 def lll_stack(w, v, delta):
-    """``lll_core`` on every matrix of an (N, d, d) stack at once, in place.
+    """``lll_core`` on every matrix of a C-contiguous (N, d, d) stack at once, in place.
 
     ``v`` (int64, N identities) accumulates each sample's row operations.
     Each sample keeps its own k; every pass of the loop takes one LLL
-    iteration of every unfinished sample, so a sample's iteration count is
-    the pass count while it runs.  Size reduction and swaps are masked to
-    the samples they apply to.  For the samples that swapped, mu and the
-    squared norms (all that size reduction and the Lovasz test read) are
-    recomputed, all rows, as the full recompute after every swap does.
-    Every float operation is elementwise: products, then sums accumulated
-    left to right along the coordinate axis from 0.0 + x0*y0.
+    iteration of every sample still in the stack, so a sample's iteration
+    count is the pass count while it runs.  Size reduction and swaps are
+    masked to the samples they apply to.  For the samples that swapped, mu
+    and the squared norms (all that size reduction and the Lovasz test
+    read) are recomputed, all rows, as the full recompute after every swap
+    does.  Every float operation is elementwise: products, then sums
+    accumulated left to right along the coordinate axis from 0.0 + x0*y0.
+    w, v and mu are held as (N d, d) row arrays, row k of sample s at
+    s d + k, so each gather and scatter takes one index array; rows are
+    gathered with ``take`` and scattered as one opaque item each
+    (``_rows``), where 2-D fancy indexing costs 2.5 to 6 times as much.
+    Size reduction at j takes only the samples whose k exceeds j.
+
+    The thin tail finishes in ``lll_core``'s loop: once LLL_HANDOFF
+    << (d // 4) samples or fewer still run, each sample that has just
+    swapped leaves the stack and runs to the end there, from its own k,
+    its iteration count carrying on from the pass count.  A stack that
+    small from the start runs basis by basis.  That loop starts with no
+    Gram-Schmidt row computed and computes rows 0..k first, which is what
+    the recompute after the swap holds, so the handoff keeps the bits.
+
     So each sample's ``w`` and ``v`` are bit for bit ``lll_core``'s, and
     the errors are its type and message: NumericalBreakdown when a norm
     underflows or a sample passes LLL_MAX_ITER iterations, raised for the
     whole stack with the rows reduced so far left in ``w`` and ``v``.
-
-    One difference remains: ``v`` is int64 throughout, where ``lll_core``
-    runs on Python ints and overflows only when it writes ``v`` back.
-    A single basis costs far more here than in ``lll_core``: on one core
-    of a 2-core x86 host, 2.1 ms against 0.11 ms for an mc-k basis (d = 4),
-    where a stack of 1,000 of them takes about 15 ms.
+    Where two samples fail differently, which error surfaces depends on
+    the handoff, as a handed-off sample runs to its end before the
+    stack's next pass.  ``v`` is int64 in the stack, where ``lll_core``
+    runs on Python ints: a stacked entry past int64 wraps, a handed-off
+    one raises OverflowError on write-back.
     """
     n, d = w.shape[:2]
-    mu = np.zeros_like(w)
-    nrm = np.zeros((n, d))
+    if not (w.flags.c_contiguous and v.flags.c_contiguous):
+        raise ValueError("lll_stack reduces C-contiguous stacks in place")
+    W, V = w.reshape(n * d, d), v.reshape(n * d, d)
+    Wr, Vr = _rows(W), _rows(V)
+    mu = np.zeros((n * d, d))
+    nrm = np.zeros(n * d)
     k = np.ones(n, dtype=np.intp)
-    run = np.flatnonzero(k < d)
+    run = np.arange(n if d > 1 else 0)
     swapped = run
     it = 0
     while run.size:
+        if run.size <= LLL_HANDOFF << (d // 4):
+            for s in swapped.tolist():
+                _lll_rows(w[s], v[s], delta, int(k[s]), it)
+            k[swapped] = d
+            run = run[k[run] < d]
+            if not run.size:
+                break
+            swapped = swapped[:0]
         it += 1
         if it > LLL_MAX_ITER:
             raise NumericalBreakdown(f"LLL exceeded its iteration cap of {LLL_MAX_ITER}")
         if swapped.size:
-            _gram_schmidt(w[swapped], mu, nrm, swapped)
+            _gram_schmidt(w[swapped], mu.reshape(n, d, d), nrm.reshape(n, d), swapped)
         kr = k[run]
-        for j in range(d - 2, -1, -1):
-            q = np.floor(mu[run, kr, j] + 0.5)
-            hit = (kr > j) & (q != 0.0)
-            if hit.any():
-                s, ks, qf = run[hit], kr[hit], q[hit, None]
-                w[s, ks] = w[s, ks] - qf * w[s, j]
-                v[s, ks] = v[s, ks] - qf.astype(np.int64) * v[s, j]
-                mu[s, ks, :j + 1] = mu[s, ks, :j + 1] - qf * mu[s, j, :j + 1]
-        m = mu[run, kr, kr - 1]
-        up = nrm[run, kr] >= (delta - m * m) * nrm[run, kr - 1]
-        k[run[up]] += 1
-        swapped, ks = run[~up], kr[~up]
-        w[swapped, ks - 1], w[swapped, ks] = w[swapped, ks], w[swapped, ks - 1]
-        v[swapped, ks - 1], v[swapped, ks] = v[swapped, ks], v[swapped, ks - 1]
-        k[swapped] = np.maximum(ks - 1, 1)
-        run = np.flatnonzero(k < d)
+        rk = run * d + kr
+        for j in range(int(kr.max()) - 1, -1, -1):
+            c = np.flatnonzero(kr > j)
+            rows = rk[c]
+            q = np.floor(mu[rows, j] + 0.5)
+            hit = np.flatnonzero(q)
+            if hit.size:
+                a, b, qf = rows[hit], run[c[hit]] * d + j, q[hit, None]
+                Wr[a] = _rows(W.take(a, 0) - qf * W.take(b, 0))
+                Vr[a] = _rows(V.take(a, 0) - qf.astype(np.int64) * V.take(b, 0))
+                mu[a, :j + 1] = mu.take(a, 0)[:, :j + 1] - qf * mu.take(b, 0)[:, :j + 1]
+        m = mu[rk, kr - 1]
+        up = nrm[rk] >= (delta - m * m) * nrm[rk - 1]
+        swapped, r = run[~up], rk[~up]
+        a, b = np.concatenate((r - 1, r)), np.concatenate((r, r - 1))
+        Wr[a] = Wr[b]
+        Vr[a] = Vr[b]
+        k[run] = np.where(up, kr + 1, np.maximum(kr - 1, 1))
+        run = run[k[run] < d]
+
+
+def _rows(x):
+    """A C-contiguous 2-D array as a 1-D view, one opaque item per row."""
+    return x.view(np.dtype((np.void, x.shape[1] * x.itemsize)))[:, 0]
 
 
 def _dots(x, y):

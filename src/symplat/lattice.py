@@ -24,8 +24,10 @@ One lattice and a stack of them take the same steps.  ``_reduce`` runs
 LLL on an (N, d, d) stack and checks the result, ``_upper_factors``
 factorises each Gram.  ``lll_reduce`` passes a stack of one, which
 ``_kernels.lll_core`` reduces; ``short_counts`` passes the Monte Carlo
-estimator's stacks, which ``_kernels.lll_stack`` reduces, giving each
-basis the same bits.  Enumeration has one frontier walker, over a
+estimator's stacks to ``_kernels.lll_stack``, which reduces them
+together and finishes the thin tail of each stack on ``lll_core``'s
+loop, at g = 16 the whole stack; each basis gets the same bits either
+way.  Enumeration has one frontier walker, over a
 stack of trees.  A single lattice's tree, enumerated for its vectors,
 goes depth first when it is small and otherwise through the walker as a
 stack of one; ``short_counts`` passes a whole stack's trees in one
@@ -156,7 +158,8 @@ def _reduce(bases: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """LLL at DEFAULT_LLL_DELTA on each basis of an (N, d, d) stack: (reduced bases, U, Grams) with B' = B U.
 
     One basis goes through ``_kernels.lll_core``, a larger stack through
-    ``_kernels.lll_stack``; both give each basis the same bits.  Raises
+    ``_kernels.lll_stack``, which finishes its thin tail on ``lll_core``'s
+    loop; both give each basis the same bits.  Raises
     NumericalBreakdown unless every U is unimodular, then as
     ``_check_bases`` does on the reduced bases.
     """

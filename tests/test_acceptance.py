@@ -69,6 +69,15 @@ def test_criterion_3_mean_value_limit():
     assert abs(est.mean - limit) <= 4.0 * est.stderr, (est.mean, est.stderr, limit)
 
 
+@criterion("3-g4", "mean at g=4, y=8, r2=1, 1e4 samples within 4 stderr of pi^4 / 24, total divisible by 4")
+def test_criterion_3_mean_value_limit_at_g4():
+    est = sp.estimate_I(4, 8.0, 1.0, 10_000, seed=20240811)
+    limit = sp.ball_volume_limit(4, 1.0)
+    assert abs(est.mean - limit) <= 4.0 * est.stderr, (est.mean, est.stderr, limit)
+    total = round(est.mean * est.samples)
+    assert abs(est.mean * est.samples - total) < 1e-6 and total % 4 == 0, est.mean
+
+
 @criterion(4, "200 K-family lattices at g in {2, 4}: all bucket counts divisible by 4")
 def test_criterion_4_multiplicity_of_four():
     for g in (2, 4):

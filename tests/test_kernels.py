@@ -1,8 +1,9 @@
 """Errors raised by the kernels, parity of the depth-first and frontier
 enumeration kernels on one tree and of a stacked walk with one call per tree,
 parity of the lazy Gram-Schmidt LLL and of the stacked LLL with a full
-recompute after every swap, of the stacked Gram-Schmidt with a per-sample
-one, and parity of the scalar Jacobi sweep with a numpy one."""
+recompute after every swap, on both sides of the stack's handoff to the
+scalar loop, of the stacked Gram-Schmidt with a per-sample one, and parity
+of the scalar Jacobi sweep with a numpy one."""
 
 import math
 
@@ -460,6 +461,29 @@ def identities(n, d):
     return np.broadcast_to(np.eye(d, dtype=np.int64), (n, d, d)).copy()
 
 
+#: LLL_HANDOFF figures for both sides of ``lll_stack``'s handoff: the
+#: stack alone, the default, and the scalar loop alone.
+HANDOFFS = {"stack": 0, "default": _kernels.LLL_HANDOFF, "scalar": 10 ** 9}
+
+
+def handoff_sides(monkeypatch):
+    """Set each of HANDOFFS in turn, yielding its name."""
+    for side, figure in HANDOFFS.items():
+        monkeypatch.setattr(_kernels, "LLL_HANDOFF", figure)
+        yield side
+
+
+def assert_stack_matches_core(w, delta):
+    """``lll_stack`` on a copy of the stack ``w`` against ``lll_core`` on each basis."""
+    n, d = w.shape[:2]
+    ws, vs = w.copy(), identities(n, d)
+    _kernels.lll_stack(ws, vs, delta)
+    for i in range(n):
+        core, vcore = w[i].copy(), np.eye(d, dtype=np.int64)
+        _kernels.lll_core(core, vcore, delta)
+        assert_same_lll((None, ws[i], vs[i]), (None, core, vcore))
+
+
 @st.composite
 def lll_stacks(draw):
     """(stack of rows to reduce, delta): 1-20 bases of one dimension from 2 to 8.
@@ -483,7 +507,7 @@ def lll_stacks(draw):
     return w, delta
 
 
-def test_lll_stack_matches_scalar_kernels():
+def test_lll_stack_matches_scalar_kernels(monkeypatch):
     spread = []
 
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -503,22 +527,46 @@ def test_lll_stack_matches_scalar_kernels():
             assert_same_lll((None, ws[i], vs[i]), (None, full, vfull))
         spread.append(len(iterations) > 1)
 
-    check()
-    assert sum(spread) > 50
+    for side in handoff_sides(monkeypatch):
+        spread.clear()
+        check()
+        assert sum(spread) > 50, side
 
 
-def test_lll_stack_breakdown_on_underflowing_norm():
+def test_lll_stack_breakdown_on_underflowing_norm(monkeypatch):
     # the underflowing basis first, last, and alone
-    rng = np.random.default_rng(5)
-    for bad in ([[1.0, 0.0], [1.0, 1e-150]],
-                [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 1e-150]]):
-        good = rng.normal(size=(3, len(bad), len(bad)))
-        for w in (np.concatenate([[bad], good]), np.concatenate([good, [bad]]), np.array([bad])):
-            got = raised(_kernels.lll_stack, w, identities(*w.shape[:2]), 0.99)
-            assert got == (NumericalBreakdown, "Gram-Schmidt norms underflowed during LLL")
+    for side in handoff_sides(monkeypatch):
+        rng = np.random.default_rng(5)
+        for bad in ([[1.0, 0.0], [1.0, 1e-150]],
+                    [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 1e-150]]):
+            good = rng.normal(size=(3, len(bad), len(bad)))
+            for w in (np.concatenate([[bad], good]), np.concatenate([good, [bad]]), np.array([bad])):
+                got = raised(_kernels.lll_stack, w, identities(*w.shape[:2]), 0.99)
+                assert got == (NumericalBreakdown, "Gram-Schmidt norms underflowed during LLL"), side
 
 
 def test_lll_stack_iteration_cap_matches_reference(monkeypatch):
+    for _ in handoff_sides(monkeypatch):
+        check_stack_iteration_caps(monkeypatch)
+
+
+def test_lll_stack_iteration_cap_across_a_mid_run_handoff(monkeypatch):
+    # at d = 6 the figure 1 hands off once at most 2 of the 4 samples run
+    monkeypatch.setattr(_kernels, "LLL_HANDOFF", 1)
+    handed = []
+    original = _kernels._lll_rows
+
+    def recording(w, v, delta, k, it):
+        handed.append(it)
+        return original(w, v, delta, k, it)
+
+    monkeypatch.setattr(_kernels, "_lll_rows", recording)
+    check_stack_iteration_caps(monkeypatch)
+    assert max(handed) > 20
+
+
+def check_stack_iteration_caps(monkeypatch):
+    """lll_stack against the reference at every iteration cap until the reference finishes."""
     w = np.random.default_rng(3).normal(size=(4, 6, 6))
     capped = 0
     for cap in range(1, 1000):
@@ -586,19 +634,97 @@ def test_gram_schmidt_matches_per_sample_reference():
     assert len(finished) > 50 and max(finished) == 16
 
 
-def test_lll_stack_matches_scalar_kernels_at_dim_16():
+def test_lll_stack_matches_scalar_kernels_at_dim_16(monkeypatch):
     rng = np.random.default_rng(16)
     w = rng.normal(size=(8, 16, 16))
     w[1] = scramble(rng, 16, 2).T
     w[2] = scramble(rng, 16, 3).T
     for i, y in zip(range(3, 8), (0.7, 8.0, 0.7, 8.0, 1e3)):
         w[i] = k_family_lattice(sample_vcube(8, int(rng.integers(2 ** 31)), 0), y).basis.T
-    ws, vs = w.copy(), identities(8, 16)
-    _kernels.lll_stack(ws, vs, 0.99)
-    for i in range(8):
-        core, vcore = w[i].copy(), np.eye(16, dtype=np.int64)
-        _kernels.lll_core(core, vcore, 0.99)
-        assert_same_lll((None, ws[i], vs[i]), (None, core, vcore))
+    for _ in handoff_sides(monkeypatch):
+        assert_stack_matches_core(w, 0.99)
+
+
+def k_family_stack(rng, g, n, ys=(0.7, 8.0, 1e3)):
+    """n K-family bases of dimension 2g as rows, at heights drawn from ``ys``."""
+    return np.array([k_family_lattice(sample_vcube(g, int(rng.integers(2 ** 31)), 0),
+                                      float(rng.choice(ys))).basis.T for _ in range(n)])
+
+
+#: Most bases a drawn stack holds at each dimension: past the default
+#: handoff at d = 4 and 8, a few at d = 16 and 32.
+K_STACK_MAX = {4: 40, 8: 48, 16: 4, 32: 2}
+
+
+@st.composite
+def k_family_dim_stacks(draw):
+    """(stack, delta): K-family bases at d = 4, 8, 16 or 32, random bases
+    mixed in below 32.  At d = 32 the heights stay at most 1.5: the stack
+    alone takes about 0.5 s on one such basis, 7 s at y = 8."""
+    d = draw(st.sampled_from(sorted(K_STACK_MAX)))
+    n = draw(st.integers(1, K_STACK_MAX[d]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    w = k_family_stack(rng, d // 2, n, (0.7, 1.2, 1.5) if d == 32 else (0.7, 8.0, 1e3))
+    if d < 32:
+        for i in np.flatnonzero(rng.random(n) < 0.25):
+            w[i] = rng.normal(size=(d, d))
+    return w, draw(st.sampled_from([0.75, 0.99]))
+
+
+def test_lll_stack_matches_scalar_kernels_at_k_family_dims(monkeypatch):
+    dims = set()
+
+    @settings(max_examples=16, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(k_family_dim_stacks())
+    def check(case):
+        w, delta = case
+        assert_stack_matches_core(w, delta)
+        dims.add(w.shape[1])
+
+    for side in handoff_sides(monkeypatch):
+        dims.clear()
+        check()
+        assert len(dims) >= 3, side
+
+
+def test_lll_stack_hands_off_mid_run(monkeypatch):
+    rng = np.random.default_rng(25)
+    handed = []
+    original = _kernels._lll_rows
+
+    def recording(w, v, delta, k, it):
+        handed.append((k, it))
+        return original(w, v, delta, k, it)
+
+    for g, n in ((2, 60), (4, 80)):
+        w = k_family_stack(rng, g, n, (8.0, 1e3))
+        monkeypatch.setattr(_kernels, "_lll_rows", recording)
+        ws, vs = w.copy(), identities(n, 2 * g)
+        _kernels.lll_stack(ws, vs, 0.99)
+        monkeypatch.setattr(_kernels, "_lll_rows", original)
+        assert 0 < len(handed) < n
+        assert any(k > 1 and it > 1 for k, it in handed)
+        for i in range(n):
+            core, vcore = w[i].copy(), np.eye(2 * g, dtype=np.int64)
+            _kernels.lll_core(core, vcore, 0.99)
+            assert_same_lll((None, ws[i], vs[i]), (None, core, vcore))
+        handed.clear()
+
+
+def test_lll_stack_hands_off_only_samples_that_swapped():
+    # a sample that only moved up holds a size-reduced mu row that a
+    # recompute can round differently at the exact ties of an integer
+    # Gram; handing it off too changes w on the stack of seed 1
+    basis = bw_lattice(2).basis
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        assert_stack_matches_core(np.array([(basis @ scramble(rng, 8, 2)).T for _ in range(60)]), 0.99)
+
+
+def test_lll_stack_refuses_a_stack_it_cannot_reduce_in_place():
+    w = np.random.default_rng(2).normal(size=(3, 4, 4))
+    with pytest.raises(ValueError, match="C-contiguous"):
+        _kernels.lll_stack(w.transpose(0, 2, 1), identities(3, 4), 0.99)
 
 
 # -- Jacobi ---------------------------------------------------------------------

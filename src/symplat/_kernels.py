@@ -18,7 +18,8 @@ their bits do not depend on the host.  ``jacobi_core`` and
 ``enumerate_depth_first`` do the same IEEE operations in the same order
 as a numpy kernel would, so the bits are the same; ``jacobi_core``'s
 docstring says why.  ``lll_core`` sums its dot products left to right,
-where ``np.dot`` leaves the order to the BLAS build, and computes
+in straight-line code generated once per dimension, where ``np.dot``
+leaves the order to the BLAS build, and computes
 Gram-Schmidt rows lazily: only from the swap point, and within a row
 only the projections onto rows recomputed since, resuming from the
 partial row it keeps.  Its docstring gives the rule, why the result is
@@ -55,6 +56,7 @@ matrices are passed row-major with vectors as rows so the inner dot
 products run on contiguous memory.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -112,12 +114,18 @@ def lll_core(w, v, delta):
 
     The loop runs on Python numbers: rows of floats for w, Gram-Schmidt
     rows and mu, rows of ints for v, written back to ``w`` and ``v`` when
-    the loop ends or raises.  Each dot product is a left-to-right loop of
-    ``s += x * y``, every product and sum rounded on its own, so the bits
-    are the same on every host and Python version.  ``np.dot`` would hand
+    the loop ends or raises.  Dot products and row updates run through
+    ``_row_ops(d)``, straight-line code generated once per dimension: a
+    dot product is ``0.0 + x[0] * y[0] + x[1] * y[1] + ...``, and ``+``
+    associates left to right, so it does a loop of ``s += x * y``'s IEEE
+    operations in its order without the loop's per-element interpreter
+    work.  Every product and sum is rounded on its own, so the bits are
+    the same on every host and Python version.  ``np.dot`` would hand
     them to the BLAS build's ``ddot``, whose summation order and use of
     fused multiply-adds depend on the CPU and the vector length; ``sum``
-    compensates float sums from Python 3.12 on.
+    compensates float sums from Python 3.12 on.  A ``+`` chain nests one
+    level per term (a single one fails to compile near d = 3,000), so
+    each generated statement adds at most 64 terms to the running sum.
 
     Gram-Schmidt rows are computed lazily, each by the same arithmetic a
     full recompute after every swap would use, and only where that
@@ -157,6 +165,8 @@ def _lll_rows(w, v, delta, k, it):
     """``lll_core``'s loop from row k, ``it`` iterations already spent,
     with no Gram-Schmidt row computed yet."""
     d = w.shape[0]
+    dot, axpy = _row_ops(w.shape[1])
+    int_axpy = _row_ops(d)[1]
     W = w.tolist()
     V = v.tolist()
     bstar = [None] * d
@@ -178,17 +188,12 @@ def _lll_rows(w, v, delta, k, it):
                 b = pi[-1]
                 for j in range(len(pi) - 1, i):
                     bj = bstar[j]
-                    s = 0.0
-                    for x, y in zip(wi, bj):
-                        s += x * y
-                    m = s / nrm[j]
+                    m = dot(wi, bj) / nrm[j]
                     mui[j] = m
-                    b = [x - m * y for x, y in zip(b, bj)]
+                    b = axpy(b, m, bj)
                     pi.append(b)
                 mui[i] = 1.0
-                s = 0.0
-                for x in b:
-                    s += x * x
+                s = dot(b, b)
                 if s <= GS_UNDERFLOW:
                     raise NumericalBreakdown("Gram-Schmidt norms underflowed during LLL")
                 bstar[i] = b
@@ -199,8 +204,8 @@ def _lll_rows(w, v, delta, k, it):
                 q = math.floor(muk[j] + 0.5)
                 if q:
                     qf = float(q)
-                    W[k] = [x - qf * y for x, y in zip(W[k], W[j])]
-                    V[k] = [x - q * y for x, y in zip(V[k], V[j])]
+                    W[k] = axpy(W[k], qf, W[j])
+                    V[k] = int_axpy(V[k], q, V[j])
                     muj = mu[j]
                     for t in range(j + 1):
                         muk[t] = muk[t] - qf * muj[t]
@@ -220,6 +225,20 @@ def _lll_rows(w, v, delta, k, it):
     finally:
         w[:] = W
         v[:] = V
+
+
+@functools.cache
+def _row_ops(d):
+    """(dot, axpy) on rows of length d as straight-line code, bit for bit
+    the loops ``s = 0.0; s += x * y`` and ``[x - m * y for ...]``; see
+    ``lll_core``."""
+    terms = [f"x[{i}] * y[{i}]" for i in range(d)]
+    sums = "".join(f"\n    s = s + {' + '.join(terms[a:a + 64])}" for a in range(0, d, 64))
+    diffs = ", ".join(f"x[{i}] - m * y[{i}]" for i in range(d))
+    ns = {}
+    exec(f"def dot(x, y):\n    s = 0.0{sums}\n    return s\n"
+         f"def axpy(x, m, y):\n    return [{diffs}]\n", ns)
+    return ns["dot"], ns["axpy"]
 
 
 def lll_stack(w, v, delta):

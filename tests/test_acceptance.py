@@ -168,10 +168,12 @@ def test_criterion_8_symplecticity():
             assert abs(np.linalg.det(basis) - 1.0) <= 1e-9
 
 
-@criterion(9, "witness search at g=2, budget 2000: systole^2 >= 0.72 regression floor")
+@criterion(9, "witness search at g=2, budget 2000: systole^2 >= 1.40 regression floor")
 def test_criterion_9_witness_search():
+    # reads 1.41094312538; 2,000 d=4 LLL runs steer the search, so a
+    # kernel that changes their bits moves it off this trajectory
     res = sp.witness_search(2, "k", None, 2000, seed=99)
-    assert res.systole2 >= 0.72, res.systole2
+    assert res.systole2 >= 1.40, res.systole2
 
 
 @criterion(10, "XOR-family divisibility-by-2g report exists and is deterministic")

@@ -20,10 +20,14 @@ BIG_BUDGET = 10 ** 7
 
 
 def xor_family_point(rng, g):
-    """A random XOR-family point of dimension g, its sqrt(Y) row shifted to be SPD."""
+    """A random XOR-family point of dimension g as the xor-verify benchmark
+    draws one: its sqrt(Y) row shifted to a Walsh minimum of 0.1."""
+    x_row = rng.uniform(0.0, 1.0, g)
     s_row = rng.uniform(0.0, 1.0, g)
-    s_row[0] += 0.1 - min(float(np.min(a2n_eigenvalues(s_row))), 0.0)
-    return a2n_family_point(rng.uniform(0.0, 1.0, g), s_row)
+    emin = float(np.min(a2n_eigenvalues(s_row)))
+    if emin < 0.1:
+        s_row[0] += 0.1 - emin
+    return a2n_family_point(x_row, s_row)
 
 
 def chol_upper(gram):
@@ -388,9 +392,10 @@ def lll_inputs(draw):
     to different integers, which random bases almost never show.  Random
     and Z^n dimensions fall on both sides of 16, the length at which
     numpy's dot switches BLAS kernels on common builds.  P_Z of XOR-family
-    points and K-family bases at large heights swap often with size
-    reductions in between, so the kernel both truncates Gram-Schmidt
-    prefixes at swaps and resets them after size reduction.
+    points (g = 2, 4 and 8, the xor-verify benchmark's traffic) and
+    K-family bases at large heights swap often with size reductions in
+    between, so the kernel both truncates Gram-Schmidt prefixes at swaps
+    and resets them after size reduction.
     """
     kind = draw(st.sampled_from(["random", "near_dependent", "zn", "bw2", "bw3", "xor", "kfam"]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -406,7 +411,7 @@ def lll_inputs(draw):
     elif kind == "zn":
         w = scramble(rng, draw(LLL_DIMS), draw(st.integers(1, 3))).T.astype(np.float64)
     elif kind == "xor":
-        w = p_z(xor_family_point(rng, draw(st.sampled_from([4, 8])))).T
+        w = p_z(xor_family_point(rng, draw(st.sampled_from([2, 4, 8])))).T
     elif kind == "kfam":
         g = draw(st.sampled_from([2, 4, 8]))
         y = draw(st.sampled_from([8.0, 1e3, 1e4]))
@@ -455,6 +460,48 @@ def test_lll_iteration_cap_matches_reference(monkeypatch):
     else:
         pytest.fail("the reference did not finish within 1000 iterations")
     assert capped > 20
+
+
+def loop_axpy(x, m, y):
+    return [a - m * b for a, b in zip(x, y)]
+
+
+def assert_same_floats(a, b):
+    assert np.array_equal(np.array(a, dtype=np.float64).view(np.int64),
+                          np.array(b, dtype=np.float64).view(np.int64))
+
+
+@pytest.mark.parametrize("d", [*range(1, 65), 4096])
+def test_row_ops_match_the_loops(d):
+    """The generated straight-line dot and axpy are the loops bit for bit,
+    on sums whose order shows and on rows of ints."""
+    op_dot, op_axpy = _kernels._row_ops(d)
+    rng = np.random.default_rng(d)
+    ones = [1.0] * d
+    wide = rng.normal(size=(2, d)) * 10.0 ** rng.integers(-12, 13, size=(2, d))
+    # products 1e16, 1, -1e16, 1 sum to 1.0 left to right, 0.0 right to left
+    cancel = [([1e16, 1.0, -1e16, 1.0] + [0.0] * d)[:d], ([1.0, 1e16, -1e16] + [0.0] * d)[:d]]
+    cases = [wide.tolist(), [cancel[0], ones], [cancel[1], ones],
+             [[0.0] * d, [-1.0] * d]]               # every product -0.0
+    for x, y in cases:
+        assert_same_floats([op_dot(x, y)], [dot(x, y)])
+        assert_same_floats([op_dot(y, x)], [dot(y, x)])
+        assert_same_floats(op_axpy(x, 0.7, y), loop_axpy(x, 0.7, y))
+    assert np.float64(op_dot([0.0] * d, [-1.0] * d)).view(np.int64) == 0     # +0.0
+    for x, n in zip(cancel, (4, 3)):
+        assert d < n or dot(x, ones) != dot(x[::-1], ones)
+    x, y = ([e * 3 ** 20 for e in row] for row in rng.integers(-2 ** 62, 2 ** 62, size=(2, d)).tolist())
+    q = -(3 ** 25)
+    out = op_axpy(x, q, y)
+    assert out == loop_axpy(x, q, y) and all(type(e) is int for e in out)
+
+
+@pytest.mark.parametrize("d, n", [(2, 3), (4, 9), (6, 70)])
+def test_lll_on_rows_longer_than_the_basis(d, n):
+    """Row length n and basis size d take separate generated ops."""
+    new, ref = run_both(np.random.default_rng(n).normal(size=(d, n)), 0.99)
+    assert ref[0] is None
+    assert_same_lll(new, ref)
 
 
 def identities(n, d):

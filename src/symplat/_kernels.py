@@ -47,7 +47,12 @@ H one vector of each +-v pair, which ``lattice`` relies on.
 picks for one tree by its size: it runs the depth-first kernel up to
 SMALL_TREE_NODES_PER_LEVEL nodes per level of the tree and, when the
 tree turns out to be larger, starts over with the frontier on the tree's
-stack of one.
+stack of one.  Any upper-triangular factor with a positive diagonal
+defines a tree: ``lattice`` passes the Cholesky factors of reduced
+Grams, and for the Monte Carlo counts, where a box bound proves the
+trees small, the triangular P_Z bases themselves.  Coordinates are int64,
+so a child interval reaching past Z_LIMIT raises RadiusTooLarge, as a
+tree past the node budget does, before anything is cast.
 
 Each kernel returns plain results and raises the package's own error
 where a failure happens: the LLL kernels and ``jacobi_core`` raise
@@ -89,6 +94,11 @@ SMALL_TREE_NODES_PER_LEVEL = 30
 #: tree's steps (10,749 to 5,452) and walks it about a fifth faster;
 #: bw16-shells' tree, in 122 steps, runs no faster.
 FRONTIER_CHUNK_ROWS = 1 << 12
+
+#: Largest |z| an enumeration tree holds.  Its coordinates are int64, which
+#: would wrap past 2^63, so a child interval whose end passes this raises
+#: RadiusTooLarge before any cast.
+Z_LIMIT = 1 << 62
 
 #: ``lll_stack`` hands each sample that swaps to ``lll_core``'s loop once
 #: at most LLL_HANDOFF << (d // 4) samples still run: 16, 32, 128 and
@@ -403,6 +413,13 @@ def _over_budget(node_budget):
     )
 
 
+def _past_int64():
+    return RadiusTooLarge(
+        "an enumeration interval reaches past |z| = 2^62, where int64 "
+        "coordinates would wrap; shrink the radius"
+    )
+
+
 def enumerate_depth_first(r, r2cap, node_budget):
     """``enumerate_core`` one tree node at a time, on Python numbers.
 
@@ -434,8 +451,12 @@ def enumerate_depth_first(r, r2cap, node_budget):
                 s += row[j] * z[j]
             shift[i] = s
             rad = math.sqrt(max(r2cap - total, 0.0))
-            z[i] = math.ceil((-s - rad) / row[i] - 1e-12)
-            zmax[i] = math.floor((-s + rad) / row[i] + 1e-12)
+            lo = (-s - rad) / row[i] - 1e-12
+            hi = (-s + rad) / row[i] + 1e-12
+            if lo < -Z_LIMIT or hi > Z_LIMIT:
+                raise _past_int64()
+            z[i] = math.ceil(lo)
+            zmax[i] = math.floor(hi)
         if z[i] > zmax[i]:
             i += 1
             if i >= d:
@@ -486,10 +507,13 @@ def enumerate_frontier(r, r2cap, node_budget):
     half is charged against (node_budget + d) // 2, the largest half
     whose full tree fits ``node_budget``, before the children that reach
     it are built, so RadiusTooLarge fires for exactly the budgets it
-    would on the full tree of any one tree of the stack.
+    would on the full tree of any one tree of the stack.  The halves are
+    counted in float64, exact below 2^53 nodes, and each level's child
+    counts are charged before they are cast to int64, so a radius too
+    large for the budget or for int64 raises rather than wraps.
     """
     n, d = r.shape[:2]
-    half = np.zeros(n, dtype=np.int64)
+    half = np.zeros(n)
     found = _Found(d)
     _expand(r, r2cap, node_budget, d, np.zeros((0, n), dtype=np.int64), np.arange(n),
             np.zeros(n), np.ones(n, dtype=bool), half, found)
@@ -537,8 +561,8 @@ def _expand(r, r2cap, node_budget, i, zt, tree, rho, zero, half, found):
     Column p of ``zt`` holds z[i:] of parent p, ``tree[p]`` its stack
     index and rho[p] its squared length so far; level d is the root.
     Adds each tree's child count to ``half`` and raises RadiusTooLarge
-    once one passes (node_budget + d) // 2; adds the leaves inside the
-    radius to ``found``.
+    once one passes (node_budget + d) // 2, or once an interval end
+    passes Z_LIMIT; adds the leaves inside the radius to ``found``.
 
     ``zero`` marks the all-zero parents, at most one per tree.  An
     all-zero parent gets no negative children, so only the half-space is
@@ -553,11 +577,14 @@ def _expand(r, r2cap, node_budget, i, zt, tree, rho, zero, half, found):
     rkk = r[:, k, k][tree]
     rk = r[0, k, i:, None] if n == 1 else r[tree, k, i:].T
     s, lo, hi = _bounds(rk, rkk, r2cap, zt, rho)
-    lo[zero] = 0
-    cnt = np.maximum(hi - lo + 1, 0)
-    np.add.at(half, tree, cnt)
+    lo[zero] = 0.0
+    cnt = np.maximum(hi - lo + 1.0, 0.0)
+    half += np.bincount(tree, weights=cnt, minlength=n)
     if half.max() > (node_budget + d) // 2:
         raise _over_budget(node_budget)
+    if lo.min(initial=0.0) < -Z_LIMIT or hi.max(initial=0.0) > Z_LIMIT:
+        raise _past_int64()
+    lo, cnt = lo.astype(np.int64), cnt.astype(np.int64)
     parent = np.arange(cnt.shape[0]).repeat(cnt)     # contiguous, ascending from lo
     z = np.arange(parent.shape[0]) + (lo - (cnt.cumsum() - cnt))[parent]
     total = rkk[parent] * z + s[parent]     # t, then rho + t * t in place
@@ -580,7 +607,8 @@ def _expand(r, r2cap, node_budget, i, zt, tree, rho, zero, half, found):
 
 def _bounds(rk, rkk, r2cap, zt, rho):
     """(s, lo, hi) one level down from a chunk of parents: the shift s and
-    each parent's child interval [lo, hi], by the depth-first arithmetic.
+    each parent's child interval [lo, hi] as integral floats, by the
+    depth-first arithmetic.
 
     ``rk`` holds R[k, i:] of the parents as a column (a stack of one) or
     as one column per parent, and ``rkk`` R[k, k] per parent; either way
@@ -590,8 +618,9 @@ def _bounds(rk, rkk, r2cap, zt, rho):
     for term in rk * zt:     # j ascending, as depth first
         s += term
     rad = np.sqrt(np.maximum(r2cap - rho, 0.0))
-    lo = np.ceil((-s - rad) / rkk - 1e-12).astype(np.int64)
-    hi = np.floor((-s + rad) / rkk + 1e-12).astype(np.int64)
+    with np.errstate(over="ignore"):     # an infinite end fails the Z_LIMIT check
+        lo = np.ceil((-s - rad) / rkk - 1e-12)
+        hi = np.floor((-s + rad) / rkk + 1e-12)
     return s, lo, hi
 
 

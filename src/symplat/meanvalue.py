@@ -18,8 +18,9 @@ because single estimates carry Monte Carlo noise.
 Everything is reproducible: sample i of seed s draws from the
 counter-based stream keyed (s, i), so a fixed seed gives the same output
 bits.  The estimator builds its samples as stacks of bases and counts
-them with ``lattice.short_counts``, which takes the steps and
-checks of the one-lattice path, so each sample's count is bit for bit
+them with ``lattice.short_counts``, which takes the checks of the
+one-lattice path and its steps or, where a box bound proves the trees
+small, walks the triangular P_Z bases as given; each sample's count is
 what one ``k_family_lattice`` and ``enumerate_short`` give it, and the
 chunk size does not show in the output.
 """
@@ -118,14 +119,25 @@ def bounds(g: int) -> BoundValues:
 
 
 def ball_volume_limit(g: int, r: float) -> float:
-    """Volume pi^g r^(2g) / g! of the radius-r ball in dimension 2g."""
+    """Volume pi^g r^(2g) / g! of the radius-r ball in dimension 2g.
+
+    OutOfRange when the volume, or a step on the way to it, is past
+    float64's range.
+    """
     if g < 1:
         raise OutOfRange("need g >= 1")
     if not r > 0:
         raise OutOfRange("radius must be positive")
-    if g <= 20:
-        return _PI ** g * r ** (2 * g) / float(math.factorial(g))
-    return math.exp(g * math.log(_PI) + 2 * g * math.log(r) - math.lgamma(g + 1))
+    try:
+        if g <= 20:
+            volume = _PI ** g * r ** (2 * g) / float(math.factorial(g))
+        else:
+            volume = math.exp(g * math.log(_PI) + 2 * g * math.log(r) - math.lgamma(g + 1))
+    except OverflowError:
+        volume = math.inf
+    if volume == math.inf:
+        raise OutOfRange(f"the ball volume at g = {g}, r = {r:g} is past float64's range")
+    return volume
 
 
 @contextmanager
@@ -186,8 +198,11 @@ def estimate_I(g: int, y: float, r2: float, samples: int, seed: int) -> MeanValu
     ``vcube_wedges``, as ``sample_vcube`` draws them, X by
     ``k_symmetric_stack``, the bases by ``k_family_bases``, the counts by
     ``short_counts``.  Each sample's count is the one
-    ``enumerate_short(k_family_lattice(...))`` gives, for any chunk size;
-    a check that any sample of a chunk fails raises for the whole
+    ``enumerate_short(k_family_lattice(...))`` gives, for any chunk size:
+    a chunk whose trees a box bound proves small, as at (g, y, r2) = (2,
+    8, 0.25), is counted on the P_Z bases as given, with no LLL, any
+    other reduced, and ``short_counts`` says why the paths count alike.
+    A check that any sample of a chunk fails raises for the whole
     estimate, Singular with the height named as ``k_family_lattice``
     names it.
     """

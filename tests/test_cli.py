@@ -337,6 +337,13 @@ class TestOutputContracts:
             code, payload = run_json(capsys, ["bounds", "--g", "2"])
             assert (code, payload) == (codes[0], {"error": {"type": cls.__name__, "message": "boom"}})
 
+    def test_radius_past_the_tree_exits_3(self, capsys):
+        # the ball volume overflows here too; the enumeration refuses the radius first
+        code, payload = run_json(capsys, ["sweep", "--g", "2", "--r2", "1e200", "--ys", "1,2",
+                                          "--samples", "5"])
+        assert code == 3
+        assert payload["error"]["type"] == "RadiusTooLarge"
+
     def test_validation_error_exit_code(self, capsys):
         code, payload = run_json(capsys, ["bounds", "--g", "3"])
         assert code == 2

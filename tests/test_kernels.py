@@ -106,6 +106,26 @@ def test_enumeration_over_budget_raises():
         _kernels.enumerate_core(r, 100.0, 10)
 
 
+def test_interval_past_int64_raises_in_every_kernel():
+    # z[1] = 1 puts z[0] near -1e19, past int64, where the frontier's cast once wrapped
+    r = np.array([[1.0, 1e19], [0.0, 1.0]])
+    for kernel in ENUMERATION_KERNELS:
+        with pytest.raises(RadiusTooLarge, match="int64"):
+            kernel(r, 1.1, BIG_BUDGET)
+    # the same tree within reach keeps every kernel's bits
+    r[0, 1] = 1e17
+    ref = _kernels.enumerate_depth_first(r, 1.1, BIG_BUDGET)
+    assert ref[0][:, 0].max() == 10 ** 17
+    for kernel in ENUMERATION_KERNELS[1:]:
+        assert_same_enumeration(kernel(r, 1.1, BIG_BUDGET), ref)
+
+
+def test_child_count_past_the_budget_raises_before_the_cast():
+    # 2e19 children of the root: past int64 and past any budget
+    with pytest.raises(RadiusTooLarge, match="node budget"):
+        _kernels.enumerate_frontier(np.eye(2)[None], 1e38, BIG_BUDGET)
+
+
 def test_frontier_matches_depth_first():
     sizes = []
 

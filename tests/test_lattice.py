@@ -1,5 +1,7 @@
 import json
+import math
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -18,11 +20,13 @@ from symplat import (
     scale_to_unit_det,
     systole,
 )
-from symplat import _kernels
+from symplat import _kernels, lattice
 from symplat.errors import NumericalBreakdown, OutOfRange, RadiusTooLarge, Singular
 from symplat.lattice import BOUNDARY_EPS, _histogram, _through_u, _upper_factors, report_to_obj, short_counts
 from symplat.linalg import det_int, exact_in_float, is_unimodular, mat_from_obj
 from symplat.meanvalue import k_family_lattice
+from symplat.patterned import k_symmetric_stack
+from symplat.symplectic import k_family_bases, vcube_wedges
 
 from conftest import brute_force_short, coord_multiset, random_invertible
 
@@ -256,6 +260,11 @@ class TestEnumerate:
         with pytest.raises(RadiusTooLarge):
             enumerate_short(from_basis(np.eye(4)), 100.0, node_budget=5000)
 
+    def test_radius_past_int64_raises(self):
+        # the frontier's interval ends once wrapped here, and 0 vectors came back
+        with pytest.raises(RadiusTooLarge):
+            enumerate_short(from_basis(np.eye(2)), 1e38)
+
     @pytest.mark.parametrize("budget", [0, -5])
     def test_non_positive_budget_is_out_of_range(self, budget):
         # refused as bad input before the lattice is reduced, not reported
@@ -410,6 +419,145 @@ class TestShortCounts:
             with pytest.raises(NumericalBreakdown, match="^Cholesky of the reduced Gram failed: "
                                                          "Matrix is not positive definite$"):
                 run()
+
+
+def k_family_stack(g, y, seed, n):
+    return k_family_bases(k_symmetric_stack(g, vcube_wedges(g, seed, 0, n)), y)
+
+
+def box_bound_reference(r, cap):
+    """Sum over k of prod over i >= k of (floor(2 sqrt(cap) / R_ii) + 1), in Python ints."""
+    total, level = 0, 1
+    for i in reversed(range(r.shape[0])):
+        level *= math.floor(2.0 * math.sqrt(cap) / r[i, i]) + 1
+        total += level
+    return total
+
+
+def counts_by_side(bases, r2):
+    """(short_counts(bases, r2), each tree's node count if the stack was
+    walked as given, else None)."""
+    seen = []
+    original = _kernels.enumerate_core
+
+    def recording(r, r2cap, node_budget):
+        seen.append(r)
+        return original(r, r2cap, node_budget)
+
+    with mock.patch.object(_kernels, "enumerate_core", recording):
+        counts = short_counts(bases, r2)
+    (r,) = seen
+    if r is not bases:
+        return counts, None
+    cap = r2 * (1 + BOUNDARY_EPS)
+    return counts, [_kernels.enumerate_core(b, cap, 10 ** 7)[2] for b in bases]
+
+
+def assert_sides_agree(bases, r2):
+    """The counts as short_counts takes them equal the reduction path's,
+    and a stack walked as given has every tree within its box bound and
+    within RAW_TREE_NODES_PER_LEVEL nodes per level.  Returns whether the
+    stack was walked as given."""
+    counts, nodes = counts_by_side(bases, r2)
+    with mock.patch.object(lattice, "RAW_TREE_NODES_PER_LEVEL", 0):
+        reduced, none = counts_by_side(bases, r2)
+    assert none is None
+    assert counts.tolist() == reduced.tolist()
+    if nodes is None:
+        return False
+    cap = r2 * (1 + BOUNDARY_EPS)
+    for b, n in zip(bases, nodes):
+        assert n <= box_bound_reference(b, cap)
+        assert n <= lattice.RAW_TREE_NODES_PER_LEVEL * b.shape[0]
+    return True
+
+
+def exact_count(b, cap):
+    """Nonzero z with ||B z||^2 <= cap in exact rational arithmetic, for
+    an upper-triangular B.  Each level scans its float interval widened by
+    one on either side and prunes on the exact partial mass."""
+    d = b.shape[0]
+    q = [[Fraction(x) for x in row] for row in b.tolist()]
+    capq = Fraction(cap)
+    radius = math.sqrt(cap)
+    z = [0] * d
+
+    def walk(i, mass):
+        if i < 0:
+            return int(any(z))
+        s = sum((q[i][j] * z[j] for j in range(i + 1, d)), Fraction(0))
+        c, w = float(s) / b[i, i], radius / b[i, i]
+        found = 0
+        for zi in range(math.floor(-c - w) - 1, math.ceil(-c + w) + 2):
+            t = q[i][i] * zi + s
+            if mass + t * t <= capq:
+                z[i] = zi
+                found += walk(i - 1, mass + t * t)
+        z[i] = 0
+        return found
+
+    return walk(d - 1, Fraction(0))
+
+
+@st.composite
+def skewed_triangular(draw):
+    """(stack, r2): upper-triangular bases with log-uniform diagonals in
+    [1/3, 3] and off-diagonal entries up to ``skew`` times the diagonal."""
+    d = draw(st.integers(2, 6))
+    skew = draw(st.sampled_from([0.0, 0.5, 3.0, 20.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    diag = np.exp(rng.uniform(-math.log(3.0), math.log(3.0), size=(8, d)))
+    off = np.triu(rng.uniform(-skew, skew, size=(8, d, d)), 1) * diag[:, None, :]
+    bases = off + diag[:, :, None] * np.eye(d)
+    r2 = draw(st.floats(0.05, 2.0)) * float(np.min(diag)) ** 2 * d
+    return bases, r2
+
+
+class TestRawPath:
+    """short_counts walks upper-triangular stacks as given when the box
+    bound proves every tree small; the counts must not tell the paths apart."""
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.sampled_from([2, 4]), st.floats(math.log(0.02), math.log(50.0)),
+           st.floats(0.01, 1.5), st.integers(0, 2 ** 32 - 1))
+    @example(2, math.log(8.0), 0.25, 1)      # mc-k: as given
+    @example(2, math.log(0.02), 1.0, 2)      # 7,948-node trees the Gaussian heuristic puts at 5
+    @example(4, math.log(8.0), 1.0, 3)       # criterion 3 at g = 4: reduced
+    def test_k_family_sides_agree(self, g, log_y, r2, seed):
+        y = math.exp(log_y)
+        if g == 4:
+            r2 *= min(1.0, y / 0.5) ** 2     # keeps the small-y g = 4 trees small
+        assert_sides_agree(k_family_stack(g, y, seed, 8), r2)
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(skewed_triangular())
+    def test_skewed_triangular_sides_agree(self, case):
+        assert_sides_agree(*case)
+
+    def test_both_sides_run(self):
+        assert assert_sides_agree(k_family_stack(2, 8.0, 1, 64), 0.25)
+        assert not assert_sides_agree(k_family_stack(2, 0.02, 1, 8), 1.0)
+        assert not assert_sides_agree(k_family_stack(4, 8.0, 1, 8), 1.0)
+        lower = k_family_stack(2, 8.0, 1, 8).transpose(0, 2, 1)
+        assert not assert_sides_agree(np.ascontiguousarray(lower), 0.25)
+
+    def test_mc_k_counts_match_exact_norms(self):
+        bases = k_family_stack(2, 8.0, 1, 200)
+        counts, nodes = counts_by_side(bases, 0.25)
+        assert nodes is not None
+        cap = 0.25 * (1 + BOUNDARY_EPS)
+        assert counts.tolist() == [exact_count(b, cap) for b in bases]
+        assert counts.sum() > 0
+
+    def test_box_bound(self):
+        cap = 0.25 * (1 + BOUNDARY_EPS)
+        b = k_family_stack(2, 8.0, 1, 4)
+        diag = np.diagonal(b, axis1=1, axis2=2)
+        assert lattice._box_bound(diag, cap, 10 ** 6).tolist() == [252.0] * 4
+        assert box_bound_reference(b[0], cap) == 252
+        # cut at limit + 1, and finite however small the diagonal
+        assert lattice._box_bound(diag, cap, 50).tolist() == [9.0 + 3 * 51.0] * 4
+        assert lattice._box_bound(np.array([[1e-300, 1.0]]), 1e300, 10).tolist() == [22.0]
 
 
 class TestReductionCache:

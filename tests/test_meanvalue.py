@@ -20,7 +20,7 @@ from symplat import (
     systole,
     witness_search,
 )
-from symplat.errors import OddDimension, OutOfRange, Singular
+from symplat.errors import OddDimension, OutOfRange, RadiusTooLarge, Singular
 from symplat.meanvalue import SearchResult, k_family_lattice
 from symplat.patterned import k_symmetric_stack
 from symplat.symplectic import k_family_bases, vcube_wedges
@@ -81,6 +81,11 @@ class TestBallVolume:
     def test_validation(self):
         with pytest.raises(OutOfRange):
             ball_volume_limit(2, 0.0)
+
+    @pytest.mark.parametrize("g, r", [(2, 1e100), (2, 1e77), (30, 1e20), (2, math.inf)])
+    def test_past_float64_is_out_of_range(self, g, r):
+        with pytest.raises(OutOfRange, match="past float64's range"):
+            ball_volume_limit(g, r)
 
 
 class TestEstimate:
@@ -164,26 +169,37 @@ class TestStackPipeline:
         assert sum(ref) > 0
 
     def test_chunk_size_leaves_the_bits(self, monkeypatch):
-        runs = []
-        for chunk in (1, 7, 64, 100, 5000):
-            monkeypatch.setattr(meanvalue, "ESTIMATE_CHUNK", chunk)
-            runs.append(counted_estimate(monkeypatch, 2, 2.0, 1.0, 100, seed=11))
-        for est, counts in runs[1:]:
-            assert est == runs[0][0]
-            assert counts == runs[0][1]
-        assert len(set(runs[0][1])) > 1
+        # (2, 2.0, 1.0) is counted on the bases as given (box bound 180), (2, 1e3, 0.5) reduced
+        for g, y, r2 in ((2, 2.0, 1.0), (2, 1e3, 0.5)):
+            runs = []
+            for chunk in (1, 7, 64, 100, 5000):
+                monkeypatch.setattr(meanvalue, "ESTIMATE_CHUNK", chunk)
+                runs.append(counted_estimate(monkeypatch, g, y, r2, 100, seed=11))
+            for est, counts in runs[1:]:
+                assert est == runs[0][0]
+                assert counts == runs[0][1]
+            assert len(set(runs[0][1])) > 1
+
+    def test_reduction_side_stacks_and_stacks_of_one(self, monkeypatch):
         # 8 samples in chunks of 7: lll_stack reduces the first chunk, lll_core the last
         monkeypatch.setattr(meanvalue, "ESTIMATE_CHUNK", 7)
         calls = kernel_calls(monkeypatch)
-        split = counted_estimate(monkeypatch, 2, 2.0, 1.0, 8, seed=11)
+        split = counted_estimate(monkeypatch, 2, 1e3, 0.5, 8, seed=11)
         assert calls == {"lll_core": 1, "lll_stack": 1}
         monkeypatch.setattr(meanvalue, "ESTIMATE_CHUNK", 5000)
-        assert counted_estimate(monkeypatch, 2, 2.0, 1.0, 8, seed=11) == split
+        assert counted_estimate(monkeypatch, 2, 1e3, 0.5, 8, seed=11) == split
         assert calls == {"lll_core": 1, "lll_stack": 2}
-        assert split[1] == runs[0][1][:8]
         # a single lattice is a stack of one
-        systole(k_family_lattice(sample_vcube(2, 11, 0), 2.0))
+        systole(k_family_lattice(sample_vcube(2, 11, 0), 1e3))
         assert calls == {"lll_core": 2, "lll_stack": 2}
+
+    # mc-k's configuration runs as given; criterion 3 at g = 4 and y = 1e3 reduce
+    @pytest.mark.parametrize("g, y, r2, reduced", [(2, 8.0, 0.25, False), (4, 8.0, 1.0, True),
+                                                   (2, 1e3, 0.5, True)])
+    def test_side_each_configuration_takes(self, monkeypatch, g, y, r2, reduced):
+        calls = kernel_calls(monkeypatch)
+        estimate_I(g, y, r2, 40, seed=7)
+        assert calls == ({"lll_stack": 1} if reduced else {})
 
     def test_enumeration_once_per_chunk_through_the_module(self, monkeypatch):
         monkeypatch.setattr(meanvalue, "ESTIMATE_CHUNK", 16)
@@ -203,6 +219,11 @@ class TestStackPipeline:
     def test_infinite_radius_is_refused(self):
         with pytest.raises(OutOfRange, match="squared radius must be positive and finite"):
             estimate_I(2, 8.0, math.inf, 5, seed=0)
+
+    def test_radius_past_int64_raises(self):
+        # the frontier's interval ends once wrapped here, giving a mean of 0.0
+        with pytest.raises(RadiusTooLarge):
+            estimate_I(2, 8.0, 1e40, 10, seed=1)
 
 
 class TestKFamilyLattice:

@@ -38,7 +38,12 @@ of one.  Each tree is symmetric under z -> -z, and the frontier walks
 only the half whose first nonzero coordinate, read from z[d-1] down, is
 positive.  It mirrors that half into the full output, reports the full
 trees' 2 * half - d nodes each and charges each tree's walk against
-(node_budget + d) // 2; its docstring says why each step is exact.  Both
+(node_budget + d) // 2; its docstring says why each step is exact.
+Trees with bitwise the same bottom rows R[k:, k:] (every P_Z of the K
+family, at k = g) have the same nodes at levels d - 1 to k: the frontier
+walks those once and expands level k - 1 as a broadcast (tree x shared
+node) product, each pair taking its tree's own operations in their
+order, so the bits hold.  Both
 kernels do the same float operations per node in the same order, so
 they return the same vectors in the same row order with bit-equal norms
 and the same node count.  The rows come out as ``concat(-H[::-1], H)``,
@@ -486,7 +491,8 @@ def enumerate_frontier(r, r2cap, node_budget):
     the full trees' node count summed over the stack.  One tree is the
     stack of one, ``r[None]``, and then coords, norms and nodes equal
     ``enumerate_depth_first``'s row for row and bit for bit.  Tree i's
-    rows, ``coords[tree == i]``, are its stack-of-one call's.
+    rows, ``coords[tree == i]``, are its stack-of-one call's.  An empty
+    stack finds nothing in 0 nodes.
 
     One frontier holds the nodes of every tree, each with its tree index.
     A level step applies the depth-first kernel's arithmetic to whole
@@ -494,6 +500,23 @@ def enumerate_frontier(r, r2cap, node_budget):
     keeps each node's children contiguous and ascending, and expands the
     chunks of at most FRONTIER_CHUNK_ROWS children depth first.  So the
     entries come out tree by tree, each tree's in depth-first order.
+
+    Where every tree has bitwise the same R[k:, k:], levels d - 1 down to
+    k read the same numbers in every tree, so every tree has the same
+    nodes there, with the same bits.  Those levels are walked once, on the
+    first tree's rows (``_shared_top``), and level k - 1 is expanded as
+    one product of the trees by the M shared nodes at level k: the shift
+    of pair (t, m) is summed from 0.0 over j ascending from R_t[k - 1, j]
+    z_m[j], the radius is taken once per shared node, and each pair's
+    interval from its shift, that radius and R_t[k - 1, k - 1].  Each
+    number meets the operations it meets in its tree's own walk, in the
+    same order, so the bits are the same; the pairs run tree-major, each
+    tree's in depth-first order, so the output order is too.  A stack
+    that shares nothing, as a stack of one, takes the same path with
+    M = 1: its product is the root step.  Products run in blocks of at
+    most FRONTIER_CHUNK_ROWS << 3 pairs: mc-k's 1,000 trees by 25 shared
+    nodes make one block, and a block's (d - k) x pairs shift terms stay
+    under 8 MB at d = 32, below the 22 MB the g = 32 tree's walk peaks at.
 
     Only the half-space H is walked: the vectors whose first nonzero
     coordinate, read from z[d-1] down, is positive (Schnorr & Euchner
@@ -507,16 +530,23 @@ def enumerate_frontier(r, r2cap, node_budget):
     half is charged against (node_budget + d) // 2, the largest half
     whose full tree fits ``node_budget``, before the children that reach
     it are built, so RadiusTooLarge fires for exactly the budgets it
-    would on the full tree of any one tree of the stack.  The halves are
-    counted in float64, exact below 2^53 nodes, and each level's child
-    counts are charged before they are cast to int64, so a radius too
-    large for the budget or for int64 raises rather than wraps.
+    would on the full tree of any one tree of the stack; the shared
+    levels are charged to every tree.  The halves are counted in float64,
+    exact below 2^53 nodes, and each level's child counts are charged
+    before they are cast to int64, so a radius too large for the budget
+    or for int64 raises rather than wraps.  Where trees of one stack fail
+    in different ways, which error surfaces follows the walk's order.
     """
     n, d = r.shape[:2]
     half = np.zeros(n)
     found = _Found(d)
-    _expand(r, r2cap, node_budget, d, np.zeros((0, n), dtype=np.int64), np.arange(n),
-            np.zeros(n), np.ones(n, dtype=bool), half, found)
+    k, zt, rho, zero = _shared_top(r, r2cap, node_budget, half)
+    step = max(1, (FRONTIER_CHUNK_ROWS << 3) // zt.shape[1])
+    for a in range(0, n, step):
+        b = min(a + step, n)
+        _expand(r, r2cap, node_budget, k, r[a:b, k - 1, k:].T[:, :, None], r[a:b, k - 1, k - 1, None],
+                np.broadcast_to(zt[:, None], (d - k, b - a, zt.shape[1])), np.arange(a, b)[:, None],
+                rho, zero, half, found)
     m = found.m
     t, h, hn = found.tree[:m], found.coords[:m], found.norms[:m]
     coords = np.empty((2 * m, d), dtype=np.int64)
@@ -524,6 +554,42 @@ def enumerate_frontier(r, r2cap, node_budget):
     coords[m:] = h
     return (np.concatenate((t[::-1], t)), coords, np.concatenate((hn[::-1], hn)),
             2 * int(half.sum()) - n * d)
+
+
+def _shared_top(r, r2cap, node_budget, half):
+    """(k, zt, rho, zero): the half-space nodes at level k that every tree
+    of the stack has, walked once and charged to every tree's ``half``.
+
+    k is the lowest level, at least 1, where every tree has bitwise the
+    same R[k:, k:], or d where fewer than two levels are shared or the
+    stack holds one tree.  The walk stops higher where a level would hold
+    more than FRONTIER_CHUNK_ROWS nodes, so the shared nodes never outgrow
+    a chunk; a level it drops is charged to no tree, and the product
+    walks it again for each.  Each level is a step of ``_expand``'s
+    arithmetic on the first tree's rows; columns of ``zt`` hold z[k:] in
+    depth-first order, rho the squared lengths and ``zero`` the all-zero
+    node.
+    """
+    n, d = r.shape[:2]
+    bits = r.view(f"i{r.itemsize}")
+    same = (bits == bits[:1]).all(axis=0)
+    k = d
+    while n > 1 and k > 1 and same[k - 1:, k - 1:].all():
+        k -= 1
+    if d - k < 2:
+        k = d
+    zt, rho, zero = np.zeros((0, 1), dtype=np.int64), np.zeros(1), np.ones(1, dtype=bool)
+    walked = np.zeros(1)
+    for i in range(d, k, -1):
+        charged = walked.copy()
+        at, z, total, below = _children(r2cap, r[0, i - 1, i:, None], r[0, i - 1, i - 1, None], zt, rho,
+                                        zero, np.zeros(1, dtype=np.intp), charged, node_budget, d)
+        if z.shape[0] > FRONTIER_CHUNK_ROWS:
+            k = i
+            break
+        zt, rho, zero, walked = np.concatenate((z[None], zt[:, at[0]])), total, below, charged
+    half += walked
+    return k, zt, rho, zero
 
 
 class _Found:
@@ -555,73 +621,95 @@ class _Found:
         self.m = end
 
 
-def _expand(r, r2cap, node_budget, i, zt, tree, rho, zero, half, found):
-    """Enumerate the subtrees of a chunk of parents at level i.
+def _expand(r, r2cap, node_budget, i, rk, rkk, zt, tree, rho, zero, half, found):
+    """Enumerate the subtrees of a block of parents at level i.
 
-    Column p of ``zt`` holds z[i:] of parent p, ``tree[p]`` its stack
-    index and rho[p] its squared length so far; level d is the root.
-    Adds each tree's child count to ``half`` and raises RadiusTooLarge
-    once one passes (node_budget + d) // 2, or once an interval end
-    passes Z_LIMIT; adds the leaves inside the radius to ``found``.
+    The parents form an array: 1-D for a chunk of the frontier, (trees,
+    shared nodes) for ``enumerate_frontier``'s product.  ``tree``, rho
+    (squared length so far) and ``zero`` broadcast to it, and ``zt`` holds
+    their z[i:] along its first axis; ``rk`` and ``rkk`` are R[k, i:] and
+    R[k, k], k = i - 1, as ``_children`` takes them.  Adds each tree's
+    child count to ``half`` and raises RadiusTooLarge once one passes
+    (node_budget + d) // 2, or once an interval end passes Z_LIMIT; adds
+    the leaves inside the radius to ``found`` and walks the other children
+    in chunks of FRONTIER_CHUNK_ROWS.
 
-    ``zero`` marks the all-zero parents, at most one per tree.  An
-    all-zero parent gets no negative children, so only the half-space is
-    walked.  Zero always lies in its interval, so its first child is all
-    zero too; the all-zero leaf is not a vector.  A stack of one reads
-    R[k, i:] by slicing rather than by gathering a row per parent: the
-    same numbers, where the gathers make bw16-shells' walk about a fifth
-    slower.
+    ``zero`` marks the all-zero parents, at most one per tree, and the
+    all-zero leaf is not a vector.  A stack of one reads R[k, i:] by
+    slicing rather than by gathering a row per parent: the same numbers,
+    where the gathers make bw16-shells' walk about a fifth slower.
     """
     n, d = r.shape[:2]
     k = i - 1
-    rkk = r[:, k, k][tree]
-    rk = r[0, k, i:, None] if n == 1 else r[tree, k, i:].T
-    s, lo, hi = _bounds(rk, rkk, r2cap, zt, rho)
-    lo[zero] = 0.0
-    cnt = np.maximum(hi - lo + 1.0, 0.0)
-    half += np.bincount(tree, weights=cnt, minlength=n)
-    if half.max() > (node_budget + d) // 2:
-        raise _over_budget(node_budget)
-    if lo.min(initial=0.0) < -Z_LIMIT or hi.max(initial=0.0) > Z_LIMIT:
-        raise _past_int64()
-    lo, cnt = lo.astype(np.int64), cnt.astype(np.int64)
-    parent = np.arange(cnt.shape[0]).repeat(cnt)     # contiguous, ascending from lo
-    z = np.arange(parent.shape[0]) + (lo - (cnt.cumsum() - cnt))[parent]
-    total = rkk[parent] * z + s[parent]     # t, then rho + t * t in place
-    total *= total
-    total += rho[parent]
-    zero = zero[parent] & (z == 0)
+    at, z, total, zero = _children(r2cap, rk, rkk, zt, rho, zero, tree, half, node_budget, d)
+    shape = zt.shape[1:]
     if k == 0:
         keep = np.flatnonzero((total <= r2cap) & ~zero)
-        p = parent[keep]
-        found.add(tree[p], z[keep], zt[:, p], total[keep])
+        p = tuple(j[keep] for j in at)
+        found.add(_gather(tree, shape, p), z[keep], zt[(slice(None), *p)], total[keep])
         return
     for a in range(0, z.shape[0], FRONTIER_CHUNK_ROWS):
         b = min(a + FRONTIER_CHUNK_ROWS, z.shape[0])
-        p = parent[a:b]
+        p = tuple(j[a:b] for j in at)
+        t = _gather(tree, shape, p)
         child = np.empty((d - k, b - a), dtype=np.int64)
         child[0] = z[a:b]
-        child[1:] = zt[:, p]
-        _expand(r, r2cap, node_budget, k, child, tree[p], total[a:b], zero[a:b], half, found)
+        child[1:] = zt[(slice(None), *p)]
+        rk = r[0, k - 1, k:, None] if n == 1 else r[t, k - 1, k:].T
+        _expand(r, r2cap, node_budget, k, rk, r[:, k - 1, k - 1][t], child, t, total[a:b], zero[a:b],
+                half, found)
 
 
-def _bounds(rk, rkk, r2cap, zt, rho):
-    """(s, lo, hi) one level down from a chunk of parents: the shift s and
-    each parent's child interval [lo, hi] as integral floats, by the
-    depth-first arithmetic.
+def _children(r2cap, rk, rkk, zt, rho, zero, tree, half, node_budget, d):
+    """The children of an array of parents one level down, by the
+    depth-first arithmetic: (at, z, total, zero), ``at`` each child's
+    parent as an index into the array, z its coordinate, total its squared
+    length and ``zero`` whether it is all zero.
 
-    ``rk`` holds R[k, i:] of the parents as a column (a stack of one) or
-    as one column per parent, and ``rkk`` R[k, k] per parent; either way
-    each parent meets the same IEEE operations.
+    ``zt`` holds the parents' z[i:] along its first axis, so its other axes
+    are the parents' shape.  ``rk`` holds R[k, i:] along its first axis;
+    ``rkk``, rho, ``zero`` and ``tree`` broadcast to the parents.  The
+    shift is summed from 0.0 over j ascending and the radius taken from
+    rho as rho comes, so each parent meets the same IEEE operations
+    whether its numbers come one per parent, per tree or per shared node.
+    Charges the child counts to ``half`` by tree and raises RadiusTooLarge
+    before any cast, as ``_expand`` says.  Past the intervals it works
+    only on the parents with children: at mc-k's product, 2,985 of 25,000
+    pairs.  An all-zero parent gets no negative children, so only the
+    half-space is walked; zero always lies in its interval, so its first
+    child is all zero too.
     """
-    s = np.zeros(zt.shape[1])
+    shape = zt.shape[1:]
+    s = np.zeros(shape)
     for term in rk * zt:     # j ascending, as depth first
         s += term
     rad = np.sqrt(np.maximum(r2cap - rho, 0.0))
     with np.errstate(over="ignore"):     # an infinite end fails the Z_LIMIT check
         lo = np.ceil((-s - rad) / rkk - 1e-12)
         hi = np.floor((-s + rad) / rkk + 1e-12)
-    return s, lo, hi
+    np.copyto(lo, 0.0, where=zero)
+    cnt = np.maximum(hi - lo + 1.0, 0.0).ravel()
+    live = np.flatnonzero(cnt != 0.0)     # the parents with children; a NaN count is charged too
+    at = np.unravel_index(live, shape) if len(shape) > 1 else (live,)     # 1-D, it would only copy
+    half += np.bincount(_gather(tree, shape, at), weights=cnt[live], minlength=half.shape[0])
+    if half.max() > (node_budget + d) // 2:
+        raise _over_budget(node_budget)
+    if lo.min(initial=0.0) < -Z_LIMIT or hi.max(initial=0.0) > Z_LIMIT:
+        raise _past_int64()
+    cnt = cnt[live].astype(np.int64)
+    at = tuple(p.repeat(cnt) for p in at)     # contiguous, ascending from lo
+    z = np.arange(at[0].shape[0]) + (lo.ravel()[live].astype(np.int64) - (cnt.cumsum() - cnt)).repeat(cnt)
+    total = _gather(rkk, shape, at) * z + s[at]     # t, then rho + t * t in place
+    total *= total
+    total += _gather(rho, shape, at)
+    return at, z, total, _gather(zero, shape, at) & (z == 0)
+
+
+def _gather(x, shape, at):
+    """``x`` broadcast to the parents' ``shape``, at the parents ``at``.
+    ``np.broadcast_to`` costs several microseconds a call, so an ``x`` that
+    already has the shape skips it."""
+    return (x if x.shape == shape else np.broadcast_to(x, shape))[at]
 
 
 def jacobi_core(a, rel_tol, max_sweeps):

@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 from symplat import _kernels, a2n_eigenvalues, a2n_family_point, a2n_from_row, bw_lattice, p_z, sample_vcube
 from symplat.errors import NumericalBreakdown, RadiusTooLarge
 from symplat.meanvalue import k_family_lattice
+from symplat.patterned import k_symmetric_stack
+from symplat.symplectic import k_family_bases, vcube_wedges
 
 BIG_BUDGET = 10 ** 7
 
@@ -191,10 +193,35 @@ def test_budget_is_exact_on_random_trees():
 @st.composite
 def stacks(draw):
     """(N x d x d stack of upper Cholesky factors, squared radius): 1 to 12
-    ``trees()`` of one dimension from 1 to 6, enumerated to the first one's radius."""
+    ``trees()`` of one dimension from 1 to 6, enumerated to the first one's radius.
+
+    The trees share their last s levels, s from 0 to d: each takes the
+    first one's R[d-s:, d-s:], so at s = d the trees are identical.
+    """
     dim = draw(st.integers(1, 6))
     members = draw(st.lists(trees(dims=st.just(dim)), min_size=1, max_size=12))
-    return np.array([r for r, _ in members]), members[0][1]
+    r = np.array([r for r, _ in members])
+    k = dim - draw(st.integers(0, dim))
+    r[:, k:, k:] = r[0, k:, k:]
+    return r, members[0][1]
+
+
+def shared_stack(n, d, shared, seed):
+    """n random trees of dimension d that share their last ``shared`` levels."""
+    rng = np.random.default_rng(seed)
+    r = []
+    for _ in range(n):
+        m = rng.normal(size=(d, d))
+        r.append(chol_upper(m.T @ m + np.eye(d)))
+    r = np.array(r)
+    r[:, d - shared:, d - shared:] = r[0, d - shared:, d - shared:]
+    return r
+
+
+def shared_level(r, r2):
+    """The level ``enumerate_frontier``'s product expands at, plus one: d
+    when the stack's walk shares nothing."""
+    return _kernels._shared_top(r, r2, BIG_BUDGET, np.zeros(r.shape[0]))[0]
 
 
 def assert_stack_is_its_trees(r, r2):
@@ -230,6 +257,7 @@ def assert_stack_budget_is_exact(r, r2):
 
 def test_stack_matches_one_call_per_tree():
     sizes = []
+    shared = []
 
     @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(stacks())
@@ -238,9 +266,11 @@ def test_stack_matches_one_call_per_tree():
         assert_stack_is_its_trees(r, r2)
         assert_stack_budget_is_exact(r, r2)
         sizes.append(r.shape[0])
+        shared.append(r.shape[1] - shared_level(r, r2))
 
     check()
     assert min(sizes) == 1 < max(sizes)
+    assert shared.count(0) > 10 and sum(s > 0 for s in shared) > 10
 
 
 def stack_cases():
@@ -254,6 +284,11 @@ def stack_cases():
         ("d1", np.array([[[1.0]], [[0.5]], [[2.0]], [[3.0]]]), 4.0),
         ("one-z5", np.eye(5)[None], 2.0),
         ("one-random", random6[None], 2.0 * float(random6[0, 0] ** 2)),
+        ("identical", np.array([random6] * 3), 2.0 * float(random6[0, 0] ** 2)),
+        # float32 rows, of an odd dimension, compared as int32 bits
+        ("float32-d3", shared_stack(4, 3, 2, 14).astype(np.float32), 3.0),
+        # mc-k's P_Z trees, which share their last g = 2 levels
+        ("k-family", k_family_bases(k_symmetric_stack(2, vcube_wedges(2, 3, 0, 40)), 8.0), 0.25 * (1 + 1e-9)),
         # Z^6's level-1 frontier at r2 = 20 holds over 5,000 half-space nodes
         ("over-a-chunk", np.array([np.eye(6), 2.0 * np.eye(6), random6]), 20.0),
     ]
@@ -271,15 +306,15 @@ def test_largest_stack_case_crosses_a_chunk(monkeypatch):
     # of them means the walk below splits them
     _, r, r2 = stack_cases()[-1]
     widths = []
-    bounds = _kernels._bounds
+    children = _kernels._children
 
-    def recording(rk, rkk, r2cap, zt, rho):
-        s, lo, hi = bounds(rk, rkk, r2cap, zt, rho)
+    def recording(r2cap, rk, rkk, zt, *rest):
+        out = children(r2cap, rk, rkk, zt, *rest)
         if zt.shape[0] == r.shape[1] - 2:
-            widths.append(int(np.maximum(hi - lo + 1, 0).sum()))
-        return s, lo, hi
+            widths.append(out[1].shape[0])
+        return out
 
-    monkeypatch.setattr(_kernels, "_bounds", recording)
+    monkeypatch.setattr(_kernels, "_children", recording)
     _kernels.enumerate_core(r, r2, BIG_BUDGET)
     assert max(widths) > _kernels.FRONTIER_CHUNK_ROWS
 
@@ -288,6 +323,81 @@ def test_stack_over_many_chunks(monkeypatch):
     _, r, r2 = stack_cases()[-1]
     monkeypatch.setattr(_kernels, "FRONTIER_CHUNK_ROWS", 3)
     assert_stack_is_its_trees(r[:, :4, :4], 4.0)
+
+
+def test_stack_cases_share_as_built():
+    cases = {name: (r, r2) for name, r, r2 in stack_cases()}
+    assert shared_level(*cases["identical"]) == 1
+    assert shared_level(*cases["k-family"]) == 2
+    assert shared_level(*cases["float32-d3"]) == 1
+    for name in ("over-a-chunk", "one-random", "d1"):
+        assert shared_level(*cases[name]) == cases[name][0].shape[1]
+
+
+def test_shared_stack_over_many_chunks(monkeypatch):
+    # the shared walk stops where a level passes 3 nodes, and the product
+    # runs in blocks of a few trees
+    r = shared_stack(12, 5, 4, 11)
+    r2 = 1.5 * float(r[0, 0, 0] ** 2)
+    assert shared_level(r, r2) == 1
+    monkeypatch.setattr(_kernels, "FRONTIER_CHUNK_ROWS", 3)
+    assert 1 < shared_level(r, r2) < 5
+    assert_stack_is_its_trees(r, r2)
+    assert_stack_budget_is_exact(r, r2)
+
+
+def radius_errors(r, r2, budget):
+    """The RadiusTooLarge message of the stacked walk, then of each tree's own
+    call; None where a walk passes."""
+    def message(x):
+        try:
+            _kernels.enumerate_frontier(x, r2, budget)
+        except RadiusTooLarge as exc:
+            return str(exc)
+        return None
+
+    return message(r), [message(ri[None]) for ri in r]
+
+
+def test_shared_levels_alone_pass_the_budget():
+    r = shared_stack(5, 5, 4, 12)
+    r2 = 9.0
+    half = np.zeros(5)
+    _kernels._shared_top(r, r2, BIG_BUDGET, half)
+    walked = int(half[0])
+    assert walked > 20 and (half == walked).all()
+    # the largest budget whose half, (budget + d) // 2, is below the shared walk's
+    budget = 2 * walked - 5 - 1
+    stacked, alone = radius_errors(r, r2, budget)
+    assert stacked == alone[0] == f"enumeration exceeded the node budget of {budget}; " \
+                                  "shrink the radius or raise the budget"
+    assert set(alone) == {stacked}
+    with pytest.raises(RadiusTooLarge, match="node budget"):
+        _kernels._shared_top(r, r2, budget, np.zeros(5))
+    assert_stack_budget_is_exact(r, r2)
+
+
+def test_shared_stack_past_int64_at_a_tree_level():
+    # the trees share levels 1 to 3; tree 2's level-0 row sends z[0] past 2^62
+    r = shared_stack(4, 4, 3, 13)
+    r2 = 2.0 * float(r[0, 1, 1] ** 2)
+    assert shared_level(r, r2) == 1
+    r[2, 0, 1] = 1e20
+    stacked, alone = radius_errors(r, r2, BIG_BUDGET)
+    assert stacked == alone[2] and "2^62" in stacked
+    assert alone[:2] + alone[3:] == [None] * 3
+    r[2, 0, 1] = 1e17     # within reach, the stack is its trees again
+    assert_stack_is_its_trees(r, r2)
+
+
+def test_empty_stack_finds_nothing():
+    for d in (1, 4):
+        tree, coords, norms, nodes = _kernels.enumerate_frontier(np.zeros((0, d, d)), 1.0, BIG_BUDGET)
+        assert tree.shape == norms.shape == (0,) and coords.shape == (0, d)
+        assert tree.dtype == coords.dtype == np.int64 and norms.dtype == np.float64
+        assert type(nodes) is int and nodes == 0
+        assert_same_enumeration(_kernels.enumerate_core(np.zeros((0, d, d)), 1.0, BIG_BUDGET),
+                                (tree, norms, 0))
 
 
 # -- LLL ------------------------------------------------------------------------

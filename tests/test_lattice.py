@@ -387,6 +387,11 @@ class TestShortCounts:
             assert got.tolist() == [enumerate_short(from_basis(b), r2).count for b in bases]
             assert 0 < got.sum()
 
+    def test_empty_stack_counts_nothing(self):
+        for d in (2, 4):
+            counts = short_counts(np.zeros((0, d, d)), 1.0)
+            assert counts.dtype == np.int64 and counts.shape == (0,)
+
     def test_checks_apply_to_the_stack(self, rng, monkeypatch):
         bases = np.array([random_invertible(rng, 3) for _ in range(4)])
         with pytest.raises(OutOfRange):
@@ -540,6 +545,22 @@ class TestRawPath:
         assert not assert_sides_agree(k_family_stack(4, 8.0, 1, 8), 1.0)
         lower = k_family_stack(2, 8.0, 1, 8).transpose(0, 2, 1)
         assert not assert_sides_agree(np.ascontiguousarray(lower), 0.25)
+
+    @pytest.mark.parametrize("g", [2, 4])
+    def test_k_family_stacks_share_their_last_g_levels(self, g):
+        # every P_Z of a stack has the rows [0, S], S = I / y, bit for bit,
+        # so the frontier walks their levels once; the reduced side's
+        # Cholesky factors share nothing
+        bases = k_family_stack(g, 8.0, 1, 16)
+        bits = bases.view(np.int64)
+        assert (bits[:, g:, g:] == bits[0, g:, g:]).all()
+        assert not (bits[:, g - 1:, g - 1:] == bits[0, g - 1:, g - 1:]).all()
+        half = np.zeros(16)
+        assert _kernels._shared_top(bases, 0.25, 10 ** 7, half)[0] == g
+        assert (half == half[0]).all() and half[0] > 0
+        factors = _upper_factors(lattice._reduce(bases)[2])
+        assert len(set(factors[:, -1, -1].tolist())) > 1
+        assert _kernels._shared_top(factors, 0.25, 10 ** 7, np.zeros(16))[0] == 2 * g
 
     def test_mc_k_counts_match_exact_norms(self):
         bases = k_family_stack(2, 8.0, 1, 200)

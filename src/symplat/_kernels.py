@@ -54,8 +54,9 @@ SMALL_TREE_NODES_PER_LEVEL nodes per level of the tree and, when the
 tree turns out to be larger, starts over with the frontier on the tree's
 stack of one.  Any upper-triangular factor with a positive diagonal
 defines a tree: ``lattice`` passes the Cholesky factors of reduced
-Grams, and for the Monte Carlo counts, where a box bound proves the
-trees small, the triangular P_Z bases themselves.  Coordinates are int64,
+Grams, and for the Monte Carlo counts the triangular P_Z bases
+themselves, on a node budget small enough that a stack whose trees pass
+it costs little before it is reduced.  Coordinates are int64,
 so a child interval reaching past Z_LIMIT raises RadiusTooLarge, as a
 tree past the node budget does, before anything is cast.
 

@@ -35,11 +35,12 @@ stack of one; ``short_counts`` passes a whole stack's trees in one
 each vector's tree index, so the counts are one ``bincount``.
 
 ``short_counts`` needs counts, not vectors, so it skips the reduction
-where it does not pay: a stack of upper-triangular bases with positive
-diagonals (the K family's P_Z) whose box bound proves every tree at most
-RAW_TREE_NODES_PER_LEVEL nodes per level is walked as given, each basis
-its own Cholesky factor.  Each count is then the one ``enumerate_short``
-gives unless a vector lies within a few ulps of the slackened radius;
+where it does not pay.  A stack of upper-triangular bases with positive
+diagonals (the K family's P_Z) is first walked as given, each basis its
+own Cholesky factor, on a budget of RAW_TREE_NODES_PER_LEVEL nodes per
+level of each tree; only when a tree passes that budget does the stack
+go through LLL.  Each count is then the one ``enumerate_short`` gives
+unless a vector lies within a few ulps of the slackened radius;
 ``short_counts`` gives the evidence.  ``enumerate_short`` and
 ``systole`` always reduce: their vectors and norms come from the reduced
 basis.
@@ -57,7 +58,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _kernels
-from .errors import NumericalBreakdown, OutOfRange
+from .errors import NumericalBreakdown, OutOfRange, RadiusTooLarge
 from .linalg import as_mat, check_nonsingular, det_int, exact_in_float, is_unimodular
 
 #: Relative slack on the squared enumeration radius.
@@ -69,17 +70,17 @@ DEFAULT_NODE_BUDGET = 10 ** 8
 DEFAULT_LLL_DELTA = 0.99
 
 #: ``short_counts`` walks a stack of upper-triangular bases as given, with
-#: no LLL, when every tree's ``_box_bound`` is at most this many nodes per
-#: level (times the dimension), and reduces the stack first otherwise.  On
-#: one core of a 2-core x86 host, over K-family stacks (1,000 bases at
-#: d = 4, 256 at d = 8), the reduction path costs 15-20 us per basis at
-#: d = 4 and 260-470 us at d = 8, nearly all of it LLL, and the walk as
-#: given 0.04-0.05 us per node.  They break even at about 400 true nodes
-#: (box bound about 1,400) at d = 4 and 7,000-8,000 true nodes (box bound
-#: about 120,000) at d = 8.  The box bound overstates a K-family tree 3-4
-#: times at d = 4 and 15-20 times at d = 8, and it bounds every tree: at
-#: 128 a tree that fills its box, 512 nodes at d = 4, costs about what the
-#: reduction does, and mc-k's (box 252, 64 nodes) a fifth of it.
+#: no LLL, on a budget of this many nodes per level (times the dimension)
+#: for each tree, and reduces the stack when a tree passes it.  On one
+#: core of a 2-core x86 host, over K-family stacks (1,000 bases at d = 4,
+#: 256 at d = 8), the reduction path costs 15-20 us per basis at d = 4
+#: and 260-470 us at d = 8, nearly all of it LLL, and the walk as given
+#: 0.04-0.05 us per node.  They break even at about 400 real nodes per
+#: tree at d = 4 and 7,000-8,000 at d = 8, so at 128 a tree that fills
+#: its budget, 512 nodes at d = 4, costs about what the reduction does,
+#: and mc-k's 64-node trees about a sixth of it.  A walk that passes the
+#: budget stops there: over K-family stacks of 128-1,024 bases that then
+#: reduce, it cost 0.06-4.1 ms per stack, against 15 ms-1.2 s of LLL.
 RAW_TREE_NODES_PER_LEVEL = 128
 
 
@@ -297,15 +298,17 @@ def short_counts(bases: np.ndarray, r2: float) -> np.ndarray:
     for the stack when any basis fails it.  Then it takes one of two
     paths, the whole stack together:
 
-    - **As given**, when ``_small_raw_trees`` proves every tree small: an
-      upper-triangular basis with a positive diagonal is the Cholesky
-      factor of its own Gram (the K family's P_Z is one), so Fincke-Pohst
-      enumeration walks it with no reduction, no BLAS and no LAPACK.
-    - **Reduced**, otherwise: the one-lattice path's LLL, checks and
-      Cholesky.  numpy's stacked matmul, SVD and Cholesky call, on each
-      matrix, the BLAS and LAPACK routine a stack of one does on the same
-      memory layout, and the stacked enumeration does each tree's float
-      operations, so each count is the one ``enumerate_short`` gives.
+    - **As given**, first, when every basis is upper triangular with a
+      positive diagonal: such a basis is the Cholesky factor of its own
+      Gram (the K family's P_Z is one), so Fincke-Pohst enumeration walks
+      it with no reduction, no BLAS and no LAPACK, on a budget of
+      RAW_TREE_NODES_PER_LEVEL nodes per level of each tree.
+    - **Reduced**, when a basis is not triangular or a tree passes that
+      budget: the one-lattice path's LLL, checks and Cholesky.  numpy's
+      stacked matmul, SVD and Cholesky call, on each matrix, the BLAS and
+      LAPACK routine a stack of one does on the same memory layout, and
+      the stacked enumeration does each tree's float operations, so each
+      count is the one ``enumerate_short`` gives.
 
     Both paths count the z with ||B z||^2 <= r2 (1 + BOUNDARY_EPS), a set
     that does not depend on the basis of the lattice; only the norms'
@@ -313,57 +316,29 @@ def short_counts(bases: np.ndarray, r2: float) -> np.ndarray:
     differ between the paths only for a vector within a few ulps of the
     slackened radius.  None did in 300,000 samples at (g, y, r2) = (2, 8,
     0.25), 100,000 at (2, 3, 1) and 2,000 in each of 70 cells with g in
-    {2, 4}, y from 0.5 to 32 and r2 from 0.01 to 1.5 (76,000 of them as
-    given); the tests pin the paths against each other and against
-    exact rational norms.
+    {2, 4}, y from 0.5 to 32 and r2 from 0.01 to 1.5, nor in 84 cells of
+    128-1,024 samples with g in {2, 4, 8}, y from 0.1 to 32 and r2 0.25
+    and 1 (51 of them as given); the tests pin the paths against each
+    other and against exact rational norms.
 
-    The whole stack is one ``_kernels.enumerate_core`` call, which returns
-    the stack index of every vector found; the counts are its
-    ``bincount``.  A traced run therefore sees one enumeration call per
-    stack, with the stack's vector and node totals.
+    Each path walks the whole stack in one ``_kernels.enumerate_core``
+    call, which returns the stack index of every vector found; the counts
+    are its ``bincount``.  A traced run therefore sees one enumeration
+    call per stack walked as given, and two per triangular stack that
+    reduces: the walk the budget stopped, then the reduced one.
     """
     _check_radius(r2)
     _check_bases(bases)
     cap = float(r2) * (1.0 + BOUNDARY_EPS)
-    if not _small_raw_trees(bases, cap):
-        bases = _upper_factors(_reduce(bases)[2])
-    tree = _kernels.enumerate_core(bases, cap, DEFAULT_NODE_BUDGET)[0]
-    return np.bincount(tree, minlength=bases.shape[0])
-
-
-def _small_raw_trees(bases: np.ndarray, cap: float) -> bool:
-    """True when every basis of the stack is upper triangular with a
-    positive diagonal and its tree's ``_box_bound`` is at most
-    RAW_TREE_NODES_PER_LEVEL nodes per level."""
-    diag = np.diagonal(bases, axis1=1, axis2=2)
-    if np.tril(bases, -1).any() or not (diag > 0).all():
-        return False
-    limit = RAW_TREE_NODES_PER_LEVEL * bases.shape[1]
-    return bool((_box_bound(diag, cap, limit) <= limit).all())
-
-
-def _box_bound(diag: np.ndarray, cap: float, limit: int) -> np.ndarray:
-    """Sum over k of prod over i >= k of (floor(2 sqrt(cap) / R_ii) + 1), per
-    row of (N, d) diagonals, each partial product cut at limit + 1.
-
-    A node at level i has its children in an interval of width at most
-    2 sqrt(cap) / R_ii, which holds at most floor(2 sqrt(cap) / R_ii) + 1
-    integers, whatever the rest of R is; so this bounds the size of every
-    tree with that diagonal.  The floor takes 1e-9 of slack for the
-    kernel's 1e-12 widening of each end and their rounding.  The Gaussian
-    heuristic is no bound: at y = 0.1 and 0.02 it predicts 5.6 and 5.1
-    nodes for K-family trees of 340 and 7,948.  The cut keeps the
-    products finite; a bound past ``limit`` is reported as larger than
-    it, not as itself.
-    """
-    with np.errstate(over="ignore"):
-        widths = np.floor(2.0 * math.sqrt(cap) / diag + 1e-9) + 1.0
-    level = np.ones(diag.shape[0])
-    total = np.zeros(diag.shape[0])
-    for i in range(diag.shape[1] - 1, -1, -1):
-        level = np.minimum(level * widths[:, i], limit + 1)
-        total += level
-    return total
+    n, d = bases.shape[:2]
+    if not np.tril(bases, -1).any() and (np.diagonal(bases, axis1=1, axis2=2) > 0).all():
+        try:
+            tree = _kernels.enumerate_core(bases, cap, RAW_TREE_NODES_PER_LEVEL * d)[0]
+            return np.bincount(tree, minlength=n)
+        except RadiusTooLarge:
+            pass
+    tree = _kernels.enumerate_core(_upper_factors(_reduce(bases)[2]), cap, DEFAULT_NODE_BUDGET)[0]
+    return np.bincount(tree, minlength=n)
 
 
 def systole(lat: Lattice, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[float, int]:

@@ -19,10 +19,11 @@ Everything is reproducible: sample i of seed s draws from the
 counter-based stream keyed (s, i), so a fixed seed gives the same output
 bits.  The estimator builds its samples as stacks of bases and counts
 them with ``lattice.short_counts``, which takes the checks of the
-one-lattice path and its steps or, where a box bound proves the trees
-small, walks the triangular P_Z bases as given; each sample's count is
-what one ``k_family_lattice`` and ``enumerate_short`` give it, and the
-chunk size does not show in the output.
+one-lattice path, walks the triangular P_Z bases as given while every
+tree stays within a small node budget and otherwise takes the
+one-lattice path's steps; each sample's count is what one
+``k_family_lattice`` and ``enumerate_short`` give it, and the chunk size
+does not show in the output.
 """
 
 from __future__ import annotations
@@ -199,9 +200,10 @@ def estimate_I(g: int, y: float, r2: float, samples: int, seed: int) -> MeanValu
     ``k_symmetric_stack``, the bases by ``k_family_bases``, the counts by
     ``short_counts``.  Each sample's count is the one
     ``enumerate_short(k_family_lattice(...))`` gives, for any chunk size:
-    a chunk whose trees a box bound proves small, as at (g, y, r2) = (2,
-    8, 0.25), is counted on the P_Z bases as given, with no LLL, any
-    other reduced, and ``short_counts`` says why the paths count alike.
+    a chunk whose trees all stay within ``short_counts``' node budget,
+    as at (g, y, r2) = (2, 8, 0.25), is counted on the P_Z bases as
+    given, with no LLL, any other reduced, and ``short_counts`` says why
+    the paths count alike.
     A check that any sample of a chunk fails raises for the whole
     estimate, Singular with the height named as ``k_family_lattice``
     names it.

@@ -639,8 +639,9 @@ def identities(n, d):
 
 
 #: LLL_HANDOFF figures for both sides of ``lll_stack``'s handoff: the
-#: stack alone, the default, and the scalar loop alone.
-HANDOFFS = {"stack": 0, "default": _kernels.LLL_HANDOFF, "scalar": 10 ** 9}
+#: stack alone, and the default, which runs a small stack basis by basis
+#: in ``lll_core``'s loop from the first pass.
+HANDOFFS = {"stack": 0, "default": _kernels.LLL_HANDOFF}
 
 
 def handoff_sides(monkeypatch):

@@ -430,39 +430,40 @@ def k_family_stack(g, y, seed, n):
     return k_family_bases(k_symmetric_stack(g, vcube_wedges(g, seed, 0, n)), y)
 
 
-def box_bound_reference(r, cap):
-    """Sum over k of prod over i >= k of (floor(2 sqrt(cap) / R_ii) + 1), in Python ints."""
-    total, level = 0, 1
-    for i in reversed(range(r.shape[0])):
-        level *= math.floor(2.0 * math.sqrt(cap) / r[i, i]) + 1
-        total += level
-    return total
-
-
 def counts_by_side(bases, r2):
     """(short_counts(bases, r2), each tree's node count if the stack was
-    walked as given, else None)."""
-    seen = []
+    walked as given, else None).
+
+    A stack of upper-triangular bases with a positive diagonal is tried as
+    given on RAW_TREE_NODES_PER_LEVEL nodes per level; a stack whose try
+    completes takes no other ``enumerate_core`` call.  Any other stack,
+    and one whose try a tree stops, is walked once more on the reduced
+    factors."""
+    calls = []
     original = _kernels.enumerate_core
 
     def recording(r, r2cap, node_budget):
-        seen.append(r)
-        return original(r, r2cap, node_budget)
+        calls.append([r is bases, node_budget, True])     # raised, until it returns
+        out = original(r, r2cap, node_budget)
+        calls[-1][2] = False
+        return out
 
     with mock.patch.object(_kernels, "enumerate_core", recording):
         counts = short_counts(bases, r2)
-    (r,) = seen
-    if r is not bases:
-        return counts, None
-    cap = r2 * (1 + BOUNDARY_EPS)
-    return counts, [_kernels.enumerate_core(b, cap, 10 ** 7)[2] for b in bases]
+    raw = lattice.RAW_TREE_NODES_PER_LEVEL * bases.shape[1]
+    if calls == [[True, raw, False]]:
+        cap = r2 * (1 + BOUNDARY_EPS)
+        return counts, [_kernels.enumerate_core(b, cap, 10 ** 7)[2] for b in bases]
+    triangular = not np.tril(bases, -1).any() and bool((np.diagonal(bases, axis1=1, axis2=2) > 0).all())
+    assert calls == [[True, raw, True]] * triangular + [[False, lattice.DEFAULT_NODE_BUDGET, False]]
+    return counts, None
 
 
 def assert_sides_agree(bases, r2):
     """The counts as short_counts takes them equal the reduction path's,
-    and a stack walked as given has every tree within its box bound and
-    within RAW_TREE_NODES_PER_LEVEL nodes per level.  Returns whether the
-    stack was walked as given."""
+    and a stack walked as given has every tree within
+    RAW_TREE_NODES_PER_LEVEL nodes per level.  Returns whether the stack
+    was walked as given."""
     counts, nodes = counts_by_side(bases, r2)
     with mock.patch.object(lattice, "RAW_TREE_NODES_PER_LEVEL", 0):
         reduced, none = counts_by_side(bases, r2)
@@ -470,9 +471,7 @@ def assert_sides_agree(bases, r2):
     assert counts.tolist() == reduced.tolist()
     if nodes is None:
         return False
-    cap = r2 * (1 + BOUNDARY_EPS)
     for b, n in zip(bases, nodes):
-        assert n <= box_bound_reference(b, cap)
         assert n <= lattice.RAW_TREE_NODES_PER_LEVEL * b.shape[0]
     return True
 
@@ -519,8 +518,9 @@ def skewed_triangular(draw):
 
 
 class TestRawPath:
-    """short_counts walks upper-triangular stacks as given when the box
-    bound proves every tree small; the counts must not tell the paths apart."""
+    """short_counts walks upper-triangular stacks as given while every
+    tree stays within its node budget; the counts must not tell the paths
+    apart."""
 
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(st.sampled_from([2, 4]), st.floats(math.log(0.02), math.log(50.0)),
@@ -541,6 +541,7 @@ class TestRawPath:
 
     def test_both_sides_run(self):
         assert assert_sides_agree(k_family_stack(2, 8.0, 1, 64), 0.25)
+        assert assert_sides_agree(k_family_stack(4, 2.0, 1, 16), 1.0)
         assert not assert_sides_agree(k_family_stack(2, 0.02, 1, 8), 1.0)
         assert not assert_sides_agree(k_family_stack(4, 8.0, 1, 8), 1.0)
         lower = k_family_stack(2, 8.0, 1, 8).transpose(0, 2, 1)
@@ -562,23 +563,27 @@ class TestRawPath:
         assert len(set(factors[:, -1, -1].tolist())) > 1
         assert _kernels._shared_top(factors, 0.25, 10 ** 7, np.zeros(16))[0] == 2 * g
 
-    def test_mc_k_counts_match_exact_norms(self):
-        bases = k_family_stack(2, 8.0, 1, 200)
-        counts, nodes = counts_by_side(bases, 0.25)
-        assert nodes is not None
+    def test_one_tree_past_the_budget_reduces_the_stack(self):
         cap = 0.25 * (1 + BOUNDARY_EPS)
-        assert counts.tolist() == [exact_count(b, cap) for b in bases]
-        assert counts.sum() > 0
+        bases = k_family_stack(2, 8.0, 1, 16)
+        bases[-1] = k_family_stack(2, 64.0, 1, 37)[-1]     # 3,316 nodes, 4 vectors
+        nodes = [_kernels.enumerate_core(b, cap, 10 ** 7)[2] for b in bases]
+        limit = lattice.RAW_TREE_NODES_PER_LEVEL * 4
+        assert max(nodes[:-1]) <= limit < nodes[-1]
+        # the stopped try as given, then the reduced walk
+        assert not assert_sides_agree(bases, 0.25)
+        assert short_counts(bases, 0.25)[-1] > 0
 
-    def test_box_bound(self):
-        cap = 0.25 * (1 + BOUNDARY_EPS)
-        b = k_family_stack(2, 8.0, 1, 4)
-        diag = np.diagonal(b, axis1=1, axis2=2)
-        assert lattice._box_bound(diag, cap, 10 ** 6).tolist() == [252.0] * 4
-        assert box_bound_reference(b[0], cap) == 252
-        # cut at limit + 1, and finite however small the diagonal
-        assert lattice._box_bound(diag, cap, 50).tolist() == [9.0 + 3 * 51.0] * 4
-        assert lattice._box_bound(np.array([[1e-300, 1.0]]), 1e300, 10).tolist() == [22.0]
+    def test_mc_k_counts_match_exact_norms(self):
+        # mc-k's cell, and two cells of larger trees that still fit the
+        # node budget
+        for g, y, r2, n in ((2, 8.0, 0.25, 200), (2, 16.0, 0.25, 100), (4, 2.0, 1.0, 24)):
+            bases = k_family_stack(g, y, 1, n)
+            counts, nodes = counts_by_side(bases, r2)
+            assert nodes is not None
+            cap = r2 * (1 + BOUNDARY_EPS)
+            assert counts.tolist() == [exact_count(b, cap) for b in bases]
+            assert counts.sum() > 0
 
 
 class TestReductionCache:

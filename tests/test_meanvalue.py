@@ -169,7 +169,7 @@ class TestStackPipeline:
         assert sum(ref) > 0
 
     def test_chunk_size_leaves_the_bits(self, monkeypatch):
-        # (2, 2.0, 1.0) is counted on the bases as given (box bound 180), (2, 1e3, 0.5) reduced
+        # (2, 2.0, 1.0) is counted on the bases as given (trees of at most 36 nodes), (2, 1e3, 0.5) reduced
         for g, y, r2 in ((2, 2.0, 1.0), (2, 1e3, 0.5)):
             runs = []
             for chunk in (1, 7, 64, 100, 5000):
@@ -193,8 +193,10 @@ class TestStackPipeline:
         systole(k_family_lattice(sample_vcube(2, 11, 0), 1e3))
         assert calls == {"lll_core": 2, "lll_stack": 2}
 
-    # mc-k's configuration runs as given; criterion 3 at g = 4 and y = 1e3 reduce
-    @pytest.mark.parametrize("g, y, r2, reduced", [(2, 8.0, 0.25, False), (4, 8.0, 1.0, True),
+    # mc-k's configuration, g = 4 at y = 2 and g = 8 at y = 1 run as given;
+    # criterion 3 at g = 4 and y = 1e3 reduce
+    @pytest.mark.parametrize("g, y, r2, reduced", [(2, 8.0, 0.25, False), (4, 2.0, 1.0, False),
+                                                   (8, 1.0, 1.0, False), (4, 8.0, 1.0, True),
                                                    (2, 1e3, 0.5, True)])
     def test_side_each_configuration_takes(self, monkeypatch, g, y, r2, reduced):
         calls = kernel_calls(monkeypatch)

@@ -2,32 +2,28 @@
 
 These three loops dominate the runtime of everything interesting in this
 package (systole checks, the Monte Carlo mean-value estimator, the
-eigensolver oracle).  Jacobi has one kernel.  LLL has two with the same
-bits: ``lll_core`` reduces one basis, ``lll_stack`` a stack of bases at
-once.  ``lattice`` sends a single lattice (``systole``,
-``enumerate_short``) to ``lll_core`` and the Monte Carlo estimator's
-stacks to ``lll_stack``, which finishes each sample of its thin tail in
-``lll_core``'s loop, and so runs a small enough stack (at d = 32, any
-the estimator makes) basis by basis.
+eigensolver oracle).  Jacobi has one kernel.  LLL has one entry,
+``lll_core``, over an (N, d, m) stack of bases, one basis being the
+stack of one.  A small stack (any stack of one; at d = 32, any the
+Monte Carlo estimator makes) runs basis by basis in the scalar loop,
+``_lll_rows``; a larger one runs a stacked loop with the same bits.
 
-The three scalar loops, ``lll_core``, ``jacobi_core`` and
+The three scalar loops, ``_lll_rows``, ``jacobi_core`` and
 ``enumerate_depth_first``, run on Python numbers held in lists, not on
 numpy entries: numpy's per-element and per-call overhead outweighs such
 small arithmetic.  Python rounds every float operation on its own, so
 their bits do not depend on the host.  ``jacobi_core`` and
 ``enumerate_depth_first`` do the same IEEE operations in the same order
 as a numpy kernel would, so the bits are the same; ``jacobi_core``'s
-docstring says why.  ``lll_core`` sums its dot products left to right,
+docstring says why.  ``_lll_rows`` sums its dot products left to right,
 in straight-line code generated once per dimension, where ``np.dot``
 leaves the order to the BLAS build, and computes
 Gram-Schmidt rows lazily: only from the swap point, and within a row
 only the projections onto rows recomputed since, resuming from the
 partial row it keeps.  Its docstring gives the rule, why the result is
 bit for bit a full recompute's, and the memory the partial rows take.
-``lll_stack`` does the same float operations elementwise over the
-stack, with the same left-to-right sums, on rows addressed by one flat
-index, and recomputes Gram-Schmidt in full after a swap, on a
-sample-last copy so that each operation spans the contiguous samples.
+The stacked loop does the same float operations elementwise over the
+stack, in the same order; ``lll_core``'s docstring says how.
 
 Enumeration has two kernels over the same Fincke-Pohst tree.
 ``enumerate_depth_first`` walks one tree one node at a time.
@@ -61,7 +57,7 @@ so a child interval reaching past Z_LIMIT raises RadiusTooLarge, as a
 tree past the node budget does, before anything is cast.
 
 Each kernel returns plain results and raises the package's own error
-where a failure happens: the LLL kernels and ``jacobi_core`` raise
+where a failure happens: ``lll_core`` and ``jacobi_core`` raise
 NumericalBreakdown, the enumeration kernels RadiusTooLarge.  All
 matrices are passed row-major with vectors as rows so the inner dot
 products run on contiguous memory.
@@ -106,27 +102,116 @@ FRONTIER_CHUNK_ROWS = 1 << 12
 #: RadiusTooLarge before any cast.
 Z_LIMIT = 1 << 62
 
-#: ``lll_stack`` hands each sample that swaps to ``lll_core``'s loop once
-#: at most LLL_HANDOFF << (d // 4) samples still run: 16, 32, 128 and
-#: 2,048 at d = 4, 8, 16 and 32.  On one core of a 2-core x86 host, over
-#: K-family stacks at y = 8, a reduction is within a few percent of its
-#: best for figures of 8-48 at d = 4 and 8-128 at d = 8 (N = 1,000), and
-#: best at 96-128 at d = 16 (N = 256 and 1,024).  At d = 32 the stack
+#: ``lll_core`` runs the samples of a stack in the scalar loop once at most
+#: LLL_HANDOFF << (d // 4) of them still run: 16, 32, 128 and 2,048 at
+#: d = 4, 8, 16 and 32.  On one core of a 2-core x86 host, over K-family
+#: stacks at y = 8, a reduction is within a few percent of its best for
+#: figures of 8-48 at d = 4 and 8-128 at d = 8 (N = 1,000), and best at
+#: 96-128 at d = 16 (N = 256 and 1,024).  At d = 32 the stacked loop
 #: never pays: its full Gram-Schmidt recompute costs about 4 times the
 #: scalar loop's lazy rows per iteration with 256 samples running, so
 #: every stack the estimator makes (ESTIMATE_CHUNK is 1,024) runs basis
-#: by basis.
+#: by basis, as does every stack of one.
 LLL_HANDOFF = 8
 
 
 def lll_core(w, v, delta):
-    """Lovasz-reduce the row vectors of ``w`` in place.
+    """Lovasz-reduce the rows of every basis of a C-contiguous (N, d, m) stack in place.
 
-    ``v`` (int64, preinitialised to the identity) accumulates the row
-    operations, so on return ``w == v @ w_input`` up to float products.
-    Raises NumericalBreakdown when a Gram-Schmidt norm underflows or the
-    loop passes LLL_MAX_ITER iterations; w and v then hold the rows
-    reduced so far.
+    ``v`` (int64, N identities of size d) accumulates each basis's row
+    operations; one basis is the stack of one, ``w[None]``.  Each basis
+    gets the bits and errors of the scalar loop, ``_lll_rows``, run on it
+    alone.  An error is raised for the whole stack, with the rows reduced
+    so far left in ``w`` and ``v``; where two samples fail differently,
+    which error surfaces depends on the handoff below.
+
+    A stack of at most LLL_HANDOFF << (d // 4) bases, any stack of one
+    among them, runs basis by basis in the scalar loop before any stack
+    array is made.  A larger one runs the stacked loop.  Each sample
+    keeps its own k; every pass takes one LLL iteration of every sample
+    still in the stack, so a sample's iteration count is the pass count
+    while it runs.  Size reduction and swaps are masked to the samples
+    they apply to, and size reduction at j takes only the samples whose k
+    exceeds j.  For the samples that swapped, mu and the squared norms
+    (all that size reduction and the Lovasz test read) are recomputed,
+    all rows, as the full recompute after every swap does
+    (``_gram_schmidt``).  Every float operation is elementwise: products,
+    then sums accumulated left to right along the coordinate axis from
+    0.0 + x0*y0.  w, v and mu are held as (N d, -) row arrays, row k of
+    sample s at s d + k, so each gather and scatter takes one index array;
+    rows are gathered with ``take`` and scattered as one opaque item each
+    (``_rows``), where 2-D fancy indexing costs 2.5 to 6 times as much.
+
+    Once that many samples or fewer still run, each sample that has just
+    swapped leaves the stack and runs to the end in the scalar loop, from
+    its own k, its iteration count carrying on from the pass count.  That
+    loop starts with no Gram-Schmidt row computed and computes rows 0..k
+    first, which is what the recompute after the swap holds, so the
+    handoff keeps the bits.  ``v`` is int64 in the stacked loop, where
+    the scalar loop runs on Python ints: a stacked entry past int64
+    wraps, a handed-off one raises OverflowError on write-back.
+    """
+    n, d = w.shape[:2]
+    if not (w.flags.c_contiguous and v.flags.c_contiguous):
+        raise ValueError("lll_core reduces C-contiguous stacks in place")
+    tail = LLL_HANDOFF << (d // 4)
+    if n <= tail:
+        for s in range(n):
+            _lll_rows(w[s], v[s], delta, 1, 0)
+        return
+    W, V = w.reshape(n * d, w.shape[2]), v.reshape(n * d, d)
+    Wr, Vr = _rows(W), _rows(V)
+    mu = np.zeros((n * d, d))
+    nrm = np.zeros(n * d)
+    k = np.ones(n, dtype=np.intp)
+    run = np.arange(n if d > 1 else 0)
+    swapped = run
+    it = 0
+    while run.size:
+        if run.size <= tail:
+            for s in swapped.tolist():
+                _lll_rows(w[s], v[s], delta, int(k[s]), it)
+            k[swapped] = d
+            run = run[k[run] < d]
+            if not run.size:
+                break
+            swapped = swapped[:0]
+        it += 1
+        if it > LLL_MAX_ITER:
+            raise NumericalBreakdown(f"LLL exceeded its iteration cap of {LLL_MAX_ITER}")
+        if swapped.size:
+            _gram_schmidt(w[swapped], mu.reshape(n, d, d), nrm.reshape(n, d), swapped)
+        kr = k[run]
+        rk = run * d + kr
+        for j in range(int(kr.max()) - 1, -1, -1):
+            c = np.flatnonzero(kr > j)
+            rows = rk[c]
+            q = np.floor(mu[rows, j] + 0.5)
+            hit = np.flatnonzero(q)
+            if hit.size:
+                a, b, qf = rows[hit], run[c[hit]] * d + j, q[hit, None]
+                Wr[a] = _rows(W.take(a, 0) - qf * W.take(b, 0))
+                Vr[a] = _rows(V.take(a, 0) - qf.astype(np.int64) * V.take(b, 0))
+                mu[a, :j + 1] = mu.take(a, 0)[:, :j + 1] - qf * mu.take(b, 0)[:, :j + 1]
+        m = mu[rk, kr - 1]
+        up = nrm[rk] >= (delta - m * m) * nrm[rk - 1]
+        swapped, r = run[~up], rk[~up]
+        a, b = np.concatenate((r - 1, r)), np.concatenate((r, r - 1))
+        Wr[a] = Wr[b]
+        Vr[a] = Vr[b]
+        k[run] = np.where(up, kr + 1, np.maximum(kr - 1, 1))
+        run = run[k[run] < d]
+
+
+def _lll_rows(w, v, delta, k, it):
+    """The scalar loop: Lovasz-reduce the (d, m) rows of one basis ``w``
+    in place from row k, ``it`` iterations already spent, with no
+    Gram-Schmidt row computed yet; ``lll_core`` starts it at k = 1, it = 0.
+
+    ``v`` (int64) accumulates the row operations.  Raises
+    NumericalBreakdown when a Gram-Schmidt norm underflows or the loop
+    passes LLL_MAX_ITER iterations; w and v then hold the rows reduced so
+    far.
 
     The loop runs on Python numbers: rows of floats for w, Gram-Schmidt
     rows and mu, rows of ints for v, written back to ``w`` and ``v`` when
@@ -167,19 +252,13 @@ def lll_core(w, v, delta):
     together and, as rows fresh and up will be recomputed, cuts every
     ``part[i]`` with i >= fresh to its first fresh + 1 entries.  Each
     kept term is then the one the recompute would make, bit for bit.
-    The partials cost memory: at most d(d + 1)/2 rows of d floats.
+    The partials cost memory: at most d(d + 1)/2 rows of m floats.
 
     One difference remains: a norm that underflows in a row above k
     raises when k reaches that row, not at the swap before, and w and v
     then hold the further-reduced rows.  A basis that passes
     ``from_basis``'s singularity check practically never gets there.
     """
-    _lll_rows(w, v, delta, 1, 0)
-
-
-def _lll_rows(w, v, delta, k, it):
-    """``lll_core``'s loop from row k, ``it`` iterations already spent,
-    with no Gram-Schmidt row computed yet."""
     d = w.shape[0]
     dot, axpy = _row_ops(w.shape[1])
     int_axpy = _row_ops(d)[1]
@@ -247,7 +326,7 @@ def _lll_rows(w, v, delta, k, it):
 def _row_ops(d):
     """(dot, axpy) on rows of length d as straight-line code, bit for bit
     the loops ``s = 0.0; s += x * y`` and ``[x - m * y for ...]``; see
-    ``lll_core``."""
+    ``_lll_rows``."""
     terms = [f"x[{i}] * y[{i}]" for i in range(d)]
     sums = "".join(f"\n    s = s + {' + '.join(terms[a:a + 64])}" for a in range(0, d, 64))
     diffs = ", ".join(f"x[{i}] - m * y[{i}]" for i in range(d))
@@ -255,89 +334,6 @@ def _row_ops(d):
     exec(f"def dot(x, y):\n    s = 0.0{sums}\n    return s\n"
          f"def axpy(x, m, y):\n    return [{diffs}]\n", ns)
     return ns["dot"], ns["axpy"]
-
-
-def lll_stack(w, v, delta):
-    """``lll_core`` on every matrix of a C-contiguous (N, d, d) stack at once, in place.
-
-    ``v`` (int64, N identities) accumulates each sample's row operations.
-    Each sample keeps its own k; every pass of the loop takes one LLL
-    iteration of every sample still in the stack, so a sample's iteration
-    count is the pass count while it runs.  Size reduction and swaps are
-    masked to the samples they apply to.  For the samples that swapped, mu
-    and the squared norms (all that size reduction and the Lovasz test
-    read) are recomputed, all rows, as the full recompute after every swap
-    does.  Every float operation is elementwise: products, then sums
-    accumulated left to right along the coordinate axis from 0.0 + x0*y0.
-    w, v and mu are held as (N d, d) row arrays, row k of sample s at
-    s d + k, so each gather and scatter takes one index array; rows are
-    gathered with ``take`` and scattered as one opaque item each
-    (``_rows``), where 2-D fancy indexing costs 2.5 to 6 times as much.
-    Size reduction at j takes only the samples whose k exceeds j.
-
-    The thin tail finishes in ``lll_core``'s loop: once LLL_HANDOFF
-    << (d // 4) samples or fewer still run, each sample that has just
-    swapped leaves the stack and runs to the end there, from its own k,
-    its iteration count carrying on from the pass count.  A stack that
-    small from the start runs basis by basis.  That loop starts with no
-    Gram-Schmidt row computed and computes rows 0..k first, which is what
-    the recompute after the swap holds, so the handoff keeps the bits.
-
-    So each sample's ``w`` and ``v`` are bit for bit ``lll_core``'s, and
-    the errors are its type and message: NumericalBreakdown when a norm
-    underflows or a sample passes LLL_MAX_ITER iterations, raised for the
-    whole stack with the rows reduced so far left in ``w`` and ``v``.
-    Where two samples fail differently, which error surfaces depends on
-    the handoff, as a handed-off sample runs to its end before the
-    stack's next pass.  ``v`` is int64 in the stack, where ``lll_core``
-    runs on Python ints: a stacked entry past int64 wraps, a handed-off
-    one raises OverflowError on write-back.
-    """
-    n, d = w.shape[:2]
-    if not (w.flags.c_contiguous and v.flags.c_contiguous):
-        raise ValueError("lll_stack reduces C-contiguous stacks in place")
-    W, V = w.reshape(n * d, d), v.reshape(n * d, d)
-    Wr, Vr = _rows(W), _rows(V)
-    mu = np.zeros((n * d, d))
-    nrm = np.zeros(n * d)
-    k = np.ones(n, dtype=np.intp)
-    run = np.arange(n if d > 1 else 0)
-    swapped = run
-    it = 0
-    while run.size:
-        if run.size <= LLL_HANDOFF << (d // 4):
-            for s in swapped.tolist():
-                _lll_rows(w[s], v[s], delta, int(k[s]), it)
-            k[swapped] = d
-            run = run[k[run] < d]
-            if not run.size:
-                break
-            swapped = swapped[:0]
-        it += 1
-        if it > LLL_MAX_ITER:
-            raise NumericalBreakdown(f"LLL exceeded its iteration cap of {LLL_MAX_ITER}")
-        if swapped.size:
-            _gram_schmidt(w[swapped], mu.reshape(n, d, d), nrm.reshape(n, d), swapped)
-        kr = k[run]
-        rk = run * d + kr
-        for j in range(int(kr.max()) - 1, -1, -1):
-            c = np.flatnonzero(kr > j)
-            rows = rk[c]
-            q = np.floor(mu[rows, j] + 0.5)
-            hit = np.flatnonzero(q)
-            if hit.size:
-                a, b, qf = rows[hit], run[c[hit]] * d + j, q[hit, None]
-                Wr[a] = _rows(W.take(a, 0) - qf * W.take(b, 0))
-                Vr[a] = _rows(V.take(a, 0) - qf.astype(np.int64) * V.take(b, 0))
-                mu[a, :j + 1] = mu.take(a, 0)[:, :j + 1] - qf * mu.take(b, 0)[:, :j + 1]
-        m = mu[rk, kr - 1]
-        up = nrm[rk] >= (delta - m * m) * nrm[rk - 1]
-        swapped, r = run[~up], rk[~up]
-        a, b = np.concatenate((r - 1, r)), np.concatenate((r, r - 1))
-        Wr[a] = Wr[b]
-        Vr[a] = Vr[b]
-        k[run] = np.where(up, kr + 1, np.maximum(kr - 1, 1))
-        run = run[k[run] < d]
 
 
 def _rows(x):
@@ -356,12 +352,12 @@ def _dots(x, y):
 
 def _gram_schmidt(w, mu, nrm, rows):
     """Gram-Schmidt of the stack ``w`` into mu and nrm at ``rows``,
-    by ``lll_core``'s arithmetic; NumericalBreakdown when a norm underflows.
+    by the scalar loop's arithmetic; NumericalBreakdown when a norm underflows.
 
     It works on a (coordinate, row, sample) copy, each operation over
     contiguous samples.  Once b_j is final, all rows i > j take mu[i, j]
     = (w_i . b_j) / nrm[j] and b_i -= mu[i, j] b_j in one step: per entry,
-    lll_core's operations in lll_core's order, so its bits.
+    the scalar loop's operations in its order, so its bits.
     """
     d = w.shape[1]
     wt = np.ascontiguousarray(w.transpose(2, 1, 0))

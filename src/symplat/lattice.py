@@ -22,17 +22,15 @@ always reduces afresh.
 
 One lattice and a stack of them take the same steps.  ``_reduce`` runs
 LLL on an (N, d, d) stack and checks the result, ``_upper_factors``
-factorises each Gram.  ``lll_reduce`` passes a stack of one, which
-``_kernels.lll_core`` reduces; ``short_counts`` passes the Monte Carlo
-estimator's stacks to ``_kernels.lll_stack``, which reduces them
-together and finishes the thin tail of each stack on ``lll_core``'s
-loop, at g = 16 the whole stack; each basis gets the same bits either
-way.  Enumeration has one frontier walker, over a
-stack of trees.  A single lattice's tree, enumerated for its vectors,
-goes depth first when it is small and otherwise through the walker as a
-stack of one; ``short_counts`` passes a whole stack's trees in one
-``_kernels.enumerate_core`` call, which walks them together and returns
-each vector's tree index, so the counts are one ``bincount``.
+factorises each Gram.  ``lll_reduce`` passes a stack of one and
+``short_counts`` the Monte Carlo estimator's stacks, each in one
+``_kernels.lll_core`` call, which chooses how to run the stack and gives
+each basis the same bits however it runs.  Enumeration has one frontier
+walker, over a stack of trees.  A single lattice's tree, enumerated for
+its vectors, goes depth first when it is small and otherwise through the
+walker as a stack of one; ``short_counts`` passes a whole stack's trees
+in one ``_kernels.enumerate_core`` call, which walks them together and
+returns each vector's tree index, so the counts are one ``bincount``.
 
 ``short_counts`` needs counts, not vectors, so it skips the reduction
 where it does not pay.  A stack of upper-triangular bases with positive
@@ -182,19 +180,15 @@ def lll_reduce(lat: Lattice) -> tuple[Lattice, np.ndarray]:
 def _reduce(bases: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """LLL at DEFAULT_LLL_DELTA on each basis of an (N, d, d) stack: (reduced bases, U, Grams) with B' = B U.
 
-    One basis goes through ``_kernels.lll_core``, a larger stack through
-    ``_kernels.lll_stack``, which finishes its thin tail on ``lll_core``'s
-    loop; both give each basis the same bits.  Raises
+    One ``_kernels.lll_core`` call reduces the whole stack, one basis as
+    the stack of one, each basis to the bits it gets alone.  Raises
     NumericalBreakdown unless every U is unimodular, then as
     ``_check_bases`` does on the reduced bases.
     """
     n, d = bases.shape[:2]
-    w = bases.transpose(0, 2, 1).copy()          # the kernels reduce rows in place
+    w = bases.transpose(0, 2, 1).copy()          # the kernel reduces rows in place
     v = np.tile(np.eye(d, dtype=np.int64), (n, 1, 1))
-    if n == 1:
-        _kernels.lll_core(w[0], v[0], DEFAULT_LLL_DELTA)
-    else:
-        _kernels.lll_stack(w, v, DEFAULT_LLL_DELTA)
+    _kernels.lll_core(w, v, DEFAULT_LLL_DELTA)
     u = v.transpose(0, 2, 1)
     bad = np.flatnonzero(~is_unimodular(u))
     if bad.size:

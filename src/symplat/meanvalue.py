@@ -245,15 +245,34 @@ def limit_sweep(g: int, r2: float, y_list, samples: int, seed: int) -> list[Mean
     return [estimate_I(g, y, r2, samples, seed) for y in ys]
 
 
-_FAMILY_SAMPLERS = {"k": sample_k_family, "a2n": sample_a2n_family}
+def _k_params(g: int, vec) -> KSymParams:
+    return KSymParams(g=g, values=dict(zip(ksym_region(g), (float(v) for v in vec))))
 
 
-def _family_divisor(family: str, g: int) -> int:
-    if family == "k":
-        return 4
-    if family == "a2n":
-        return 2 * g
-    raise OutOfRange(f"unknown family {family!r}; expected 'k' or 'a2n'")
+def _k_search(g: int):
+    return ([len(ksym_region(g))], True,
+            lambda parts, y: k_family_lattice(_k_params(g, parts[0]), y),
+            lambda parts: ksym_params_to_obj(_k_params(g, parts[0])))
+
+
+def _a2n_search(g: int):
+    return ([g, g], False, lambda parts, y: _a2n_lattice(*parts),
+            lambda parts: {"x_row": [float(v) for v in parts[0]],
+                           "sqrt_y_row": [float(v) for v in parts[1]]})
+
+
+#: Per family: its sampler, the divisor of its shell counts at g, and its
+#: search at g (part sizes, whether y is searched, and the lattice and
+#: params object of a point).
+_FAMILIES = {"k": (sample_k_family, lambda g: 4, _k_search),
+             "a2n": (sample_a2n_family, lambda g: 2 * g, _a2n_search)}
+
+
+def _family(family: str):
+    """(sampler, divisor, search) of a family; OutOfRange for an unknown one."""
+    if family not in _FAMILIES:
+        raise OutOfRange(f"unknown family {family!r}; expected 'k' or 'a2n'")
+    return _FAMILIES[family]
 
 
 def multiplicity_check(g: int, family: str, samples: int,
@@ -266,8 +285,8 @@ def multiplicity_check(g: int, family: str, samples: int,
     K family a violation would be a bug; for the XOR family the pass rate
     is the point of the report.
     """
-    divisor = _family_divisor(family, g)
-    sampler = _FAMILY_SAMPLERS[family]
+    sampler, divisor_at, _ = _family(family)
+    divisor = divisor_at(g)
     if samples < 1:
         raise OutOfRange("need at least one sample")
     if not 1 <= radius_factor < math.inf:
@@ -303,23 +322,6 @@ _SIGMA0 = 0.05        # initial perturbation scale
 _STALL_HALVE = 200    # non-improving steps before halving sigma
 
 
-def _k_params(g: int, vec) -> KSymParams:
-    return KSymParams(g=g, values=dict(zip(ksym_region(g), (float(v) for v in vec))))
-
-
-def _search_family(g: int, family: str):
-    """Part sizes, whether y is searched, and the lattice and params object of a point."""
-    if family == "k":
-        return ([len(ksym_region(g))], True,
-                lambda parts, y: k_family_lattice(_k_params(g, parts[0]), y),
-                lambda parts: ksym_params_to_obj(_k_params(g, parts[0])))
-    if family == "a2n":
-        return ([g, g], False, lambda parts, y: _a2n_lattice(*parts),
-                lambda parts: {"x_row": [float(v) for v in parts[0]],
-                               "sqrt_y_row": [float(v) for v in parts[1]]})
-    raise OutOfRange(f"unknown family {family!r}; expected 'k' or 'a2n'")
-
-
 def witness_search(g: int, family: str, target_r2: float | None, budget: int,
                    seed: int) -> SearchResult:
     """Best squared systole found by random restarts plus (1+1) hill climbing.
@@ -340,7 +342,7 @@ def witness_search(g: int, family: str, target_r2: float | None, budget: int,
         raise OutOfRange("budget must be at least 1")
     if target_r2 is not None and not 0 < target_r2 < math.inf:
         raise OutOfRange("target squared systole must be positive and finite")
-    sizes, has_y, lattice_of, params_of = _search_family(g, family)
+    sizes, has_y, lattice_of, params_of = _family(family)[2](g)
 
     rng = _stream(seed, _TAG_SEARCH)
     best_s2 = -math.inf

@@ -411,7 +411,7 @@ def dot(x, y):
 
 
 def gram_schmidt_reference(rows):
-    """(mu, squared norms) of a list of rows by ``lll_core``'s arithmetic:
+    """(mu, squared norms) of a list of rows by the scalar loop's arithmetic:
     row i's dot with each b_j, j ascending, then b_i = b_i - mu[i][j] b_j."""
     d = len(rows)
     bstar = []
@@ -435,8 +435,9 @@ def gram_schmidt_reference(rows):
 def lll_full_recompute(w, v, delta):
     """The LLL kernel that recomputes every Gram-Schmidt row after every swap.
 
-    ``_kernels.lll_core`` must match it bit for bit; it reads the module's
-    constants at call time, so a monkeypatched LLL_MAX_ITER caps both.
+    The scalar loop, ``_kernels._lll_rows``, must match it bit for bit; it
+    reads the module's constants at call time, so a monkeypatched
+    LLL_MAX_ITER caps both.
     Like the kernel it runs on Python numbers and writes ``w`` and ``v``
     back however it ends.  Returns its iteration count.
     """
@@ -483,10 +484,15 @@ def raised(fn, *args):
     return None
 
 
+def lll_one(w, v, delta):
+    """``lll_core`` on the stack of one basis."""
+    _kernels.lll_core(w[None], v[None], delta)
+
+
 def run_both(w, delta):
-    """(error, w, v) of lll_core and of the reference on copies of ``w``."""
+    """(error, w, v) of lll_core on a stack of one and of the reference on copies of ``w``."""
     out = []
-    for kernel in (_kernels.lll_core, lll_full_recompute):
+    for kernel in (lll_one, lll_full_recompute):
         wk = np.array(w, dtype=np.float64)
         vk = np.eye(wk.shape[0], dtype=np.int64)
         out.append((raised(kernel, wk, vk, delta), wk, vk))
@@ -627,20 +633,25 @@ def test_row_ops_match_the_loops(d):
 
 
 @pytest.mark.parametrize("d, n", [(2, 3), (4, 9), (6, 70)])
-def test_lll_on_rows_longer_than_the_basis(d, n):
-    """Row length n and basis size d take separate generated ops."""
-    new, ref = run_both(np.random.default_rng(n).normal(size=(d, n)), 0.99)
+def test_lll_on_rows_longer_than_the_basis(monkeypatch, d, n):
+    """Row length n and basis size d take separate generated ops; a stack
+    of such bases gets the scalar loop's bits on both sides of the handoff."""
+    rng = np.random.default_rng(n)
+    new, ref = run_both(rng.normal(size=(d, n)), 0.99)
     assert ref[0] is None
     assert_same_lll(new, ref)
+    w = rng.normal(size=(40, d, n))
+    for _ in handoff_sides(monkeypatch):
+        assert_stack_matches_scalar_loop(w, 0.99)
 
 
 def identities(n, d):
     return np.broadcast_to(np.eye(d, dtype=np.int64), (n, d, d)).copy()
 
 
-#: LLL_HANDOFF figures for both sides of ``lll_stack``'s handoff: the
-#: stack alone, and the default, which runs a small stack basis by basis
-#: in ``lll_core``'s loop from the first pass.
+#: LLL_HANDOFF figures for both sides of ``lll_core``'s handoff: the
+#: stacked loop alone, and the default, which runs a small stack basis by
+#: basis in the scalar loop before any stack array is made.
 HANDOFFS = {"stack": 0, "default": _kernels.LLL_HANDOFF}
 
 
@@ -651,15 +662,20 @@ def handoff_sides(monkeypatch):
         yield side
 
 
-def assert_stack_matches_core(w, delta):
-    """``lll_stack`` on a copy of the stack ``w`` against ``lll_core`` on each basis."""
+def scalar_loop(w, delta):
+    """(w, v) of the scalar loop, ``_lll_rows``, on a copy of one basis ``w``."""
+    w, v = w.copy(), np.eye(w.shape[0], dtype=np.int64)
+    _kernels._lll_rows(w, v, delta, 1, 0)
+    return w, v
+
+
+def assert_stack_matches_scalar_loop(w, delta):
+    """``lll_core`` on a copy of the stack ``w`` against the scalar loop on each basis."""
     n, d = w.shape[:2]
     ws, vs = w.copy(), identities(n, d)
-    _kernels.lll_stack(ws, vs, delta)
+    _kernels.lll_core(ws, vs, delta)
     for i in range(n):
-        core, vcore = w[i].copy(), np.eye(d, dtype=np.int64)
-        _kernels.lll_core(core, vcore, delta)
-        assert_same_lll((None, ws[i], vs[i]), (None, core, vcore))
+        assert_same_lll((None, ws[i], vs[i]), (None, *scalar_loop(w[i], delta)))
 
 
 @st.composite
@@ -694,14 +710,12 @@ def test_lll_stack_matches_scalar_kernels(monkeypatch):
         w, delta = case
         n, d = w.shape[:2]
         ws, vs = w.copy(), identities(n, d)
-        _kernels.lll_stack(ws, vs, delta)
+        _kernels.lll_core(ws, vs, delta)
         iterations = set()
         for i in range(n):
-            core, vcore = w[i].copy(), np.eye(d, dtype=np.int64)
-            _kernels.lll_core(core, vcore, delta)
             full, vfull = w[i].copy(), np.eye(d, dtype=np.int64)
             iterations.add(lll_full_recompute(full, vfull, delta))
-            assert_same_lll((None, ws[i], vs[i]), (None, core, vcore))
+            assert_same_lll((None, ws[i], vs[i]), (None, *scalar_loop(w[i], delta)))
             assert_same_lll((None, ws[i], vs[i]), (None, full, vfull))
         spread.append(len(iterations) > 1)
 
@@ -719,7 +733,7 @@ def test_lll_stack_breakdown_on_underflowing_norm(monkeypatch):
                     [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 1e-150]]):
             good = rng.normal(size=(3, len(bad), len(bad)))
             for w in (np.concatenate([[bad], good]), np.concatenate([good, [bad]]), np.array([bad])):
-                got = raised(_kernels.lll_stack, w, identities(*w.shape[:2]), 0.99)
+                got = raised(_kernels.lll_core, w, identities(*w.shape[:2]), 0.99)
                 assert got == (NumericalBreakdown, "Gram-Schmidt norms underflowed during LLL"), side
 
 
@@ -744,18 +758,21 @@ def test_lll_stack_iteration_cap_across_a_mid_run_handoff(monkeypatch):
 
 
 def check_stack_iteration_caps(monkeypatch):
-    """lll_stack against the reference at every iteration cap until the reference finishes."""
+    """lll_core on a stack against the reference at every iteration cap until the reference finishes."""
     w = np.random.default_rng(3).normal(size=(4, 6, 6))
     capped = 0
     for cap in range(1, 1000):
         monkeypatch.setattr(_kernels, "LLL_MAX_ITER", cap)
-        refs = [run_both(wi, 0.99) for wi in w]
+        refs = []
+        for wi in w:
+            full, vfull = wi.copy(), np.eye(6, dtype=np.int64)
+            refs.append((raised(lll_full_recompute, full, vfull, 0.99), full, vfull))
         ws, vs = w.copy(), identities(4, 6)
-        got = raised(_kernels.lll_stack, ws, vs, 0.99)
-        first = next((ref[0] for _, ref in refs if ref[0] is not None), None)
+        got = raised(_kernels.lll_core, ws, vs, 0.99)
+        first = next((ref[0] for ref in refs if ref[0] is not None), None)
         assert got == first
         if first is None:
-            for i, (new, ref) in enumerate(refs):
+            for i, ref in enumerate(refs):
                 assert_same_lll((None, ws[i], vs[i]), ref)
             break
         assert first == (NumericalBreakdown, f"LLL exceeded its iteration cap of {cap}")
@@ -769,7 +786,7 @@ def check_stack_iteration_caps(monkeypatch):
 def gram_schmidt_stacks(draw):
     """1-12 bases of one dimension from 2 to 16, many entries exact zeros
     of either sign.  Where every product of a dot is -0.0, only the dot's
-    leading 0.0 + x0*y0 makes its sum +0.0, as ``lll_core``'s is."""
+    leading 0.0 + x0*y0 makes its sum +0.0, as the scalar loop's is."""
     d = draw(st.integers(2, 16))
     n = draw(st.integers(1, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -820,7 +837,7 @@ def test_lll_stack_matches_scalar_kernels_at_dim_16(monkeypatch):
     for i, y in zip(range(3, 8), (0.7, 8.0, 0.7, 8.0, 1e3)):
         w[i] = k_family_lattice(sample_vcube(8, int(rng.integers(2 ** 31)), 0), y).basis.T
     for _ in handoff_sides(monkeypatch):
-        assert_stack_matches_core(w, 0.99)
+        assert_stack_matches_scalar_loop(w, 0.99)
 
 
 def k_family_stack(rng, g, n, ys=(0.7, 8.0, 1e3)):
@@ -856,7 +873,7 @@ def test_lll_stack_matches_scalar_kernels_at_k_family_dims(monkeypatch):
     @given(k_family_dim_stacks())
     def check(case):
         w, delta = case
-        assert_stack_matches_core(w, delta)
+        assert_stack_matches_scalar_loop(w, delta)
         dims.add(w.shape[1])
 
     for side in handoff_sides(monkeypatch):
@@ -878,14 +895,12 @@ def test_lll_stack_hands_off_mid_run(monkeypatch):
         w = k_family_stack(rng, g, n, (8.0, 1e3))
         monkeypatch.setattr(_kernels, "_lll_rows", recording)
         ws, vs = w.copy(), identities(n, 2 * g)
-        _kernels.lll_stack(ws, vs, 0.99)
+        _kernels.lll_core(ws, vs, 0.99)
         monkeypatch.setattr(_kernels, "_lll_rows", original)
         assert 0 < len(handed) < n
         assert any(k > 1 and it > 1 for k, it in handed)
         for i in range(n):
-            core, vcore = w[i].copy(), np.eye(2 * g, dtype=np.int64)
-            _kernels.lll_core(core, vcore, 0.99)
-            assert_same_lll((None, ws[i], vs[i]), (None, core, vcore))
+            assert_same_lll((None, ws[i], vs[i]), (None, *scalar_loop(w[i], 0.99)))
         handed.clear()
 
 
@@ -896,13 +911,32 @@ def test_lll_stack_hands_off_only_samples_that_swapped():
     basis = bw_lattice(2).basis
     for seed in range(6):
         rng = np.random.default_rng(seed)
-        assert_stack_matches_core(np.array([(basis @ scramble(rng, 8, 2)).T for _ in range(60)]), 0.99)
+        assert_stack_matches_scalar_loop(np.array([(basis @ scramble(rng, 8, 2)).T for _ in range(60)]), 0.99)
 
 
 def test_lll_stack_refuses_a_stack_it_cannot_reduce_in_place():
     w = np.random.default_rng(2).normal(size=(3, 4, 4))
     with pytest.raises(ValueError, match="C-contiguous"):
-        _kernels.lll_stack(w.transpose(0, 2, 1), identities(3, 4), 0.99)
+        _kernels.lll_core(w.transpose(0, 2, 1), identities(3, 4), 0.99)
+
+
+def test_lll_stack_of_one_runs_the_scalar_loop_alone(monkeypatch):
+    """A stack of one reaches the scalar loop before any stack array is
+    made, at every dimension: it never reaches ``_rows`` or ``_gram_schmidt``."""
+    def refuse(*args):
+        raise AssertionError("a stack of one reached the stacked loop")
+
+    rng = np.random.default_rng(30)
+    cases = [rng.normal(size=(1, d, d)) for d in (1, 2, 4, 8, 16, 32)]
+    cases += [rng.normal(size=(1, d, m)) for d, m in ((2, 3), (6, 70))]
+    cases.append(k_family_stack(rng, 8, 1, (1e3,)))
+    for w in cases:
+        monkeypatch.setattr(_kernels, "_gram_schmidt", refuse)
+        monkeypatch.setattr(_kernels, "_rows", refuse)
+        ws, vs = w.copy(), identities(*w.shape[:2])
+        _kernels.lll_core(ws, vs, 0.99)
+        monkeypatch.undo()
+        assert_same_lll((None, ws[0], vs[0]), (None, *scalar_loop(w[0], 0.99)))
 
 
 # -- Jacobi ---------------------------------------------------------------------

@@ -1,6 +1,5 @@
 import math
 import re
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -140,17 +139,16 @@ def counted_estimate(monkeypatch, *args, **kwargs):
 
 
 def kernel_calls(monkeypatch):
-    """Counter of ``_kernels.lll_core`` and ``_kernels.lll_stack`` calls from now on."""
-    calls = Counter()
-    for name in ("lll_core", "lll_stack"):
-        original = getattr(_kernels, name)
+    """The stack size of each ``_kernels.lll_core`` call from now on."""
+    sizes = []
+    original = _kernels.lll_core
 
-        def counting(w, v, delta, name=name, original=original):
-            calls[name] += 1
-            return original(w, v, delta)
+    def recording(w, v, delta):
+        sizes.append(w.shape[0])
+        return original(w, v, delta)
 
-        monkeypatch.setattr(_kernels, name, counting)
-    return calls
+    monkeypatch.setattr(_kernels, "lll_core", recording)
+    return sizes
 
 
 class TestStackPipeline:
@@ -181,17 +179,17 @@ class TestStackPipeline:
             assert len(set(runs[0][1])) > 1
 
     def test_reduction_side_stacks_and_stacks_of_one(self, monkeypatch):
-        # 8 samples in chunks of 7: lll_stack reduces the first chunk, lll_core the last
+        # 8 samples in chunks of 7: a stack of 7, then a stack of one
         monkeypatch.setattr(meanvalue, "ESTIMATE_CHUNK", 7)
-        calls = kernel_calls(monkeypatch)
+        sizes = kernel_calls(monkeypatch)
         split = counted_estimate(monkeypatch, 2, 1e3, 0.5, 8, seed=11)
-        assert calls == {"lll_core": 1, "lll_stack": 1}
+        assert sizes == [7, 1]
         monkeypatch.setattr(meanvalue, "ESTIMATE_CHUNK", 5000)
         assert counted_estimate(monkeypatch, 2, 1e3, 0.5, 8, seed=11) == split
-        assert calls == {"lll_core": 1, "lll_stack": 2}
+        assert sizes == [7, 1, 8]
         # a single lattice is a stack of one
         systole(k_family_lattice(sample_vcube(2, 11, 0), 1e3))
-        assert calls == {"lll_core": 2, "lll_stack": 2}
+        assert sizes == [7, 1, 8, 1]
 
     # mc-k's configuration, g = 4 at y = 2 and g = 8 at y = 1 run as given;
     # criterion 3 at g = 4 and y = 1e3 reduce
@@ -199,9 +197,9 @@ class TestStackPipeline:
                                                    (8, 1.0, 1.0, False), (4, 8.0, 1.0, True),
                                                    (2, 1e3, 0.5, True)])
     def test_side_each_configuration_takes(self, monkeypatch, g, y, r2, reduced):
-        calls = kernel_calls(monkeypatch)
+        sizes = kernel_calls(monkeypatch)
         estimate_I(g, y, r2, 40, seed=7)
-        assert calls == ({"lll_stack": 1} if reduced else {})
+        assert sizes == ([40] if reduced else [])
 
     def test_enumeration_once_per_chunk_through_the_module(self, monkeypatch):
         monkeypatch.setattr(meanvalue, "ESTIMATE_CHUNK", 16)

@@ -37,7 +37,10 @@ where it does not pay.  A stack of upper-triangular bases with positive
 diagonals (the K family's P_Z) is first walked as given, each basis its
 own Cholesky factor, on a budget of RAW_TREE_NODES_PER_LEVEL nodes per
 level of each tree; only when a tree passes that budget does the stack
-go through LLL.  Each count is then the one ``enumerate_short`` gives
+go through LLL.  Its rank check reuses the one triangularity test:
+``check_nonsingular`` first tries its triangular certificate, which
+calls no LAPACK, so a stack it proves that also walks as given calls no
+LAPACK routine at all.  Each count is then the one ``enumerate_short`` gives
 unless a vector lies within a few ulps of the slackened radius;
 ``short_counts`` gives the evidence.  ``enumerate_short`` and
 ``systole`` always reduce: their vectors and norms come from the reduced
@@ -155,11 +158,11 @@ def _gram(b: np.ndarray) -> np.ndarray:
     return 0.5 * (gram + np.swapaxes(gram, -1, -2))
 
 
-def _check_bases(b: np.ndarray) -> None:
+def _check_bases(b: np.ndarray, upper: bool = False) -> None:
     """ValueError unless every entry is finite, then ``check_nonsingular``."""
     if not np.isfinite(b).all():
         raise ValueError("matrix entries must be finite")
-    check_nonsingular(b)
+    check_nonsingular(b, upper=upper)
 
 
 def lattice_det(lat: Lattice) -> float:
@@ -289,14 +292,20 @@ def short_counts(bases: np.ndarray, r2: float) -> np.ndarray:
     """``enumerate_short(from_basis(b), r2).count`` for each basis b of an (N, d, d) stack.
 
     The stack takes the one-lattice path's checks first; a check raises
-    for the stack when any basis fails it.  Then it takes one of two
-    paths, the whole stack together:
+    for the stack when any basis fails it.  The stack is tested once for
+    being upper triangular, before the checks, and the rank check is
+    told the answer: a triangular stack tries ``linalg``'s triangular
+    certificate, in numpy's own loops, before any LAPACK call, with the
+    same verdicts.  Then it takes one of two paths, the whole stack
+    together:
 
     - **As given**, first, when every basis is upper triangular with a
       positive diagonal: such a basis is the Cholesky factor of its own
       Gram (the K family's P_Z is one), so Fincke-Pohst enumeration walks
       it with no reduction, no BLAS and no LAPACK, on a budget of
-      RAW_TREE_NODES_PER_LEVEL nodes per level of each tree.
+      RAW_TREE_NODES_PER_LEVEL nodes per level of each tree.  Where the
+      certificate proves the stack, as it does the K family's at g up to
+      8 and y up to 100, the whole pass calls no LAPACK routine.
     - **Reduced**, when a basis is not triangular or a tree passes that
       budget: the one-lattice path's LLL, checks and Cholesky.  numpy's
       stacked matmul, SVD and Cholesky call, on each matrix, the BLAS and
@@ -322,10 +331,12 @@ def short_counts(bases: np.ndarray, r2: float) -> np.ndarray:
     reduces: the walk the budget stopped, then the reduced one.
     """
     _check_radius(r2)
-    _check_bases(bases)
-    cap = float(r2) * (1.0 + BOUNDARY_EPS)
     n, d = bases.shape[:2]
-    if not np.tril(bases, -1).any() and (np.diagonal(bases, axis1=1, axis2=2) > 0).all():
+    below = np.tril_indices(d, -1)
+    upper = not bases[:, below[0], below[1]].any()
+    _check_bases(bases, upper)
+    cap = float(r2) * (1.0 + BOUNDARY_EPS)
+    if upper and (np.diagonal(bases, axis1=1, axis2=2) > 0).all():
         try:
             tree = _kernels.enumerate_core(bases, cap, RAW_TREE_NODES_PER_LEVEL * d)[0]
             return np.bincount(tree, minlength=n)

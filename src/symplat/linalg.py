@@ -21,10 +21,20 @@ float64 computes it exactly in any order, on any BLAS.  A @ X == I then
 proves det A det X = 1 over the integers, hence |det A| = 1.  Otherwise
 (an inexact or failed inverse, or entries too large for the bound)
 Bareiss decides.
+
+Numerical rank is numpy's SVD rule (``check_nonsingular``), but the SVD
+runs only where a cheaper certificate proves nothing.  Both certificates
+prove sigma_min >= n sqrt(eps) sigma_max, far inside the rule, so the
+rule's verdict and message never change.  An upper-triangular stack,
+which the caller has tested as such, first tries a comparison-matrix
+bound computed in numpy's own loops, with no BLAS or LAPACK
+(``_triangular_certificate``); any other stack, or one that bound does
+not prove, tries a shifted Cholesky of its Grams.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 
 import numpy as np
@@ -192,7 +202,7 @@ def is_unimodular(a):
     return bool(ok[0]) if single else ok
 
 
-def check_nonsingular(a: np.ndarray) -> None:
+def check_nonsingular(a: np.ndarray, *, upper: bool = False) -> None:
     """Raise Singular unless the Mat ``a``, or every matrix of a stack, has full numerical rank.
 
     The rule is numpy's ``matrix_rank``: singular when the smallest
@@ -200,9 +210,12 @@ def check_nonsingular(a: np.ndarray) -> None:
     depend on scale, as |det| against an absolute floor does: 0.25 I_16
     (det 2.3e-10) passes, and 1e10 times a rank-2 3x3 matrix (det 4.6e15)
     fails.  A stack reports its first singular matrix.  The SVD runs only
-    where ``_well_conditioned`` proves nothing, so it alone decides.
+    where neither certificate proves full rank, so it alone decides:
+    ``_triangular_certificate``, tried first when ``upper`` says that
+    every matrix is upper triangular (the caller has tested it), then
+    ``_well_conditioned``.
     """
-    if _well_conditioned(a):
+    if upper and _triangular_certificate(a) or _well_conditioned(a):
         return
     sv = np.linalg.svd(a, compute_uv=False)
     low = sv[..., -1]
@@ -236,6 +249,42 @@ def _well_conditioned(a: np.ndarray) -> bool:
             return bool(np.isfinite(np.linalg.cholesky(g - tau[..., None, None] * np.eye(n))).all())
         except np.linalg.LinAlgError:
             return False
+
+
+def _triangular_certificate(a: np.ndarray) -> bool:
+    """True only if 2 sqrt(n) max(x) ||A||_F <= 1 / (n sqrt(eps)) for every
+    upper-triangular n x n matrix A of the stack, x = M(A)^-1 e.
+
+    M(A), A's comparison matrix, has |a_ii| on its diagonal and -|a_ij|
+    off it, and |A^-1| <= M(A)^-1 entrywise (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., Thm 8.12).  So
+    1 / sigma_min = ||A^-1||_2 <= sqrt(n) ||A^-1||_inf <= sqrt(n) max(x),
+    and with sigma_max <= ||A||_F the test proves sigma_min >= n sqrt(eps)
+    sigma_max, what the Cholesky certificate proves.  x comes by back
+    substitution, one numpy step per row over the stack:
+    x_i = (1 + sum_{j>i} |a_ij| x_j) / |a_ii|.  Every sum is of
+    nonnegative terms, so x and ||A||_F^2 come out within a relative
+    n (n + 1) eps of their exact values, and the factor 2 covers that
+    many times over.  The strictly lower entries must be zero; only
+    ||A||_F^2 reads them.  An empty stack, a ||A||_F^2 that is not finite
+    and normal (overflow, underflow), and an x that is not finite (NaN,
+    inf, a zero diagonal) prove nothing.
+    """
+    if not a.size:
+        return False
+    n = a.shape[-1]
+    f = np.finfo(np.float64)
+    x = np.empty(a.shape[:-1])
+    with np.errstate(all="ignore"):
+        for i in range(n - 1, -1, -1):
+            row = np.abs(a[..., i, i:])
+            s = np.einsum("...j,...j->...", row[..., 1:], x[..., i + 1:])
+            s += 1.0
+            np.divide(s, row[..., 0], out=x[..., i])
+        fro2 = np.einsum("...ij,...ij->...", a, a)
+        ok = ((fro2 >= f.tiny) & (fro2 < np.inf)
+              & (x.max(axis=-1) * np.sqrt(fro2) <= 1.0 / (2.0 * n * math.sqrt(n * f.eps))))
+    return bool(ok.all())
 
 
 def is_orthogonal(a) -> bool:

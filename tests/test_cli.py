@@ -183,6 +183,27 @@ class TestCommands:
         assert res["systole2"] == pytest.approx(2.0, rel=1e-9)
         assert res["kissing"] == 240
 
+    def test_family_check_verify_failure_exits_3(self, capsys, tmp_path, monkeypatch):
+        from symplat import cli, k_family_point, sample_vcube
+
+        monkeypatch.setattr(cli, "is_symplectic", lambda basis: False)
+        path = tmp_path / "z.json"
+        path.write_text(json.dumps(siegel_to_obj(k_family_point(sample_vcube(2, 5), 1.2))))
+        code, payload = run_json(capsys, ["family-check", "--family", "k",
+                                          "--siegel-file", str(path), "--verify"])
+        assert code == 3
+        assert payload["error"] == {"type": "NotInvariant",
+                                    "message": "verification failed: ['symplectic']"}
+
+    def test_bw_verify_failure_exits_3(self, capsys, monkeypatch):
+        from symplat import cli
+
+        monkeypatch.setattr(cli, "systole", lambda lat, node_budget: (3.0, 240))
+        code, payload = run_json(capsys, ["bw", "--n", "2", "--verify"])
+        assert code == 3
+        assert payload["error"] == {"type": "NotInvariant", "message": "minimal-norm verification "
+                                    "failed: systole2=3.0, expected=2.0"}
+
     def test_bw_long_gate(self, capsys):
         code, payload = run_json(capsys, ["bw", "--n", "4"])
         assert code == 2

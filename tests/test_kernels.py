@@ -1,5 +1,6 @@
 """Errors raised by the kernels, parity of the depth-first and frontier
 enumeration kernels on one tree and of a stacked walk with one call per tree,
+of the frontier's in-place product step with its expression form,
 parity of the lazy Gram-Schmidt LLL and of the stacked LLL with a full
 recompute after every swap, on both sides of the stack's handoff to the
 scalar loop, of the stacked Gram-Schmidt with a per-sample one, and parity
@@ -398,6 +399,110 @@ def test_empty_stack_finds_nothing():
         assert type(nodes) is int and nodes == 0
         assert_same_enumeration(_kernels.enumerate_core(np.zeros((0, d, d)), 1.0, BIG_BUDGET),
                                 (tree, norms, 0))
+
+
+# -- the product step ------------------------------------------------------------
+
+def children_reference(r2cap, rk, rkk, zt, rho, zero, tree, half, node_budget, d):
+    """``_kernels._children`` in expression form, a fresh temporary per
+    operation: the arithmetic and the order of checks the in-place step
+    keeps, bit for bit and error for error."""
+    shape = zt.shape[1:]
+    s = np.zeros(shape)
+    for term in rk * zt:
+        s += term
+    rad = np.sqrt(np.maximum(r2cap - rho, 0.0))
+    with np.errstate(over="ignore"):
+        lo = np.ceil((-s - rad) / rkk - 1e-12)
+        hi = np.floor((-s + rad) / rkk + 1e-12)
+    np.copyto(lo, 0.0, where=zero)
+    cnt = np.maximum(hi - lo + 1.0, 0.0).ravel()
+    live = np.flatnonzero(cnt != 0.0)
+    at = np.unravel_index(live, shape)
+    half += np.bincount(np.broadcast_to(tree, shape)[at], weights=cnt[live], minlength=half.shape[0])
+    if half.max() > (node_budget + d) // 2:
+        raise _kernels._over_budget(node_budget)
+    if lo.min(initial=0.0) < -_kernels.Z_LIMIT or hi.max(initial=0.0) > _kernels.Z_LIMIT:
+        raise _kernels._past_int64()
+    cnt = cnt[live].astype(np.int64)
+    at = tuple(p.repeat(cnt) for p in at)
+    z = np.arange(at[0].shape[0]) + (lo.ravel()[live].astype(np.int64) - (cnt.cumsum() - cnt)).repeat(cnt)
+    total = np.broadcast_to(rkk, shape)[at] * z + s[at]
+    total *= total
+    total += np.broadcast_to(rho, shape)[at]
+    return at, z, total, np.broadcast_to(zero, shape)[at] & (z == 0)
+
+
+def product_step(seed, trees=3, nodes=6, d=4, i=2):
+    """(rk, rkk, zt, rho, zero, tree) of a (trees x shared nodes) product at
+    level i, as ``enumerate_frontier`` passes them to ``_children``.  Shared
+    node 0 is the all-zero parent."""
+    rng = np.random.default_rng(seed)
+    r = np.triu(rng.normal(size=(trees, d, d)), 1) + np.eye(d) * rng.uniform(0.5, 2.0, size=(trees, 1, d))
+    shared = rng.integers(-2, 3, size=(d - i, nodes))
+    shared[:, 0] = 0
+    rho = rng.uniform(0.0, 1.0, size=nodes)
+    rho[0] = 0.0
+    return [r[:, i - 1, i:].T[:, :, None], r[:, i - 1, i - 1, None],
+            np.broadcast_to(shared[:, None], (d - i, trees, nodes)), rho, np.arange(nodes) == 0,
+            np.arange(trees)[:, None]]
+
+
+def step_outcome(step, r2cap, args, node_budget=BIG_BUDGET, d=4):
+    """("returned", at, z, total, zero, half) of one step, the floats as
+    bits, or ("raised", type, message); warnings are errors, as in the suite."""
+    rk, rkk, zt, rho, zero, tree = args
+    half = np.zeros(int(tree.max()) + 1)
+    try:
+        at, z, total, zero = step(r2cap, rk, rkk, zt, rho, zero, tree, half, node_budget, d)
+    except (RadiusTooLarge, ValueError, RuntimeWarning) as exc:
+        return "raised", type(exc), str(exc)
+    return ("returned", [p.tolist() for p in at], z.tolist(), total.view(np.int64).tolist(),
+            zero.tolist(), half.view(np.int64).tolist())
+
+
+def assert_step_as_reference(r2cap, args, **kwargs):
+    got = step_outcome(_kernels._children, r2cap, args, **kwargs)
+    assert got == step_outcome(children_reference, r2cap, args, **kwargs)
+    return got
+
+
+def test_product_step_matches_the_expression_form():
+    for seed in range(30):
+        args = product_step(seed)
+        for r2cap in (0.5, 2.0, 6.0):
+            assert assert_step_as_reference(r2cap, args)[0] == "returned"
+        # a 1-D chunk of one tree's parents takes the same step
+        rk, rkk, zt, rho, zero, _ = product_step(seed, trees=1)
+        assert_step_as_reference(2.0, [rk[:, 0], rkk[0], zt[:, 0], rho, zero, np.zeros(6, dtype=np.intp)])
+    # the all-zero parent's children start at its all-zero child
+    _, (_, node), z, _, zero, _ = step_outcome(_kernels._children, 2.0, product_step(1))
+    first = node.index(0)
+    assert z[first] == 0 and zero[first] and min(zi for zi, m in zip(z, node) if m == 0) == 0
+
+
+def test_product_step_edge_cases_raise_as_the_expression_form():
+    args = product_step(3)
+    # a NaN count is charged, then refused at the cast
+    rho = args[3].copy()
+    rho[2] = np.nan
+    nan_count = assert_step_as_reference(2.0, args[:3] + [rho] + args[4:])
+    assert nan_count[:2] == ("raised", RuntimeWarning)
+    # an interval end past Z_LIMIT with few children: the int64 error
+    rk = args[0].copy()
+    rk[0, 1] = 1e19
+    far = assert_step_as_reference(0.5, [rk] + args[1:])
+    assert far == ("raised", RadiusTooLarge, str(_kernels._past_int64()))
+    # past Z_LIMIT and past the budget at once: the budget error comes first
+    rkk = args[1].copy()
+    rkk[2] = 1e-30
+    wide = assert_step_as_reference(0.5, args[:1] + [rkk] + args[2:])
+    assert wide == ("raised", RadiusTooLarge, str(_kernels._over_budget(BIG_BUDGET)))
+    # a budget just below the children charged to one tree
+    half = np.array(step_outcome(_kernels._children, 2.0, args)[5]).view(np.float64)
+    budget = 2 * int(half.max()) - 4 - 1
+    assert assert_step_as_reference(2.0, args, node_budget=budget) == \
+        ("raised", RadiusTooLarge, str(_kernels._over_budget(budget)))
 
 
 # -- LLL ------------------------------------------------------------------------

@@ -15,6 +15,8 @@ from symplat.errors import NotIntegral, NotSymmetric, NumericalBreakdown, Singul
 from symplat.groups import bit_flips, j_matrix
 from symplat import linalg
 from symplat.linalg import as_intmat, as_mat, check_symmetric, intmat_to_obj, mat_from_obj, mat_to_obj
+from symplat.patterned import k_symmetric_stack
+from symplat.symplectic import k_family_bases, vcube_wedges
 
 from conftest import random_spd
 
@@ -522,6 +524,113 @@ class TestRankCertificate:
             a[0, 2] = bad
             assert not linalg._well_conditioned(a)
             assert outcome(a) == svd_rule(a)
+
+
+def triangular(rng, n, cond, count):
+    """``count`` upper-triangular n x n matrices with singular values spread
+    from 1 to 1/cond (R of ``conditioned``'s QR), every other one with its
+    strictly upper part scaled up to skew it."""
+    r = np.linalg.qr(conditioned(rng, n, cond, count))[1]
+    r[1::2] += np.triu(r[1::2], 1) * rng.uniform(0.0, 3.0, size=(count // 2, 1, 1))
+    return r
+
+
+def triangular_outcome(a):
+    """``outcome`` with the caller's word that every matrix is upper triangular."""
+    try:
+        linalg.check_nonsingular(a, upper=True)
+    except (Singular, np.linalg.LinAlgError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.fixture
+def cholesky_calls(monkeypatch):
+    calls = []
+    original = np.linalg.cholesky
+
+    def counting(a):
+        calls.append(a.shape)
+        return original(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    return calls
+
+
+class TestTriangularCertificate:
+    """An upper-triangular stack first tries the comparison-matrix
+    certificate, which calls no LAPACK; where it proves nothing the
+    Cholesky certificate and then the SVD decide, as for any stack."""
+
+    def test_sound_wherever_it_passes(self, rng):
+        eps = np.finfo(np.float64).eps
+        passed = failed = 0
+        for n in (2, 4, 8, 16, 32):
+            for cond in np.logspace(0, 17, 35):
+                stack = triangular(rng, n, cond, count=8)
+                for a in (stack, *stack):
+                    if linalg._triangular_certificate(a):
+                        passed += 1
+                        sv = np.linalg.svd(a, compute_uv=False)
+                        assert (sv[..., -1] >= n * np.sqrt(eps) * sv[..., 0]).all()
+                    else:
+                        failed += 1
+                    assert triangular_outcome(a) == outcome(a)
+        assert passed > 300 and failed > 1000
+
+    def test_sound_where_the_bound_is_nearly_tight(self):
+        # A^-1 = [[I, c e], [0, c]]: M(A) = A, and 2 sqrt(n) ||A^-1||_inf
+        # ||A||_F is within about 2 sqrt(2) of the condition number, so a
+        # bound without its sqrt(n) would pass some of these at n >= 16
+        # whose sigma_min is below n sqrt(eps) sigma_max
+        eps = np.finfo(np.float64).eps
+        for n in (2, 4, 8, 16, 32):
+            passed = 0
+            for c in np.logspace(3, 9, 200):
+                a = np.eye(n)
+                a[:-1, -1] = -1.0
+                a[-1, -1] = 1.0 / c
+                sv = np.linalg.svd(a, compute_uv=False)
+                if linalg._triangular_certificate(a):
+                    passed += 1
+                    assert sv[-1] >= n * np.sqrt(eps) * sv[0]
+            assert 20 < passed < 200
+
+    @pytest.mark.parametrize("g", [2, 4, 8, 16])
+    def test_k_family_stacks_pass_below_the_cholesky_path(self, g, cholesky_calls):
+        # the estimator's P_Z: every stack here passes without LAPACK, up to
+        # y = 100 below g = 16; at g = 16 and y = 100 the bound is about 6.7
+        # times its threshold, and the Cholesky certificate passes the stack
+        for y in (0.5, 8.0, 100.0):
+            b = k_family_bases(k_symmetric_stack(g, vcube_wedges(g, 1, 0, 64)), y)
+            linalg.check_nonsingular(b, upper=True)
+            assert linalg._triangular_certificate(b) == (g < 16 or y < 100.0)
+        assert len(cholesky_calls) == (g == 16)
+
+    @pytest.mark.parametrize("g", [2, 4, 8, 16])
+    @pytest.mark.parametrize("y", [1e3, 1e4, 1e8])
+    def test_large_heights_fall_back_to_the_same_verdict(self, g, y, cholesky_calls):
+        b = k_family_bases(k_symmetric_stack(g, vcube_wedges(g, 1, 0, 64)), y)
+        proved = linalg._triangular_certificate(b)
+        assert proved == ((g, y) == (2, 1e3))
+        verdict = triangular_outcome(b)
+        assert len(cholesky_calls) == (not proved)
+        assert verdict == outcome(b)
+        assert (verdict is not None) == (y == 1e8)
+
+    def test_bad_input_proves_nothing(self, rng):
+        a = np.triu(rng.normal(size=(5, 4, 4))) + 8 * np.eye(4)
+        assert linalg._triangular_certificate(a)
+        cases = [np.zeros((0, 4, 4))]
+        for i, j, bad in [(1, 1, np.nan), (0, 3, np.nan), (0, 2, np.inf), (3, 3, -np.inf), (2, 2, 0.0),
+                          (0, 0, 1e-320), (0, 1, 1e200)]:
+            b = a.copy()
+            b[3, i, j] = bad
+            cases += [b, b[3]]
+        cases += [1e-170 * a, 1e170 * a]
+        for b in cases:
+            assert not linalg._triangular_certificate(b)
+            assert triangular_outcome(b) == outcome(b)
 
 
 class TestIsOrthogonal:

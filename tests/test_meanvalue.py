@@ -110,6 +110,17 @@ class TestEstimate:
         est = estimate_I(2, 8.0, 0.25, 1000, seed=seed)
         assert round(est.mean * 1000) == total
 
+    def test_as_given_pass_calls_no_lapack(self, monkeypatch):
+        # the mc-k stack walks as given: its rank check is the triangular
+        # certificate, P_Z's matmuls are BLAS and the walk is elementwise
+        def refuse(*args, **kwargs):
+            raise AssertionError("a LAPACK routine ran")
+
+        for name in ("cholesky", "svd", "inv", "det", "solve", "eigh", "eigvalsh", "qr"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        est = estimate_I(2, 8.0, 0.25, 1000, seed=1)
+        assert round(est.mean * 1000) == 300
+
     def test_single_sample(self):
         est = estimate_I(2, 8.0, 0.25, 1, seed=2)
         assert est.stderr == 0.0

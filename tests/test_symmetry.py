@@ -15,7 +15,8 @@ from symplat import (
     p_z,
     verify_a2n_symmetries,
 )
-from symplat.errors import NotASymmetry, NotIntegral
+from symplat import symmetry
+from symplat.errors import NotASymmetry, NotIntegral, NotUnimodular
 from symplat.groups import bit_flips
 from symplat.linalg import det_int, round_to_int
 
@@ -60,6 +61,16 @@ class TestInducedChangeOfBasis:
     def test_rejects_non_orthogonal(self):
         with pytest.raises(NotASymmetry):
             induced_change_of_basis(from_basis(np.eye(2)), [[1.0, 1.0], [0.0, 1.0]])
+
+    def test_rejects_a_change_of_basis_that_is_not_unimodular(self, monkeypatch):
+        # an integral R from an orthogonal O is unimodular, so only a failed
+        # exact check reaches the error; the message quotes Bareiss's det R
+        monkeypatch.setattr(symmetry, "is_unimodular", lambda r: False)
+        lat = from_basis(np.eye(2))
+        o = np.array([[0.0, -1.0], [1.0, 0.0]])
+        with pytest.raises(NotUnimodular, match=r"^induced matrix has determinant 1$"):
+            induced_change_of_basis(lat, o)
+        assert count_symmetries(lat, [o]) == (0, [])
 
     def test_witness_soundness(self, rng):
         for _ in range(20):
